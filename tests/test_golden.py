@@ -1,0 +1,138 @@
+"""Golden-output net: the sha256 of every file `setcat catalog --export`
+writes and of a fixed set of `--format json` CLI reports.  The digests were
+captured from the engine before the pointed fixtures were rebuilt from metric
+groups; a refactor of the structure layer must leave every byte unchanged."""
+
+import hashlib
+from pathlib import Path
+
+from setcat.cli import main
+
+GOLDEN_EXPORT = {
+    "anti_semion.json":
+        "aed55d67593657468d84633b69c97329c46806d9213e923ba7994aac64619829",
+    "double_2.emb_canonical.json":
+        "280b795df346423635155b1a11e4b8bb9bcf16ade9aa695f69e3b2d01fc3f052",
+    "double_2.json":
+        "038c1a0b4f5cc3ae5f3d930c0b2323435489ba3eefac21766efb17587eb72417",
+    "double_3.emb_canonical.json":
+        "161f44da5ad9b973ba02ddf08bd8549376264e5f2463cd675e17c3f544bc1d77",
+    "double_3.json":
+        "e36b225fb40d58a8d824f03cd2bce5181d8bcbae84c86cf2369942644e73349a",
+    "double_4.emb_canonical.json":
+        "c07816680d90e60478359b6d15a358ed0dbdde26c5e85cef91a127ce0913b0eb",
+    "double_4.json":
+        "f09b437ad747eb370361cf7d82d39234873fcf1dce4f48a54f2f3b2e0af90f88",
+    "double_semion.emb_boson.json":
+        "103e30a04f517d402ff6b966b839929f8ce00d5d07528df5c1d94b1326fe2ed1",
+    "double_semion.json":
+        "44bdb5bcbc373f8d5fd7861d86070417c934a18c89dd1620ef6f9298409eedca",
+    "fibonacci.json":
+        "788f99e286234d5f923b9f2ca53d14cf07ba25b0de6acf7f9c216be9adbad825",
+    "ising.json":
+        "ff18fe72999c7fa801f29a4cb3f8b76399c33fa5e28bccd60e762323b84640ef",
+    "ising_rev.json":
+        "f71cb3c224ab1e6263184e721db513940532cd8633fa05a383f07f87c0c2f917",
+    "rep_z2.emb_identity.json":
+        "9c368b7266ece14ce777fe153bc151974d50376d9edf00eafe5f9ecaf543625c",
+    "rep_z2.json":
+        "e9435216c91944a7d2767a718fbd8a5e9fd15273c486cb1ec39023c514e45ba8",
+    "rep_z4.emb_identity.json":
+        "f259127bf9117f45a0904d35a29aa2c6232185c2cc88c5f0e2dc350cf79a877e",
+    "rep_z4.json":
+        "d49ec0688c9a276a73db506896d4177cb61dd0f6567cba36e041a51466711d9f",
+    "semion.json":
+        "d50b78008b94d010efc70b2504d02a9399c082e4e16416b5f670d25b1fe59e2f",
+    "toric_code.emb_e.json":
+        "8cabd0b1f99001d573d7d2ae9552e902969db83f470877bb29edf88238af5f1b",
+    "toric_code.emb_m.json":
+        "ba041a8c28a12075f82ceae0f1ff6c2b225cccb2900ea486806d7fdf2c3ed074",
+    "toric_code.json":
+        "323a4de5e7c93db5d2690389761fa336236a634f6f81ddc1d2ace5398b10e8b8",
+    "vec.json":
+        "adc8d5dc0c3ef6e246ca79d3aac5814b4dd5666617ab864cd0af213e1027d96e",
+}
+
+GOLDEN_REPORTS = {
+    "info anti_semion":
+        "02ce91f82108b92d7eb7126fed7054770c15707480a04d9787f2858975246331",
+    "info double_2":
+        "f30b479a7ca25df9c973c2322c721d5e400a2f79498160f26ef3bcbfb0e6d776",
+    "info double_3":
+        "1505bae3fdf5f545621e2e70e754bbd73fd3ebe3be36611147b7635e6d0f35e4",
+    "info double_4":
+        "aa8a41cdfe745018594536611bb967a158cd9ddbcdffa7e4c68dc70ce97a0666",
+    "info double_semion":
+        "6c04cd1016f3da1ab92e85e82c0243e5310ffd0432c6903a9ed43fd4386bc7c8",
+    "info fibonacci":
+        "8729242dee7d573ae5919edd7041c81d7ecb7ca1a63123be05806599b0459844",
+    "info ising":
+        "1956c139a0c823915c401710a1c157d4dfb513cd212a8b8e23f9485226baf57a",
+    "info ising_rev":
+        "80be8ede238aa55e07e516521f678dd8b4ccd3ee237afc861102712723dca8fe",
+    "info rep_z2":
+        "4a261ab5d5566863bea25818977942eaa6baf3cb06c84bce80812879f495986e",
+    "info rep_z4":
+        "ad993f0cdbd24f7d19549c62f9a4155b4858942b46f28ccdcb4b1f16246198f3",
+    "info semion":
+        "63bff1af50d53bae0bee598883c187d43f37c1f2efd65d318100de2dcafb48d0",
+    "info toric_code":
+        "3e35bce1b84d114eb839cf9cf7b54064e6b02bbf42bd9592610fbae581fd32a0",
+    "info vec":
+        "cf12539f83c0e7ecc05bee9c7a494dbcc220b5be9457c7d6936aade0f982467c",
+    "catalog":
+        "ffdd070df716003e4066c9549f6fa7d5e0afa8fa06009695900d6a9c05250a7c",
+    "condense toric_code 1,e":
+        "1a67158acbf3dcac6d86307bfa0f5bb2ef8bfc4dc422a80e4a1bf6c2f7802827",
+    "relprod toric_code toric_code e e":
+        "295df18806e3b328ea8f788757aa55fa84e1536f4943c6c1c32ae4aa659d7c2d",
+    "product semion ising":
+        "d2a5613cbc4bdb31d8dd9c544151724fad84d698edbbe8bcc14108e352017211",
+    "equiv toric_code double_2":
+        "9ce5792d21544e31dfdc186b28285d2907fed721548c9ddd99eee9da75fbe364",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _cli(capsys, argv) -> str:
+    assert main(argv) in (0, 1), argv
+    return capsys.readouterr().out
+
+
+def export_digests(capsys, d: Path) -> dict[str, str]:
+    _cli(capsys, ["catalog", "--export", str(d)])
+    return {p.name: _sha(p.read_text(encoding="utf-8"))
+            for p in sorted(d.iterdir())}
+
+
+def report_digests(capsys, d: Path) -> dict[str, str]:
+    """Digests of the JSON reports, run on the exported fixtures in `d`."""
+    f = {p.name[:-len(".json")]: str(p) for p in d.iterdir()}
+    out = {}
+    for name in sorted(f):
+        if ".emb_" not in name:
+            out[f"info {name}"] = _sha(_cli(capsys, ["info", f[name], "--format", "json"]))
+    runs = {
+        "catalog": ["catalog"],
+        "condense toric_code 1,e": ["condense", f["toric_code"], "--bosons", "1,e"],
+        "relprod toric_code toric_code e e": [
+            "relprod", f["toric_code"], f["toric_code"],
+            "--emb", f["toric_code.emb_e"], "--emb", f["toric_code.emb_e"]],
+        "product semion ising": ["product", f["semion"], f["ising"]],
+        "equiv toric_code double_2": ["equiv", f["toric_code"], f["double_2"]],
+    }
+    for key, argv in runs.items():
+        out[key] = _sha(_cli(capsys, argv + ["--format", "json"]))
+    return out
+
+
+def test_catalog_export_is_byte_identical(capsys, tmp_path):
+    assert export_digests(capsys, tmp_path) == GOLDEN_EXPORT
+
+
+def test_json_reports_are_byte_identical(capsys, tmp_path):
+    export_digests(capsys, tmp_path)
+    assert report_digests(capsys, tmp_path) == GOLDEN_REPORTS
