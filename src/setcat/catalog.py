@@ -7,11 +7,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from . import abelian
 from .cyclo import Cyclo, parse_cyclo
-from .double import drinfeld_double, rep_abelian
+from .double import drinfeld_double
 from .embedding import SymmetryEmbedding
 from .errors import InternalFault
 from .fusion import FusionRing
+from .pointed import MetricGroup
 from .premodular import Premodular
 
 F = Fraction
@@ -25,87 +27,18 @@ class CatalogEntry:
     embeddings: dict[str, SymmetryEmbedding] = field(default_factory=dict)
 
 
-def _group_category(name: str, labels: list[str], add, neg,
-                    twists: dict[str, Fraction]) -> Premodular:
-    fusion = {(a, b, add(a, b)): 1 for a in labels for b in labels}
-    ring = FusionRing(labels, {a: neg(a) for a in labels}, fusion)
-    return Premodular(ring, {a: _ONE for a in labels}, twists, name=name)
-
-
-def _vec() -> CatalogEntry:
-    ring = FusionRing(["1"], {"1": "1"}, {("1", "1", "1"): 1})
-    cat = Premodular(ring, {"1": _ONE}, {"1": F(0)}, name="vec")
-    return CatalogEntry("vec", cat)
-
-
-def _z2_pointed(name: str, twist: Fraction) -> Premodular:
-    labels = ["1", "s"]
-    add = lambda a, b: "1" if a == b else ("s" if "s" in (a, b) else "1")
-    return _group_category(name, labels, add, lambda a: a,
-                           {"1": F(0), "s": twist})
-
-
-def _rep_z2() -> CatalogEntry:
-    labels = ["1", "e"]
-    add = lambda a, b: "1" if a == b else "e"
-    cat = _group_category("rep_z2", labels, add, lambda a: a,
-                          {"1": F(0), "e": F(0)})
-    emb = SymmetryEmbedding([2], "rep_z2", {(0,): "1", (1,): "e"})
-    return CatalogEntry("rep_z2", cat, {"identity": emb})
-
-
-def _rep_z4() -> CatalogEntry:
-    cat, emb = rep_abelian([4])
-    cat.name = "rep_z4"
-    emb = SymmetryEmbedding([4], "rep_z4", dict(emb.mapping))
-    return CatalogEntry("rep_z4", cat, {"identity": emb})
-
-
-def _semion(name: str, twist: Fraction) -> CatalogEntry:
-    return CatalogEntry(name, _z2_pointed(name, twist))
-
-
-def _double_semion() -> CatalogEntry:
-    labels = ["1", "s", "sb", "b"]
-    table = {
-        ("1", x): x for x in labels
-    }
-    pairs = {("s", "s"): "1", ("s", "sb"): "b", ("s", "b"): "sb",
-             ("sb", "sb"): "1", ("sb", "b"): "s", ("b", "b"): "1",
-             ("sb", "s"): "b", ("b", "s"): "sb", ("b", "sb"): "s"}
-
-    def add(a, b):
-        if a == "1":
-            return b
-        if b == "1":
-            return a
-        return pairs[(a, b)]
-
-    cat = _group_category("double_semion", labels, add, lambda a: a,
-                          {"1": F(0), "s": F(1, 4), "sb": F(3, 4), "b": F(0)})
-    emb = SymmetryEmbedding([2], "double_semion", {(0,): "1", (1,): "b"})
-    return CatalogEntry("double_semion", cat, {"boson": emb})
-
-
-def _toric() -> CatalogEntry:
-    labels = ["1", "e", "m", "f"]
-    pairs = {("e", "m"): "f", ("e", "f"): "m", ("m", "f"): "e",
-             ("m", "e"): "f", ("f", "e"): "m", ("f", "m"): "e"}
-
-    def add(a, b):
-        if a == "1":
-            return b
-        if b == "1":
-            return a
-        if a == b:
-            return "1"
-        return pairs[(a, b)]
-
-    cat = _group_category("toric_code", labels, add, lambda a: a,
-                          {"1": F(0), "e": F(0), "m": F(0), "f": F(1, 2)})
-    emb_e = SymmetryEmbedding([2], "toric_code", {(0,): "1", (1,): "e"})
-    emb_m = SymmetryEmbedding([2], "toric_code", {(0,): "1", (1,): "m"})
-    return CatalogEntry("toric_code", cat, {"e": emb_e, "m": emb_m})
+def _pointed(name: str, factors: list[int], q: list[Fraction], labels: list[str],
+             embeddings: dict[str, list[str]] | None = None) -> CatalogEntry:
+    """The metric group with invariant factors `factors`, with q and the
+    labels listed in element order; each embedding of the cyclic group Z/n is
+    listed as the images of 0, 1, ..., n-1."""
+    elems = abelian.iter_elements(factors)
+    cat = MetricGroup(factors, dict(zip(elems, q))).to_premodular(name=name)
+    cat = cat.relabel(dict(zip(cat.labels, labels)), name)
+    embs = {key: SymmetryEmbedding([len(image)], name,
+                                   {(i,): x for i, x in enumerate(image)})
+            for key, image in (embeddings or {}).items()}
+    return CatalogEntry(name, cat, embs)
 
 
 def _double(factors: list[int]) -> CatalogEntry:
@@ -144,13 +77,17 @@ def _fibonacci() -> CatalogEntry:
 def catalog() -> dict[str, CatalogEntry]:
     """All fixtures, keyed by name, each validated as a startup self-test."""
     entries = [
-        _vec(),
-        _rep_z2(),
-        _rep_z4(),
-        _semion("semion", F(1, 4)),
-        _semion("anti_semion", F(3, 4)),
-        _double_semion(),
-        _toric(),
+        _pointed("vec", [], [F(0)], ["1"]),
+        _pointed("rep_z2", [2], [F(0), F(0)], ["1", "e"],
+                 {"identity": ["1", "e"]}),
+        _pointed("rep_z4", [4], [F(0)] * 4, ["(0)", "(1)", "(2)", "(3)"],
+                 {"identity": ["(0)", "(1)", "(2)", "(3)"]}),
+        _pointed("semion", [2], [F(0), F(1, 4)], ["1", "s"]),
+        _pointed("anti_semion", [2], [F(0), F(3, 4)], ["1", "s"]),
+        _pointed("double_semion", [2, 2], [F(0), F(1, 4), F(3, 4), F(0)],
+                 ["1", "s", "sb", "b"], {"boson": ["1", "b"]}),
+        _pointed("toric_code", [2, 2], [F(0), F(0), F(0), F(1, 2)],
+                 ["1", "e", "m", "f"], {"e": ["1", "e"], "m": ["1", "m"]}),
         _double([2]),
         _double([3]),
         _double([4]),

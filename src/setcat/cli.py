@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -17,7 +16,8 @@ from .catalog import catalog
 from .cyclo import format_cyclo
 from .double import drinfeld_double, rep_abelian
 from .equiv import find_equivalence
-from .errors import InputError, InternalFault, SetcatError, ValidationInputError
+from .errors import (InputError, InternalFault, SetcatError, SyntaxInputError,
+                     ValidationInputError)
 from .premodular import Premodular
 from .randomized import run_arithmetic_trials, run_pointed_oracle_trials
 from .relprod import (
@@ -262,15 +262,21 @@ def _emit_pair(args, cat: Premodular, emb) -> int:
     return EXIT_OK
 
 
+def _group_factors(text: str) -> list[int]:
+    try:
+        return [int(x) for x in split_labels(text)]
+    except ValueError as exc:
+        raise SyntaxInputError(
+            f"--group must be comma-separated integers, got {text!r}") from exc
+
+
 def cmd_double(args) -> int:
-    factors = [int(x) for x in split_labels(args.group)]
-    cat, emb = drinfeld_double(factors)
+    cat, emb = drinfeld_double(_group_factors(args.group))
     return _emit_pair(args, cat, emb)
 
 
 def cmd_rep(args) -> int:
-    factors = [int(x) for x in split_labels(args.group)]
-    cat, emb = rep_abelian(factors)
+    cat, emb = rep_abelian(_group_factors(args.group))
     return _emit_pair(args, cat, emb)
 
 
@@ -485,22 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("SETCAT_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise InputError(f"SETCAT_THREADS must be an integer, got {raw!r}") from exc
-    if val < 0:
-        raise InputError("SETCAT_THREADS must be >= 0")
-    return val
-
-
 def main(argv=None) -> int:
     try:
-        _threads_cap()  # evaluation is sequential; the cap only bounds it
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ValidationInputError) as exc:

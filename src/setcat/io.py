@@ -70,6 +70,14 @@ def _format_tuple_key(t: tuple[int, ...]) -> str:
     return ",".join(str(x) for x in t)
 
 
+def _check_types(obj: dict, types: dict[str, tuple[type, str]]) -> None:
+    """Reject a present field whose JSON container type is wrong."""
+    for key, (kind, what) in types.items():
+        if key in obj and not isinstance(obj[key], kind):
+            raise SyntaxInputError(
+                f"{key} must be {what}, got a {type(obj[key]).__name__}")
+
+
 def file_kind(obj: dict) -> str:
     if "simples" in obj:
         return "category"
@@ -89,11 +97,16 @@ def parse_category(obj: dict | str) -> Premodular:
     for key in ("name", "simples", "dual", "fusion", "twists", "dims"):
         if key not in obj:
             raise SyntaxInputError(f"category file misses field {key!r}")
+    _check_types(obj, {"name": (str, "a string"),
+                       "dual": (dict, "a map label -> label"),
+                       "fusion": (list, "a list of [i, j, k, N] rows"),
+                       "twists": (dict, "a map label -> turn"),
+                       "dims": (dict, "a map label -> exact value")})
     simples = obj["simples"]
     if not isinstance(simples, list) or not all(isinstance(x, str) for x in simples):
         raise SyntaxInputError("simples must be a list of label strings")
     dual = obj["dual"]
-    if not isinstance(dual, dict):
+    if not all(isinstance(x, str) for x in dual.values()):
         raise SyntaxInputError("dual must be a map label -> label")
     fusion = {}
     for row in obj["fusion"]:
@@ -150,6 +163,8 @@ def parse_embedding(obj: dict | str, category: Premodular | None = None) -> Symm
     for key in ("group", "target", "map"):
         if key not in obj:
             raise SyntaxInputError(f"embedding file misses field {key!r}")
+    _check_types(obj, {"target": (str, "a string"),
+                       "map": (dict, "a map element -> label")})
     group = obj["group"]
     if not isinstance(group, list) or not all(
             isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in group):
@@ -182,9 +197,12 @@ def serialize_embedding(emb: SymmetryEmbedding) -> dict:
 # -- metric groups ----------------------------------------------------------------
 
 
-def parse_metric_group(obj: dict | str, validate: bool = True) -> MetricGroup:
+def parse_metric_group(obj: dict | str) -> MetricGroup:
     if isinstance(obj, str):
         obj = loads(obj)
+    _check_types(obj, {"name": (str, "a string"),
+                       "q": (dict, "a map element -> turn"),
+                       "q_poly": (dict, "a map index pair -> turn")})
     factors = obj["invariant_factors"]
     if not isinstance(factors, list) or not all(
             isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in factors):
@@ -207,11 +225,10 @@ def parse_metric_group(obj: dict | str, validate: bool = True) -> MetricGroup:
         M = MetricGroup(factors, q, name=obj.get("name", "metric"))
     except Exception as exc:
         raise ValidationInputError(f"metric group data rejected: {exc}") from exc
-    if validate:
-        report = M.validate()
-        if report:
-            raise ValidationInputError(
-                "metric group fails validation: " + "; ".join(report[:5]))
+    report = M.validate()
+    if report:
+        raise ValidationInputError(
+            "metric group fails validation: " + "; ".join(report[:5]))
     return M
 
 

@@ -88,9 +88,6 @@ class Premodular:
             self._s_full = True
         return self._s
 
-    def s_row(self, i: str) -> list[Cyclo]:
-        return [self.s_entry(i, j) for j in self.labels]
-
     # -- centralizer calculus -------------------------------------------------
 
     def centralizes(self, i: str, j: str) -> bool:
@@ -156,8 +153,11 @@ class Premodular:
 
     # -- constructions -----------------------------------------------------------
 
-    def deligne(self, other: "Premodular", check_smatrix: bool = True) -> "Premodular":
-        """Deligne product: dimensions multiply, twist turns add mod 1."""
+    def deligne(self, other: "Premodular") -> "Premodular":
+        """Deligne product: dimensions multiply, twist turns add mod 1.
+
+        Its S-matrix is the Kronecker product S_(a,b),(c,d) = S_ac * S_bd, as
+        tests/test_premodular.py asserts."""
         ring = self.ring.product(other.ring)
         dims = {}
         twists = {}
@@ -166,31 +166,24 @@ class Premodular:
                 lab = pair_label(a, b)
                 dims[lab] = self.dims[a] * other.dims[b]
                 twists[lab] = turn_mod1(self.twists[a] + other.twists[b])
-        prod = Premodular(ring, dims, twists, name=f"{self.name} (x) {other.name}")
-        if check_smatrix:
-            for a in self.labels:
-                for b in other.labels:
-                    for c in self.labels:
-                        for d in other.labels:
-                            got = prod.s_entry(pair_label(a, b), pair_label(c, d))
-                            want = self.s_entry(a, c) * other.s_entry(b, d)
-                            if got != want:
-                                raise InternalFault(
-                                    f"Deligne product S-matrix is not the Kronecker "
-                                    f"product at (({a},{b}),({c},{d}))")
-        return prod
+        return Premodular(ring, dims, twists, name=f"{self.name} (x) {other.name}")
 
-    def reverse(self, check_smatrix: bool = True) -> "Premodular":
-        """Same fusion and dimensions, inverse braiding: twists negate mod 1."""
+    def reverse(self) -> "Premodular":
+        """Same fusion and dimensions, inverse braiding: twists negate mod 1.
+
+        Its S-matrix is the complex conjugate of this one, as
+        tests/test_premodular.py asserts."""
         twists = {x: turn_mod1(-self.twists[x]) for x in self.labels}
-        rev = Premodular(self.ring, self.dims, twists, name=f"rev({self.name})")
-        if check_smatrix:
-            for i in self.labels:
-                for j in self.labels:
-                    if rev.s_entry(i, j) != self.s_entry(i, j).conjugate():
-                        raise InternalFault(
-                            f"reversed braiding S-matrix is not the conjugate at ({i},{j})")
-        return rev
+        return Premodular(self.ring, self.dims, twists, name=f"rev({self.name})")
+
+    def relabel(self, mapping: dict[str, str], name: str) -> "Premodular":
+        """The same data with every label x renamed to mapping[x]."""
+        m = mapping
+        ring = FusionRing([m[x] for x in self.labels],
+                          {m[x]: m[self.dual(x)] for x in self.labels},
+                          {(m[i], m[j], m[k]): n for (i, j, k), n in self.ring.N.items()})
+        return Premodular(ring, {m[x]: self.dims[x] for x in self.labels},
+                          {m[x]: self.twists[x] for x in self.labels}, name=name)
 
     def restrict(self, labels: list[str], name: str = "") -> "Premodular":
         ring = self.ring.restrict(labels)

@@ -18,6 +18,8 @@ _SHAPES = [[2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2], [9],
            [5, 5], [2, 2, 2, 2], [3, 12], [2, 16], [6, 6], [24], [32],
            [2, 4, 4], [48], [64], [2, 32], [4, 16], [2, 2, 2, 2, 2], [8, 8]]
 
+_CONSERVING_ATTEMPTS = 50
+
 
 def _prod(xs) -> int:
     out = 1
@@ -67,11 +69,11 @@ def random_isotropic_subgroup(M: MetricGroup, rng: random.Random) -> list:
     return H
 
 
-def random_conserving_pair(rng: random.Random, max_order: int = 64,
-                           attempts: int = 50) -> tuple[MetricGroup, list]:
+def random_conserving_pair(rng: random.Random,
+                           max_order: int = 64) -> tuple[MetricGroup, list]:
     """(M, H) with H isotropic and |H_perp| * |H| = |A|, so that the
     dimension conservation law applies to the condensation."""
-    for _ in range(attempts):
+    for _ in range(_CONSERVING_ATTEMPTS):
         M = random_metric_group(rng, max_order)
         H = random_isotropic_subgroup(M, rng)
         if len(M.orthogonal_complement(H)) * len(H) == M.order():
@@ -82,14 +84,9 @@ def random_conserving_pair(rng: random.Random, max_order: int = 64,
     raise InternalFault("could not sample a conserving pair")
 
 
-def pointed_oracle_trial(rng: random.Random, max_order: int = 64,
-                         conserving: bool = True) -> dict:
+def pointed_oracle_trial(rng: random.Random, max_order: int = 64) -> dict:
     """One engine-vs-oracle comparison; returns the exact bookkeeping."""
-    if conserving:
-        M, H = random_conserving_pair(rng, max_order)
-    else:
-        M = random_metric_group(rng, max_order)
-        H = random_isotropic_subgroup(M, rng)
+    M, H = random_conserving_pair(rng, max_order)
     oracle = M.condense([g for g in H if g != M.zero()])
     P = M.to_premodular(check_smatrix=False)
     res = condense_by_invertible_bosons(P, [element_label(h) for h in H])

@@ -209,3 +209,43 @@ def test_verify_nondegeneracy_cli(capsys, fixture_dir):
     data = json.loads(out)
     assert data["factors_nondegenerate"] is True
     assert data["result_nondegenerate"] is True
+
+
+def assert_input_error(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "input error" in err
+    assert "Traceback" not in err
+
+
+def write_json(tmp_path, obj) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["double", "--group", "x"],
+                                  ["rep", "--group", "2.5"]])
+def test_bad_group_exit_2(capsys, argv):
+    assert_input_error(capsys, argv)
+
+
+@pytest.mark.parametrize("field,value", [("fusion", 5), ("dims", "1"), ("name", 7),
+                                         ("dual", {"1": "1", "e": ["e"]})])
+def test_malformed_category_file_exit_2(capsys, fixture_dir, tmp_path, field, value):
+    obj = json.loads((fixture_dir / "toric_code.json").read_text())
+    obj[field] = value
+    assert_input_error(capsys, ["validate", write_json(tmp_path, obj)])
+
+
+def test_metric_group_q_list_exit_2(capsys, tmp_path):
+    obj = {"name": "z2", "invariant_factors": [2], "q": ["0", "1/4"]}
+    assert_input_error(capsys, ["validate", write_json(tmp_path, obj)])
+
+
+@pytest.mark.parametrize("field,value", [("map", ["1", "e"]), ("target", 3)])
+def test_malformed_embedding_file_exit_2(capsys, fixture_dir, tmp_path, field, value):
+    obj = json.loads((fixture_dir / "toric_code.emb_e.json").read_text())
+    obj[field] = value
+    assert_input_error(capsys, ["validate", write_json(tmp_path, obj),
+                                "--against", str(fixture_dir / "toric_code.json")])

@@ -8,8 +8,6 @@ from setcat.embedding import SymmetryEmbedding
 from setcat.equiv import (canonical_fingerprint, check_bijection,
                           find_equivalence, label_fingerprint)
 from setcat.errors import InputError
-from setcat.fusion import FusionRing
-from setcat.premodular import Premodular
 
 F = Fraction
 
@@ -28,19 +26,9 @@ def brute_force_equivalent(P1, P2, emb1=None, emb2=None):
     return None
 
 
-def relabel(P: Premodular, mapping: dict[str, str], name: str) -> Premodular:
-    labels = [mapping[x] for x in P.labels]
-    dual = {mapping[x]: mapping[P.dual(x)] for x in P.labels}
-    fusion = {(mapping[i], mapping[j], mapping[k]): n
-              for (i, j, k), n in P.ring.N.items()}
-    ring = FusionRing(labels, dual, fusion)
-    return Premodular(ring, {mapping[x]: P.dim(x) for x in P.labels},
-                      {mapping[x]: P.twist(x) for x in P.labels}, name=name)
-
-
 def test_relabeled_toric_found():
     toric = get("toric_code").category
-    swapped = relabel(toric, {"1": "1", "e": "m", "m": "e", "f": "f"}, "toric_swapped")
+    swapped = toric.relabel({"1": "1", "e": "m", "m": "e", "f": "f"}, "toric_swapped")
     sigma = find_equivalence(toric, swapped)
     assert sigma is not None
     assert sigma == {"1": "1", "e": "m", "m": "e", "f": "f"} or \

@@ -2,10 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from setcat.catalog import catalog, get
 from setcat.cyclo import Cyclo, parse_cyclo, root_of_unity
+from setcat.double import drinfeld_double
 from setcat.errors import InputError
 from setcat.fusion import FusionRing, pair_label
 from setcat.premodular import Premodular
+from setcat.relprod import relative_centralizer
+
+from .test_acceptance import STACKING_SET, UNIT_LAW_INSTANCES
 
 ONE = Cyclo.one()
 MINUS_ONE = Cyclo.from_rational(-1)
@@ -177,25 +182,56 @@ def test_deligne_product():
     assert prod.validate() == []
 
 
-def test_deligne_smatrix_kronecker():
-    A = semion()
-    B = ising()
-    prod = A.deligne(B)  # Kronecker identity asserted inside
+def assert_kronecker(A: Premodular, B: Premodular) -> None:
+    """S of the Deligne product is the Kronecker product S_(a,b),(c,d) = S_ac S_bd."""
+    prod = A.deligne(B)
     for a in A.labels:
         for b in B.labels:
             for c in A.labels:
                 for d in B.labels:
                     assert prod.s_entry(pair_label(a, b), pair_label(c, d)) == \
-                        A.s_entry(a, c) * B.s_entry(b, d)
+                        A.s_entry(a, c) * B.s_entry(b, d), (A.name, B.name, a, b, c, d)
+
+
+def test_deligne_smatrix_kronecker():
+    # every catalog pair of rank <= 4, semion x ising and ising x ising_rev among them
+    entries = [e for e in catalog().values() if e.category.ring.rank() <= 4]
+    for e1 in entries:
+        for e2 in entries:
+            assert_kronecker(e1.category, e2.category)
+
+
+@pytest.mark.parametrize("name,key", UNIT_LAW_INSTANCES)
+def test_deligne_smatrix_kronecker_unit_law(name, key):
+    # the product Z(G) x C that verify_unit_law condenses
+    entry = get(name)
+    Z, _ = drinfeld_double(entry.embeddings[key].group)
+    assert_kronecker(Z, entry.category)
+
+
+@pytest.mark.parametrize("centralized", [False, True])
+@pytest.mark.parametrize("right", STACKING_SET)
+@pytest.mark.parametrize("left", STACKING_SET)
+def test_deligne_smatrix_kronecker_stacking(left, right, centralized):
+    # the products C x D and cent(C) x cent(D) that verify_stacking_identity
+    # condenses
+    cats = []
+    for name, key in (left, right):
+        entry = get(name)
+        cats.append(relative_centralizer(entry.category, entry.embeddings[key])
+                    if centralized else entry.category)
+    assert_kronecker(*cats)
 
 
 def test_reverse_braiding():
     I = ising()
     R = I.reverse()
     assert [R.twist(x) for x in R.labels] == [Fraction(0), Fraction(1, 2), Fraction(15, 16)]
-    for i in I.labels:
-        for j in I.labels:
-            assert R.s_entry(i, j) == I.s_entry(i, j).conjugate()
+    for P in [e.category for e in catalog().values()]:
+        R = P.reverse()
+        for i in P.labels:
+            for j in P.labels:
+                assert R.s_entry(i, j) == P.s_entry(i, j).conjugate(), (P.name, i, j)
 
 
 def test_double_semion_from_semion_pair():
@@ -229,10 +265,9 @@ def test_all_zero_twists_on_toric_ring_is_valid_symmetric_data():
 
 
 def test_product_nondegeneracy_iff_factors_over_catalog():
-    from setcat.catalog import catalog
     entries = [e for e in catalog().values() if e.category.ring.rank() <= 4]
     for e1 in entries:
         for e2 in entries:
-            prod = e1.category.deligne(e2.category, check_smatrix=False)
+            prod = e1.category.deligne(e2.category)
             want = e1.category.is_nondegenerate() and e2.category.is_nondegenerate()
             assert prod.is_nondegenerate() == want, (e1.name, e2.name)
