@@ -1,10 +1,23 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-A value is stored in a unique canonical form: rational coefficients over the
-power basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n) where n is the conductor,
-the smallest cyclotomic field containing the value (conductors are never
-congruent to 2 mod 4).  Exact equality is therefore a plain comparison of
-(order, coefficient map), and values can be hashed and sorted.
+A value is stored at its conductor n, the smallest cyclotomic field
+containing it (never congruent to 2 mod 4), as rational coordinates over the
+basis B_n.  For each prime power p^a || n let u_p = (n/p^a)^-1 mod p^a; then
+z^e = prod_p zeta_(p^a)^(e*u_p), and B_n is the set of z^e, 0 <= e < n, with
+(e*u_p mod p^a) < phi(p^a) for every p | n: the tensor product of the power
+bases of the fields Q(zeta_(p^a)).  A term that breaks the condition for p is
+rewritten by the relation 1 + zeta_p + ... + zeta_p^(p-1) = 0 as
+
+    z^e = -(z^(e - n/p) + z^(e - 2n/p) + ... + z^(e - (p-1)n/p)),
+
+which leaves the coordinates of the other primes unchanged, so one sparse
+pass per prime reduces any exponent polynomial (as in Breuer, "Integral
+bases for subfields of cyclotomic fields", AAECC 8, 1997).  In this basis a
+value lies in Q(zeta_(n/p)) exactly when p divides every exponent, and lifting
+to a multiple of n only scales the exponents.  The form is unique, so exact
+equality is a plain comparison of (order, coefficient map), and values can be
+hashed and sorted.  Text is written over the power basis 1, z, ...,
+z^(phi(n)-1) of Q(zeta_n), converted by one long division by Phi_n.
 """
 
 from __future__ import annotations
@@ -13,21 +26,21 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import combinations
+from math import gcd, lcm, prod
 
 from .errors import InputError, SyntaxInputError
 
-__all__ = ["Cyclo", "root_of_unity", "parse_cyclo", "format_cyclo", "turn_mod1"]
+__all__ = ["Cyclo", "root_of_unity", "parse_cyclo", "format_cyclo", "turn_mod1",
+           "MAX_CONDUCTOR"]
+
+# Largest N accepted in a parsed root zN and in a parsed twist denominator.
+MAX_CONDUCTOR = 10_000
 
 
 def turn_mod1(r) -> Fraction:
     """Normalize a rational turn into [0, 1)."""
     return Fraction(r) % 1
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -45,146 +58,108 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # den is monic; the division must be exact (integer quotient, zero rest).
-    num = list(num)
-    dd = len(den) - 1
-    q = [0] * (len(num) - dd)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + dd]
-        q[i] = c
-        if c:
-            for j, y in enumerate(den):
-                num[i + j] -= c * y
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending degree."""
-    if n == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]
-    den = [1]
-    for d in _divisors(n):
-        if d < n:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    return tuple(_poly_div_exact(num, den))
+    """Integer coefficients of Phi_n, ascending degree.
+
+    Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, and Phi_r is the
+    product of (x^d - 1)^mu(r/d) over the divisors d of r.
+    """
+    primes = _prime_factors(n)
+    r = prod(primes)
+    mul, div = [], []
+    for k in range(len(primes) + 1):
+        for picked in combinations(primes, k):
+            (div if k % 2 else mul).append(r // prod(picked))
+    poly = [1]
+    for d in mul:  # times (x^d - 1)
+        out = [0] * (len(poly) + d)
+        for i, c in enumerate(poly):
+            out[i] -= c
+            out[i + d] += c
+        poly = out
+    for d in div:  # exact quotient by (x^d - 1)
+        q: list[int] = []
+        for i in range(len(poly) - d):
+            q.append((q[i - d] if i >= d else 0) - poly[i])
+        poly = q
+    s = n // r
+    out = [0] * ((len(poly) - 1) * s + 1)
+    out[::s] = poly
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _degree(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
-@lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row e - deg gives the basis coefficients of z^e for deg <= e < n."""
-    deg = _degree(n)
-    phi = cyclotomic_polynomial(n)
-    rows: list[tuple[int, ...]] = []
-    cur = [-c for c in phi[:deg]]  # z^deg
-    rows.append(tuple(cur))
-    for _ in range(deg + 1, n):
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            for i in range(deg):
-                cur[i] += top * rows[0][i]
-        rows.append(tuple(cur))
-    return tuple(rows)
+def _basis(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(p, p^a, u_p, phi(p^a), n/p) for each prime power p^a || n."""
+    out = []
+    for p in _prime_factors(n):
+        pa = p
+        while n % (pa * p) == 0:
+            pa *= p
+        out.append((p, pa, pow(n // pa, -1, pa), pa - pa // p, n // p))
+    return tuple(out)
 
 
 def _canonical(n: int, raw: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Reduce arbitrary exponents mod Phi_n to the power basis."""
-    deg = _degree(n)
-    rows = None
-    out: dict[int, Fraction] = {}
-    for e, c in raw.items():
-        if not c:
-            continue
-        e %= n
-        if e < deg:
-            out[e] = out.get(e, 0) + c
-        else:
-            if rows is None:
-                rows = _reduction_rows(n)
-            row = rows[e - deg]
-            for i, r in enumerate(row):
-                if r:
-                    out[i] = out.get(i, 0) + c * r
-    return {e: c for e, c in out.items() if c}
+    """Rewrite sum c*z^e (any integer exponents e) in the basis B_n."""
+    if n == 1:
+        c = sum(raw.values())
+        return {0: c} if c else {}
+    for p, pa, u, phi, step in _basis(n):
+        out: dict[int, Fraction] = {}
+        for e, c in raw.items():
+            if e * u % pa < phi:
+                e %= n
+                out[e] = out.get(e, 0) + c
+            else:
+                for f in range(e - step, e - p * step, -step):
+                    f %= n
+                    out[f] = out.get(f, 0) - c
+        raw = out
+    return {e: c for e, c in raw.items() if c}
 
 
 def _lift(coeffs: dict[int, Fraction], n: int, big: int) -> dict[int, Fraction]:
+    """A form canonical at n, rewritten at a multiple big of n (still canonical)."""
     if n == big:
         return coeffs
     f = big // n
-    return _canonical(big, {e * f: c for e, c in coeffs.items()})
+    return {e * f: c for e, c in coeffs.items()}
 
 
 def _minimize(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
-    """Rewrite at the conductor of the value."""
-    while True:
-        if not coeffs:
-            return 1, {}
-        if n == 1:
-            return 1, coeffs
-        if n % 4 == 2:
-            # zeta_2m = -zeta_m^((m+1)/2) for odd m
-            m = n // 2
-            k = (m + 1) // 2
-            raw: dict[int, Fraction] = {}
-            for e, c in coeffs.items():
-                ne = (e * k) % m
-                nc = -c if e % 2 else c
-                raw[ne] = raw.get(ne, 0) + nc
-            n, coeffs = m, _canonical(m, raw)
-            continue
-        if max(coeffs) == 0:
-            return 1, coeffs
-        reduced = False
-        for p in _prime_factors(n):
-            m = n // p
-            if m % p == 0:
-                # p^2 | n: membership in Q(zeta_m) is support divisibility
-                if all(e % p == 0 for e in coeffs):
-                    coeffs = _canonical(m, {e // p: c for e, c in coeffs.items()})
-                    n = m
-                    reduced = True
-                    break
-            else:
-                # p || n with p odd: Galois-average projection onto Q(zeta_m)
-                inv_p = pow(p, -1, m) if m > 1 else 0
-                raw = {}
-                for e, c in coeffs.items():
-                    if e % p == 0:
-                        ne, nc = e // p, c
-                    else:
-                        ne, nc = (e * inv_p) % m, c * Fraction(-1, p - 1)
-                    raw[ne] = raw.get(ne, 0) + nc
-                cand = _canonical(m, raw)
-                if _lift(cand, m, n) == coeffs:
-                    n, coeffs = m, cand
-                    reduced = True
-                    break
-        if not reduced:
-            return n, coeffs
+    """Rewrite a form canonical at n at the conductor of its value.
+
+    The value lies in Q(zeta_(n/p)) iff p divides every exponent, and
+    dividing the exponents by p keeps the form canonical, so the conductor
+    is n / gcd(n, exponents).
+    """
+    if not coeffs:
+        return 1, {}
+    g = gcd(n, *coeffs)
+    if g == 1:
+        return n, coeffs
+    return n // g, {e // g: c for e, c in coeffs.items()}
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def _power_basis(n: int, coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Coordinates over 1, z, ..., z^(phi(n)-1): one long division by Phi_n."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    if max(coeffs) < deg:
+        return coeffs
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    rem = [0] * n
+    for e, c in coeffs.items():
+        rem[e] = c.numerator * (den // c.denominator)
+    low = [(j, c) for j, c in enumerate(phi[:deg]) if c]
+    for i in range(n - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j, pj in low:
+                rem[i - deg + j] -= c * pj
+    return {e: Fraction(c, den) for e, c in enumerate(rem[:deg]) if c}
 
 
 class Cyclo:
@@ -249,7 +224,7 @@ class Cyclo:
             return NotImplemented
         if self.order == 1 and other.order == 1:
             return Cyclo.from_rational(self.as_fraction() + other.as_fraction())
-        big = _lcm(self.order, other.order)
+        big = lcm(self.order, other.order)
         a = _lift(self.coeffs, self.order, big)
         b = _lift(other.coeffs, other.order, big)
         out = dict(a)
@@ -288,13 +263,13 @@ class Cyclo:
             return other * self.as_fraction()
         if other.order == 1:
             return self * other.as_fraction()
-        big = _lcm(self.order, other.order)
+        big = lcm(self.order, other.order)
         a = _lift(self.coeffs, self.order, big)
         b = _lift(other.coeffs, other.order, big)
         raw: dict[int, Fraction] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = (e1 + e2) % big
+                e = e1 + e2
                 raw[e] = raw.get(e, 0) + c1 * c2
         out = _canonical(big, raw)
         n, out = _minimize(big, out)
@@ -349,7 +324,7 @@ class Cyclo:
             return self
         if gcd(k, n) != 1:
             raise InputError(f"galois exponent {k} not coprime to order {n}")
-        out = _canonical(n, {(e * k) % n: c for e, c in self.coeffs.items()})
+        out = _canonical(n, {e * k: c for e, c in self.coeffs.items()})
         return Cyclo(n, out, _canonical_form=True)
 
     def conjugate(self) -> "Cyclo":
@@ -477,6 +452,9 @@ class _Parser:
                 n, k = int(body), 1
             if n == 0:
                 raise SyntaxInputError("z0 is not a root of unity")
+            if n > MAX_CONDUCTOR:
+                raise SyntaxInputError(
+                    f"root z{n} exceeds the conductor limit {MAX_CONDUCTOR}")
             return root_of_unity(Fraction(k, n))
         if re.fullmatch(r"\d+/\d+", tok):
             p_s, q_s = tok.split("/")
@@ -503,12 +481,13 @@ def parse_cyclo(text: str) -> Cyclo:
 
 
 def format_cyclo(v: Cyclo) -> str:
-    """Canonical textual form; parse(format(v)) == v."""
+    """Canonical textual form; parse(format(v)) == v when v.order <= MAX_CONDUCTOR."""
     if v.is_zero():
         return "0"
+    coeffs = _power_basis(v.order, v.coeffs)
     parts = []
-    for e in sorted(v.coeffs):
-        c = v.coeffs[e]
+    for e in sorted(coeffs):
+        c = coeffs[e]
         if e == 0:
             term = str(c) if c > 0 else f"-{-c}"
         else:

@@ -8,7 +8,7 @@ import json
 import re
 from fractions import Fraction
 
-from .cyclo import format_cyclo, parse_cyclo
+from .cyclo import MAX_CONDUCTOR, format_cyclo, parse_cyclo
 from .embedding import SymmetryEmbedding
 from .errors import SyntaxInputError, ValidationInputError
 from .fusion import FusionRing
@@ -48,7 +48,11 @@ def _parse_turn(text, field: str) -> Fraction:
         p, q = text.split("/")
         if int(q) == 0:
             raise SyntaxInputError(f"{field}: zero denominator")
-        return Fraction(int(p), int(q))
+        r = Fraction(int(p), int(q))
+        if r.denominator > MAX_CONDUCTOR:
+            raise SyntaxInputError(f"{field}: denominator {r.denominator} exceeds "
+                                   f"the conductor limit {MAX_CONDUCTOR}")
+        return r
     return Fraction(int(text))
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from setcat.cli import main, split_labels
+from setcat.cyclo import MAX_CONDUCTOR
 
 
 @pytest.fixture(scope="module")
@@ -249,3 +250,20 @@ def test_malformed_embedding_file_exit_2(capsys, fixture_dir, tmp_path, field, v
     obj[field] = value
     assert_input_error(capsys, ["validate", write_json(tmp_path, obj),
                                 "--against", str(fixture_dir / "toric_code.json")])
+
+
+@pytest.mark.parametrize("field,value", [("dims", "z1000000"), ("twists", "1/1000000")])
+def test_conductor_limit_exit_2(capsys, fixture_dir, tmp_path, monkeypatch, field, value):
+    obj = json.loads((fixture_dir / "toric_code.json").read_text())
+    obj[field]["e"] = value
+    path = write_json(tmp_path, obj)
+
+    def no_arithmetic(*args):
+        raise AssertionError("cyclotomic arithmetic ran on an over-limit input")
+
+    monkeypatch.setattr("setcat.cyclo._canonical", no_arithmetic)
+    code, _, err = run(capsys, ["info", path])
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"conductor limit {MAX_CONDUCTOR}" in err
+    assert "1000000" in err

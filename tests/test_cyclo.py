@@ -1,11 +1,16 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setcat.cyclo import Cyclo, format_cyclo, parse_cyclo, root_of_unity
 from setcat.errors import InputError, SyntaxInputError
+from setcat.randomized import random_cyclo
 
 
 def test_root_of_unity_identity():
@@ -76,22 +81,11 @@ def test_division_by_zero_rejected():
         root_of_unity(1, 0)
 
 
-def _random_cyclo(rng: random.Random, max_order: int = 24) -> Cyclo:
-    # all terms of one value drawn from a single Q(zeta_n), n <= max_order
-    n = rng.randint(1, max_order)
-    val = Cyclo.zero()
-    for _ in range(rng.randint(1, 3)):
-        k = rng.randrange(n)
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-        val = val + root_of_unity(Fraction(k, n)) * c
-    return val
-
-
 def test_field_axioms_numeric_crosscheck():
     rng = random.Random(20240811)
     for _ in range(150):
-        a = _random_cyclo(rng)
-        b = _random_cyclo(rng)
+        a = random_cyclo(rng)
+        b = random_cyclo(rng)
         assert abs((a + b).approx() - (a.approx() + b.approx())) < 1e-9
         assert abs((a - b).approx() - (a.approx() - b.approx())) < 1e-9
         assert abs((a * b).approx() - (a.approx() * b.approx())) < 1e-9
@@ -109,7 +103,7 @@ def test_inverse_roundtrip_random():
     rng = random.Random(99)
     count = 0
     while count < 100:
-        a = _random_cyclo(rng, max_order=16)
+        a = random_cyclo(rng, max_order=16)
         if a.is_zero():
             continue
         count += 1
@@ -161,3 +155,95 @@ def test_hash_consistency():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# -- independent cross-check against sympy -----------------------------------
+
+_X = sympy.Symbol("x")
+
+
+def _text_terms(text: str, big: int) -> dict[int, Fraction]:
+    """Exponent polynomial of `format_cyclo` text, lifted to Q(zeta_big):
+    zN^k becomes x^(k*big/N).  Reads the text only, not the engine."""
+    out: dict[int, Fraction] = {}
+    if text == "0":
+        return out
+    for term in text.replace(" - ", " + -").split(" + "):
+        sign = -1 if term.startswith("-") else 1
+        term = term.lstrip("-")
+        coeff, _, root = term.rpartition("*") if "z" in term else (term, "", "")
+        c = sign * Fraction(coeff or 1)
+        e = 0
+        if root:
+            n, _, k = root[1:].partition("^")
+            e = int(k or 1) * (big // int(n))
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def _reduced(terms: dict[int, Fraction], big: int) -> sympy.Poly:
+    """sum c*x^e reduced modulo x^big - 1 and then Phi_big, by sympy."""
+    dense: dict[tuple[int], sympy.Rational] = {}
+    for e, c in terms.items():
+        key = (e % big,)
+        dense[key] = dense.get(key, 0) + sympy.Rational(c.numerator, c.denominator)
+    poly = sympy.Poly.from_dict(dense or {(0,): 0}, _X, domain=sympy.QQ)
+    return poly.rem(sympy.Poly(sympy.cyclotomic_poly(big, _X), _X, domain=sympy.QQ))
+
+
+def _product(f: dict[int, Fraction], g: dict[int, Fraction]) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def test_arithmetic_matches_sympy():
+    rng = random.Random(31337)
+    for _ in range(40):
+        a, b, c = random_cyclo(rng), random_cyclo(rng), random_cyclo(rng)
+        k = rng.choice([j for j in range(1, 2 * a.order + 1) if gcd(j, a.order) == 1])
+        big = lcm(a.order, b.order)
+        fa = _text_terms(format_cyclo(a), big)
+        fb = _text_terms(format_cyclo(b), big)
+        sums = dict(fa)
+        for e, x in fb.items():
+            sums[e] = sums.get(e, 0) + x
+        bc = lcm(b.order, c.order)
+        cases = [
+            (a * b, big, _product(fa, fb)),
+            (a + b, big, sums),
+            (a.galois(k), a.order,
+             {e * k: x for e, x in _text_terms(format_cyclo(a), a.order).items()}),
+            (b * c, bc, _product(_text_terms(format_cyclo(b), bc),
+                                 _text_terms(format_cyclo(c), bc))),
+        ]
+        for result, n, expected in cases:
+            got = _text_terms(format_cyclo(result), n)
+            assert _reduced(got, n) == _reduced(expected, n), (a, b, c, k)
+
+
+# -- parse/format round trip --------------------------------------------------
+
+_VALUE = st.tuples(
+    st.integers(1, 40),
+    st.lists(st.tuples(st.integers(0, 39),
+                       st.fractions(min_value=-4, max_value=4, max_denominator=6)),
+             min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_VALUE, _VALUE)
+def test_parse_format_roundtrip_property(left, right):
+    # each side sums terms c*zeta_n^k of one order n <= 40, so the product
+    # reaches composite conductors up to lcm(n1, n2)
+    def value(n, terms):
+        return sum((root_of_unity(k, n) * c for k, c in terms), Cyclo.zero())
+
+    a, b = value(*left), value(*right)
+    for v in (a, b, a * b):
+        w = parse_cyclo(format_cyclo(v))
+        assert w == v
+        assert hash(w) == hash(v)
+        assert w.order == v.order
