@@ -15,6 +15,15 @@ def pair_label(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+def _lincomb(terms) -> tuple:
+    """Sum of n * v over (v, n) in terms, v and the sum sorted ((index, mult), ...)."""
+    acc: dict[int, int] = {}
+    for v, n in terms:
+        for k, c in v:
+            acc[k] = acc.get(k, 0) + n * c
+    return tuple(sorted(acc.items()))
+
+
 class FusionRing:
     """Simple-object labels with duals and sparse fusion multiplicities.
 
@@ -60,47 +69,55 @@ class FusionRing:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Exhaustive invariant check; returns violations in deterministic order."""
+        """Exhaustive invariant check; returns violations in deterministic order.
+
+        Works on integer indices.  The unit, duality and Frobenius checks visit
+        only the triples that a nonzero entry enters; associativity compares
+        the rows k -> (i x j) x k and k -> i x (j x k) one index i at a time."""
+        L, r, ix, one = self.labels, self.rank(), self.index, self.unit
+        dual = [ix[self.dual[x]] for x in L]
+        N = {(ix[i], ix[j], ix[k]): n for (i, j, k), n in self.N.items()}
+        prod = [[()] * r for _ in range(r)]  # a x b: sorted ((k, N_ab^k), ...)
+        into: list[list[tuple[int, int]]] = [[] for _ in range(r)]  # k -> [(a, b)]
+        for (a, b, k) in sorted(N):
+            prod[a][b] += ((k, N[(a, b, k)]),)
+            into[k].append((a, b))
+        pre = [[j for j in range(r) if dual[j] == x] for x in range(r)]  # x -> [j : j* = x]
         bad: list[str] = []
-        one = self.unit
-        for j in self.labels:
-            for k in self.labels:
-                want = 1 if j == k else 0
-                if self.n(one, j, k) != want:
-                    bad.append(f"unit: N[{one},{j}]^{k} = {self.n(one, j, k)}, expected {want}")
-                if self.n(j, one, k) != want:
-                    bad.append(f"unit: N[{j},{one}]^{k} = {self.n(j, one, k)}, expected {want}")
-        for i in self.labels:
-            if self.dual[self.dual[i]] != i:
-                bad.append(f"duality: dual(dual({i})) = {self.dual[self.dual[i]]}")
-        if self.dual[one] != one:
-            bad.append(f"duality: dual({one}) = {self.dual[one]}, expected {one}")
-        for i in self.labels:
-            for j in self.labels:
-                want = 1 if j == self.dual[i] else 0
-                if self.n(i, j, one) != want:
-                    bad.append(f"duality: N[{i},{j}]^{one} = {self.n(i, j, one)}, expected {want}")
-        for i in self.labels:
-            for j in self.labels:
-                for k in self.labels:
-                    nijk = self.n(i, j, k)
-                    if nijk != self.n(self.dual[i], k, j):
-                        bad.append(f"frobenius: N[{i},{j}]^{k} != N[{self.dual[i]},{k}]^{j}")
-                    if nijk != self.n(k, self.dual[j], i):
-                        bad.append(f"frobenius: N[{i},{j}]^{k} != N[{k},{self.dual[j]}]^{i}")
-        for i in self.labels:
-            for j in self.labels:
-                for k in self.labels:
-                    lhs: dict[str, int] = {}
-                    for m, nij in self.fuse(i, j).items():
-                        for l, nmk in self.fuse(m, k).items():
-                            lhs[l] = lhs.get(l, 0) + nij * nmk
-                    rhs: dict[str, int] = {}
-                    for m, njk in self.fuse(j, k).items():
-                        for l, nim in self.fuse(i, m).items():
-                            rhs[l] = rhs.get(l, 0) + njk * nim
-                    if lhs != rhs:
-                        bad.append(f"associativity: ({i} x {j}) x {k} != {i} x ({j} x {k})")
+        for j in range(r):
+            left, right = dict(prod[0][j]), dict(prod[j][0])
+            for k in sorted({j, *left, *right}):
+                for x, y, got in ((one, L[j], left.get(k, 0)), (L[j], one, right.get(k, 0))):
+                    if got != (j == k):
+                        bad.append(f"unit: N[{x},{y}]^{L[k]} = {got}, expected {int(j == k)}")
+        bad += [f"duality: dual(dual({L[i]})) = {L[dual[dual[i]]]}"
+                for i in range(r) if dual[dual[i]] != i]
+        if dual[0] != 0:
+            bad.append(f"duality: dual({one}) = {L[dual[0]]}, expected {one}")
+        for i in range(r):
+            for j in sorted({dual[i]} | {b for a, b in into[0] if a == i}):
+                if N.get((i, j, 0), 0) != (j == dual[i]):
+                    bad.append(f"duality: N[{L[i]},{L[j]}]^{one} = {N.get((i, j, 0), 0)}, "
+                               f"expected {int(j == dual[i])}")
+        for i in range(r):  # (j, k) with N_ij^k, N_(i*)k^j or N_k(j*)^i nonzero
+            pairs = {(j, k) for j in range(r) for k, _ in prod[i][j]}
+            pairs.update((j, k) for k in range(r) for j, _ in prod[dual[i]][k])
+            pairs.update((j, a) for a, b in into[i] for j in pre[b])
+            for j, k in sorted(pairs):
+                for x, y, z in ((dual[i], k, j), (k, dual[j], i)):
+                    if N.get((i, j, k), 0) != N.get((x, y, z), 0):
+                        bad.append(f"frobenius: N[{L[i]},{L[j]}]^{L[k]} != N[{L[x]},{L[y]}]^{L[z]}")
+        for i in range(r):
+            p_i = prod[i]
+            for j in range(r):
+                ij = p_i[j]
+                lhs = (prod[ij[0][0]] if len(ij) == 1 and ij[0][1] == 1 else
+                       [_lincomb((prod[m][k], n) for m, n in ij) for k in range(r)])
+                rhs = [p_i[jk[0][0]] if len(jk) == 1 and jk[0][1] == 1 else
+                       _lincomb((p_i[m], n) for m, n in jk) for jk in prod[j]]
+                if lhs != rhs:
+                    bad += [f"associativity: ({L[i]} x {L[j]}) x {L[k]} != "
+                            f"{L[i]} x ({L[j]} x {L[k]})" for k in range(r) if lhs[k] != rhs[k]]
         return bad
 
     # -- Frobenius-Perron dimensions (float cross-check only) ---------------

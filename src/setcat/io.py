@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .cyclo import MAX_CONDUCTOR, format_cyclo, parse_cyclo
 from .embedding import SymmetryEmbedding
-from .errors import SyntaxInputError, ValidationInputError
+from .errors import InternalFault, SyntaxInputError, ValidationInputError
 from .fusion import FusionRing
 from .pointed import MetricGroup, quadratic_form_from_rule
 from .premodular import Premodular
@@ -144,6 +144,12 @@ def parse_category(obj: dict | str) -> Premodular:
 
 
 def serialize_category(P: Premodular) -> dict:
+    for x in P.labels:  # never write a file that parse_category would refuse
+        for what, noun, n in (("dim", "conductor", P.dim(x).order),
+                              ("twist", "denominator", P.twist(x).denominator)):
+            if n > MAX_CONDUCTOR:
+                raise InternalFault(f"cannot write category {P.name!r}: the {what} of {x!r} "
+                                    f"has {noun} {n}, above the conductor limit {MAX_CONDUCTOR}")
     fusion_rows = sorted(
         ([i, j, k, n] for (i, j, k), n in P.ring.N.items()),
         key=lambda row: (P.ring.index[row[0]], P.ring.index[row[1]],

@@ -6,9 +6,11 @@ centralizer identities."""
 
 from __future__ import annotations
 
+import sys
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from .cyclo import Cyclo
 from .double import drinfeld_double
@@ -153,57 +155,12 @@ def condense_by_invertible_bosons(P: Premodular, bosons: list[str]) -> Condensat
             twists[lab] = P.twist(o.representative)
 
     rep_of = {lab: provenance[lab][0] for lab in result_labels}
-    orbit_by_rep = {o.representative: o for o in orbits}
-
-    def parent_n(a: str, b: str, c: str) -> int:
-        return P.ring.n(a, b, c)
-
-    def margin_row(ox: str, oy: str, oz: str) -> int:
-        return sum(parent_n(u, oy, oz) for u in orbit_by_rep[ox].members)
-
-    def margin_col(ox: str, oy: str, oz: str) -> int:
-        return sum(parent_n(ox, v, oz) for v in orbit_by_rep[oy].members)
-
-    def margin_out(ox: str, oy: str, oz: str) -> int:
-        return sum(parent_n(ox, oy, w) for w in orbit_by_rep[oz].members)
-
-    # fusion coefficients: triples with at most one split slot are forced
-    n_result: dict[tuple[str, str, str], int] = {}
-    unknown: list[tuple[str, str, str]] = []
-    reps = [o.representative for o in orbits]
-    for ox in reps:
-        for oy in reps:
-            for oz in reps:
-                cx, cy, cz = child_count[ox], child_count[oy], child_count[oz]
-                split_slots = (cx > 1) + (cy > 1) + (cz > 1)
-                t_total = sum(parent_n(ox, _act(P, h, oy), oz) for h in H)
-                r_m, c_m, o_m = (margin_row(ox, oy, oz), margin_col(ox, oy, oz),
-                                 margin_out(ox, oy, oz))
-                if cx * r_m != cy * c_m or cy * c_m != cz * o_m or cx * r_m != t_total:
-                    raise InternalFault(
-                        f"inconsistent fusion margins at orbits ({ox},{oy},{oz})")
-                if split_slots == 0:
-                    if t_total:
-                        n_result[(ox, oy, oz)] = t_total
-                    continue
-                if split_slots == 1:
-                    for a in of_orbit[ox]:
-                        for b in of_orbit[oy]:
-                            for c in of_orbit[oz]:
-                                val = r_m if cx > 1 else (c_m if cy > 1 else o_m)
-                                if val:
-                                    n_result[(a, b, c)] = val
-                    continue
-                for a in of_orbit[ox]:
-                    for b in of_orbit[oy]:
-                        for c in of_orbit[oz]:
-                            unknown.append((a, b, c))
+    n_result, unknown, margins = _orbit_fusion(P, H, orbits, of_orbit)
 
     ambiguity_flags: list[str] = []
     if unknown:
         survivors = _resolve_split_fusion(
-            P, H, n_result, unknown, result_labels, rep_of, of_orbit,
-            dims, twists, margin_row, margin_col, margin_out, child_count)
+            n_result, unknown, result_labels, rep_of, dims, twists, margins)
         if not survivors:
             raise InternalFault(
                 "splitting enumeration found no consistent fusion assignment")
@@ -241,6 +198,46 @@ def condense_by_invertible_bosons(P: Premodular, bosons: list[str]) -> Condensat
         ambiguity_flags=ambiguity_flags, conservation=conservation)
 
 
+def _orbit_fusion(P, H, orbits, of_orbit):
+    """From the nonzero entries of P among deconfined labels: the forced
+    coefficients of the quotient in orbit order, the triples left unknown, and
+    the margins per orbit triple (X, Y, Z), i.e. N summed over the orbit of X
+    (row), Y (column) or Z (output) with the other two at representatives."""
+    pos = {o.representative: i for i, o in enumerate(orbits)}
+    orbit_of = {m: o.representative for o in orbits for m in o.members}
+    size = {o.representative: len(o.stabilizer) for o in orbits}
+    weight: dict[str, Counter] = defaultdict(Counter)  # b -> {Y: #{h : h.Y = b}}
+    for o in orbits:
+        for h in H:
+            weight[_act(P, h, o.representative)][o.representative] += 1
+    row, col, out, total = Counter(), Counter(), Counter(), Counter()
+    for (a, b, c), n in P.ring.N.items():
+        ox, oy, oz = orbit_of.get(a), orbit_of.get(b), orbit_of.get(c)
+        if a == ox and c == oz:  # total: the sum over h of N(X, h.Y, Z)
+            for y, w in weight.get(b, {}).items():
+                total[(ox, y, oz)] += w * n
+        if None in (ox, oy, oz):
+            continue
+        for margin, hit in ((row, b == oy and c == oz), (col, a == ox and c == oz),
+                            (out, a == ox and b == oy)):
+            if hit:
+                margin[(ox, oy, oz)] += n
+    n_result: dict[tuple[str, str, str], int] = {}
+    for key in sorted(row.keys() | col.keys() | out.keys() | total.keys(),
+                      key=lambda t: tuple(pos[x] for x in t)):
+        cx, cy, cz = (size[x] for x in key)
+        r_m, c_m, o_m = row[key], col[key], out[key]
+        if cx * r_m != cy * c_m or cy * c_m != cz * o_m or cx * r_m != total[key]:
+            raise InternalFault("inconsistent fusion margins at orbits ({},{},{})".format(*key))
+        if (cx > 1) + (cy > 1) + (cz > 1) < 2:
+            val = r_m if cx > 1 else c_m if cy > 1 else o_m if cz > 1 else total[key]
+            n_result.update(dict.fromkeys(product(*(of_orbit[x] for x in key)), val))
+    # every triple with two or more split slots is left to the enumeration
+    unknown = [t for key in product(pos, repeat=3) if sum(size[x] > 1 for x in key) >= 2
+               for t in product(*(of_orbit[x] for x in key))] if max(size.values()) > 1 else []
+    return n_result, unknown, (row, col, out)
+
+
 def _build_result(labels, n_dict, dims, twists, name):
     unit = labels[0]
     dual: dict[str, str] = {}
@@ -253,9 +250,7 @@ def _build_result(labels, n_dict, dims, twists, name):
     return ring, Premodular(ring, dims, twists, name=name)
 
 
-def _resolve_split_fusion(P, H, forced, unknown, labels, rep_of, of_orbit,
-                          dims, twists, margin_row, margin_col, margin_out,
-                          child_count):
+def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_margins):
     """Enumerate split fusion coefficients consistent with the margins, then
     filter by ring axioms, exact S-matrix consistency, and Verlinde when the
     candidate is nondegenerate."""
@@ -266,12 +261,9 @@ def _resolve_split_fusion(P, H, forced, unknown, labels, rep_of, of_orbit,
         ox, oy, oz = rep_of[a], rep_of[b], rep_of[c]
         return (("r", a, oy, oz), ("c", b, ox, oz), ("o", c, ox, oy))
 
-    for (a, b, c) in unknown:
-        ox, oy, oz = rep_of[a], rep_of[b], rep_of[c]
-        for key, val in zip(margin_keys((a, b, c)),
-                            (margin_row(ox, oy, oz), margin_col(ox, oy, oz),
-                             margin_out(ox, oy, oz))):
-            margins.setdefault(key, val)
+    for t in unknown:
+        for key, m in zip(margin_keys(t), orbit_margins):
+            margins.setdefault(key, m.get(tuple(rep_of[x] for x in t), 0))
 
     # commutativity ties (a,b,c) with (b,a,c); one variable per class
     var_of: dict[tuple, tuple] = {}
@@ -290,12 +282,17 @@ def _resolve_split_fusion(P, H, forced, unknown, labels, rep_of, of_orbit,
 
     def dfs(idx: int, current: dict[tuple, int]):
         if budget[0] <= 0:
-            raise InternalFault("splitting enumeration exhausted its search budget")
+            raise InternalFault(
+                f"splitting enumeration exhausted its search budget of "
+                f"{_SEARCH_NODE_BUDGET:,} nodes over {len(var_list)} unknown variables")
         budget[0] -= 1
         if idx == len(var_list):
             if all(v == 0 for v in margins.values()):
                 if len(solutions) >= _MAX_SURVIVORS:
-                    raise InternalFault("splitting enumeration: too many candidates")
+                    raise InternalFault(
+                        f"splitting enumeration: too many candidates, {len(solutions) + 1} "
+                        f"reached against the cap of {_MAX_SURVIVORS}, over "
+                        f"{len(var_list)} unknown variables")
                 solutions.append(dict(current))
             return
         var = var_list[idx]
@@ -315,7 +312,12 @@ def _resolve_split_fusion(P, H, forced, unknown, labels, rep_of, of_orbit,
                     margins[k] += val
         return
 
-    dfs(0, {})
+    try:
+        dfs(0, {})
+    except RecursionError:
+        raise InternalFault(
+            f"splitting enumeration over {len(var_list)} unknown variables needs a "
+            f"deeper recursion than the limit {sys.getrecursionlimit()}") from None
 
     survivors = []
     for sol in solutions:

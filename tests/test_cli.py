@@ -5,6 +5,9 @@ import pytest
 
 from setcat.cli import main, split_labels
 from setcat.cyclo import MAX_CONDUCTOR
+from setcat.io import serialize_category, to_text
+
+from .test_relprod import ising_squared
 
 
 @pytest.fixture(scope="module")
@@ -267,3 +270,13 @@ def test_conductor_limit_exit_2(capsys, fixture_dir, tmp_path, monkeypatch, fiel
     assert "Traceback" not in err
     assert f"conductor limit {MAX_CONDUCTOR}" in err
     assert "1000000" in err
+
+
+def test_split_recursion_limit_exit_3(capsys, tmp_path):
+    P, bosons = ising_squared()
+    path = tmp_path / "ii2.json"
+    path.write_text(to_text(serialize_category(P)))
+    code, _, err = run(capsys, ["condense", str(path), "--bosons", ",".join(bosons)])
+    assert code == 3
+    assert "Traceback" not in err
+    assert "1824 unknown variables" in err and "recursion" in err

@@ -1,13 +1,16 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from setcat.catalog import catalog
-from setcat.errors import SyntaxInputError, ValidationInputError
+from setcat.catalog import catalog, get
+from setcat.cyclo import MAX_CONDUCTOR, root_of_unity
+from setcat.errors import InternalFault, SyntaxInputError, ValidationInputError
 from setcat.io import (file_kind, loads, parse_category, parse_embedding,
                        parse_metric_group, serialize_category,
                        serialize_embedding, serialize_metric_group, to_text)
 from setcat.pointed import MetricGroup
+from setcat.premodular import Premodular
 
 
 def test_category_roundtrip_all_fixtures():
@@ -90,3 +93,18 @@ def test_missing_dim_label_reported():
     with pytest.raises(SyntaxInputError) as err:
         parse_category(to_text(obj))
     assert "m" in str(err.value)
+
+
+def test_serialize_refuses_values_above_the_conductor_limit():
+    toric = get("toric_code").category
+    big = root_of_unity(Fraction(11, 29)) * (
+        root_of_unity(Fraction(6, 11)) + root_of_unity(Fraction(1, 37)))
+    assert big.order == 11_803
+    P = Premodular(toric.ring, dict(toric.dims, e=big), toric.twists, name="big")
+    with pytest.raises(InternalFault, match=f"the dim of 'e' has conductor 11803, "
+                                            f"above the conductor limit {MAX_CONDUCTOR}"):
+        serialize_category(P)
+    P = Premodular(toric.ring, toric.dims, dict(toric.twists, e=Fraction(1, 11_803)),
+                   name="big")
+    with pytest.raises(InternalFault, match="the twist of 'e' has denominator 11803"):
+        serialize_category(P)

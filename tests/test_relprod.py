@@ -1,13 +1,15 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+from setcat import relprod
 from setcat.catalog import catalog, get
 from setcat.cyclo import Cyclo, root_of_unity
 from setcat.double import drinfeld_double, rep_abelian
 from setcat.embedding import SymmetryEmbedding
 from setcat.equiv import find_equivalence
-from setcat.errors import InputError
+from setcat.errors import InputError, InternalFault
 from setcat.fusion import pair_label
 from setcat.relprod import (
     canonical_algebra,
@@ -19,7 +21,16 @@ from setcat.relprod import (
     verify_unit_law,
 )
 
+from .test_sparse_differential import su2_level
+
 F = Fraction
+
+
+def ising_squared():
+    """(ising x ising_rev)^2 and its Z2 x Z2 of (psi, psi) bosons."""
+    ii = get("ising").category.deligne(get("ising_rev").category)
+    one, psi = pair_label("1", "1"), pair_label("psi", "psi")
+    return ii.deligne(ii), [pair_label(a, b) for a in (one, psi) for b in (one, psi)]
 
 
 def test_canonical_algebra_toric_toric():
@@ -250,3 +261,27 @@ def test_rep_stack_c_is_relative_centralizer():
     res2, _ = relative_tensor_product(R2, C2, embR2, embC2)
     cent2 = relative_centralizer(C2, embC2)
     assert find_equivalence(res2.result, cent2) is not None
+
+
+def test_split_budget_message_names_the_numbers():
+    with pytest.raises(InternalFault, match=r"search budget of 200,000 nodes "
+                                            r"over 27 unknown variables"):
+        condense_by_invertible_bosons(su2_level(12), ["0", "12"])
+
+
+def test_split_candidate_cap_message_names_the_numbers(monkeypatch):
+    assert relprod._MAX_SURVIVORS == 64
+    monkeypatch.setattr(relprod, "_MAX_SURVIVORS", 0)
+    prod = get("ising").category.deligne(get("ising_rev").category)
+    with pytest.raises(InternalFault, match=r"too many candidates, 1 reached against "
+                                            r"the cap of 0, over \d+ unknown variables"):
+        condense_by_invertible_bosons(prod, [pair_label("1", "1"), pair_label("psi", "psi")])
+
+
+def test_split_recursion_limit_is_an_internal_fault():
+    P, bosons = ising_squared()
+    with pytest.raises(InternalFault) as info:
+        condense_by_invertible_bosons(P, bosons)
+    assert str(info.value) == (
+        "splitting enumeration over 1824 unknown variables needs a deeper "
+        f"recursion than the limit {sys.getrecursionlimit()}")
