@@ -87,13 +87,13 @@ def find_equivalence(P1: Premodular, P2: Premodular,
             if pins.get(a, b) != b:
                 return None
             pins[a] = b
-    if canonical_fingerprint(P1) != canonical_fingerprint(P2):
+    fps1 = {x: label_fingerprint(P1, x) for x in P1.labels}
+    fps2 = {u: label_fingerprint(P2, u) for u in P2.labels}
+    if sorted(fps1.values()) != sorted(fps2.values()):
         return None
 
-    fps2 = {u: label_fingerprint(P2, u) for u in P2.labels}
     pools: dict[str, list[str]] = {}
-    for x in P1.labels:
-        fp = label_fingerprint(P1, x)
+    for x, fp in fps1.items():
         if x in pins:
             cand = [pins[x]] if fps2[pins[x]] == fp else []
         else:

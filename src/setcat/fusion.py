@@ -1,5 +1,5 @@
-"""Fusion rings: Grothendieck-level fusion data with validation, the
-Frobenius-Perron dimension cross-check, and Deligne products."""
+"""Fusion rings: Grothendieck-level fusion data with validation, float
+Frobenius-Perron dimensions, and Deligne products."""
 
 from __future__ import annotations
 
@@ -120,7 +120,7 @@ class FusionRing:
                             f"{L[i]} x ({L[j]} x {L[k]})" for k in range(r) if lhs[k] != rhs[k]]
         return bad
 
-    # -- Frobenius-Perron dimensions (float cross-check only) ---------------
+    # -- Frobenius-Perron dimensions (float; no exact decision reads them) --
 
     def fp_dims(self) -> list[float]:
         n = self.rank()

@@ -1,11 +1,14 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from setcat.abelian import iter_elements
 from setcat.cli import main, split_labels
 from setcat.cyclo import MAX_CONDUCTOR
 from setcat.io import serialize_category, to_text
+from setcat.pointed import MetricGroup
 
 from .test_relprod import ising_squared
 
@@ -220,6 +223,7 @@ def assert_input_error(capsys, argv):
     assert code == 2
     assert "input error" in err
     assert "Traceback" not in err
+    return err
 
 
 def write_json(tmp_path, obj) -> str:
@@ -280,3 +284,21 @@ def test_split_recursion_limit_exit_3(capsys, tmp_path):
     assert code == 3
     assert "Traceback" not in err
     assert "1824 unknown variables" in err and "recursion" in err
+
+
+
+def test_validated_but_inconsistent_data_exit_2(capsys, tmp_path):
+    # pointed Z2^3, all labels self-dual, twist 1/2 on (1,1,1) only: the file
+    # validates, yet it is no braided category. The labels transparent to the
+    # boson (1,0,0) are not closed under fusion, and the Mueger center is
+    # trivial while the S-matrix is singular.
+    factors = [2, 2, 2]
+    q = {a: Fraction(1, 2) if a == (1, 1, 1) else Fraction(0) for a in iter_elements(factors)}
+    path = tmp_path / "z2cubed.json"
+    path.write_text(to_text(serialize_category(
+        MetricGroup(factors, q, name="z2cubed").to_premodular())))
+    assert run(capsys, ["validate", str(path)])[0] == 0
+    err = assert_input_error(capsys, ["condense", str(path), "--bosons", "(0,0,0),(1,0,0)"])
+    assert "(0,0,1) x (0,1,0) contains the confined label (0,1,1)" in err
+    err = assert_input_error(capsys, ["info", str(path)])
+    assert "z2cubed" in err and "not a braided category" in err

@@ -1,0 +1,151 @@
+"""Invariants that follow from validated input and so are not re-checked at
+run time, asserted on the inputs where the engine used to check them:
+
+- the S-matrix's first row is the dims, S is symmetric, and the dims are the
+  float Frobenius-Perron dims (once part of `Premodular.validate`);
+- the orbits of a condensation satisfy |orbit| * |stabilizer| = |H|, carry one
+  dim and one twist each, and the unit's orbit comes first, and the result
+  validates (once checked inside `condense_by_invertible_bosons`; the
+  condensations of `test_sparse_differential.py` call
+  `assert_condensation_invariants`);
+- both formulations of deconfinement agree with each other and with the
+  condensation (once checked for every label pair by `relative_tensor_product`).
+
+A seeded fuzz over validated pointed data that need not be a braided category
+checks that such input ends in an input error or a valid result, never in an
+internal fault."""
+
+import importlib.util
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from setcat import abelian
+from setcat.catalog import catalog, get
+from setcat.cyclo import Cyclo
+from setcat.double import drinfeld_double
+from setcat.embedding import SymmetryEmbedding
+from setcat.errors import InputError
+from setcat.fusion import pair_label
+from setcat.pointed import MetricGroup, element_label
+from setcat.relprod import is_deconfined, relative_centralizer, relative_tensor_product
+
+from .test_acceptance import STACKING_SET, UNIT_LAW_INSTANCES
+
+ONE = Cyclo.one()
+FUZZ_SEED = 5
+FUZZ_TRIALS = 100
+FUZZ_SHAPES = [[2], [2, 2], [2, 2, 2], [4], [2, 4]]
+
+
+def su2_level(k):
+    """SU(2)_k from the benchmark's closed-formula builder."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "su2.py"
+    spec = importlib.util.spec_from_file_location("su2", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    import setcat
+    return mod.su2_level(setcat, k)
+
+
+def assert_derived_invariants(P):
+    assert P.validate() == [], P.name
+    fp = P.ring.fp_dims()
+    for a, i in enumerate(P.labels):
+        assert P.s_entry(P.unit, i) == P.dim(i), (P.name, i)
+        assert abs(P.dim(i).approx().real - fp[a]) <= 1e-6, (P.name, i)
+        for j in P.labels[a:]:
+            assert P.s_entry(i, j) == P.s_entry(j, i), (P.name, i, j)
+
+
+def assert_condensation_invariants(P, res):
+    assert res.orbits[0].representative == P.unit
+    for orb in res.orbits:
+        assert len(orb.members) * len(orb.stabilizer) == len(res.algebra)
+        assert len({P.twist(m) for m in orb.members}) == 1, orb
+        assert len({P.dim(m) for m in orb.members}) == 1, orb
+    assert_derived_invariants(res.result)
+
+
+def assert_deconfinement(C, D, embC, embD):
+    """Stack C and D; the monodromy test, the centralizer of the canonical
+    algebra and the condensation's deconfined labels must agree."""
+    res, _ = relative_tensor_product(C, D, embC, embD)
+    deconfined = set(res.deconfined)
+    for x in C.labels:
+        for y in D.labels:
+            against_algebra = all(
+                C.monodromy(embC.map_neg(e), x) * D.monodromy(embD.mapping[e], y) == ONE
+                for e in embC.elements())
+            assert is_deconfined(C, D, embC, embD, x, y) == against_algebra \
+                == (pair_label(x, y) in deconfined), (C.name, D.name, x, y)
+    return res
+
+
+def test_derived_invariants_on_catalog_and_su2():
+    for entry in catalog().values():
+        assert_derived_invariants(entry.category)
+    for k in range(1, 9):
+        assert_derived_invariants(su2_level(k))
+
+
+@pytest.mark.parametrize("name,key", UNIT_LAW_INSTANCES)
+def test_deconfinement_unit_law(name, key):
+    entry = get(name)
+    Z, embZ = drinfeld_double(entry.embeddings[key].group)
+    assert_deconfinement(Z, entry.category, embZ, entry.embeddings[key])
+
+
+@pytest.mark.parametrize("right", STACKING_SET)
+@pytest.mark.parametrize("left", STACKING_SET)
+def test_deconfinement_stacking(left, right):
+    # C x D and cent(C) x cent(D), the two stackings verify_stacking_identity forms
+    (C, embC), (D, embD) = [(get(name).category, get(name).embeddings[key])
+                            for name, key in (left, right)]
+    assert_deconfinement(C, D, embC, embD)
+    Cp, Dp = relative_centralizer(C, embC), relative_centralizer(D, embD)
+    assert_deconfinement(Cp, Dp, embC.restrict_to(Cp), embD.restrict_to(Dp))
+
+
+def _random_pointed(rng):
+    """Pointed data on a small 2-group with twists 0 or 1/2, equal on duals:
+    it often validates without being a braided category."""
+    factors = rng.choice(FUZZ_SHAPES)
+    q = {abelian.zero(factors): Fraction(0)}
+    for a in abelian.iter_elements(factors):
+        q.setdefault(a, q.get(abelian.neg(factors, a), Fraction(rng.randrange(2), 2)))
+    return factors, MetricGroup(factors, q).to_premodular(check_smatrix=False)
+
+
+def _random_z2_embedding(rng, factors, P):
+    order_two = [a for a in abelian.iter_elements(factors)
+                 if any(a) and not any(abelian.add(factors, a, a))]
+    b = element_label(rng.choice(order_two))
+    emb = SymmetryEmbedding([2], P.name, {(0,): P.unit, (1,): b})
+    return None if emb.validate(P) else emb
+
+
+def test_fuzz_validated_pointed_data_never_faults():
+    rng = random.Random(FUZZ_SEED)
+    outcomes = {"valid result": 0, "input error": 0}
+    trials = 0
+    while trials < FUZZ_TRIALS:
+        (f1, C), (f2, D) = _random_pointed(rng), _random_pointed(rng)
+        if C.validate() or D.validate():
+            continue
+        embC, embD = _random_z2_embedding(rng, f1, C), _random_z2_embedding(rng, f2, D)
+        if embC is None or embD is None:
+            continue
+        trials += 1
+        try:
+            res = assert_deconfinement(C, D, embC, embD)
+        except InputError as exc:
+            assert "not closed under fusion" in str(exc), exc
+            outcomes["input error"] += 1
+        else:
+            assert_condensation_invariants(C.deligne(D), res)
+            outcomes["valid result"] += 1
+    # both outcomes occur, so the fuzz reaches the closure check
+    assert min(outcomes.values()) >= 10, outcomes

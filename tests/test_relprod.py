@@ -21,7 +21,7 @@ from setcat.relprod import (
     verify_unit_law,
 )
 
-from .test_sparse_differential import su2_level
+from .test_invariants import su2_level
 
 F = Fraction
 

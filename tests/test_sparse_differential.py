@@ -1,11 +1,10 @@
 """Differential tests: the sparse, integer-indexed condensation scan and
 `FusionRing.validate` against the dense references in `dense_reference.py`,
 on the catalog, the first 17 pointed-oracle inputs, split inputs 1-4 and
-seeded corruptions of catalog rings."""
+seeded corruptions of catalog rings. Every condensation that succeeds here
+also passes `test_invariants.assert_condensation_invariants`."""
 
-import importlib.util
 import random
-from pathlib import Path
 
 from setcat import relprod
 from setcat.catalog import catalog, get
@@ -17,20 +16,11 @@ from setcat.pointed import element_label
 from setcat.randomized import random_conserving_pair
 
 from .dense_reference import dense_orbit_fusion, dense_validate
+from .test_invariants import assert_condensation_invariants, su2_level
 
 ORACLE_SEED = 20260808
 ORACLE_INPUTS = 17
 CORRUPTIONS_PER_KIND = 80
-
-
-def su2_level(k):
-    """SU(2)_k from the benchmark's closed-formula builder."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "su2.py"
-    spec = importlib.util.spec_from_file_location("su2", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    import setcat
-    return mod.su2_level(setcat, k)
 
 
 def _outcome(P, bosons):
@@ -63,6 +53,7 @@ def assert_same_condensation(P, bosons, monkeypatch):
     assert _fields(new) == _fields(old)
     if isinstance(new, tuple):
         return
+    assert_condensation_invariants(P, new)
     of_orbit = {o.representative: new.result_labels_of_orbit(o.representative)
                 for o in new.orbits}
     args = (P, new.algebra, new.orbits, of_orbit)
