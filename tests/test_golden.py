@@ -6,7 +6,12 @@ groups; a refactor of the structure layer must leave every byte unchanged."""
 import hashlib
 from pathlib import Path
 
+from setcat.catalog import get
 from setcat.cli import main
+from setcat.fusion import pair_label
+from setcat.io import serialize_category, to_text
+
+from .test_invariants import su2_level
 
 GOLDEN_EXPORT = {
     "anti_semion.json":
@@ -93,6 +98,31 @@ GOLDEN_REPORTS = {
 }
 
 
+# `condense --format json` on the four fixed-point condensations that the
+# split-fusion search resolved before its rewrite; each input is written as a
+# category file through `serialize_category`
+GOLDEN_SPLIT_REPORTS = {
+    "condense ising x ising_rev / Z2":
+        "70780d681f5d04c2f9d25461681700a99102a835ea42e7b585088dc9da5f9e0a",
+    "condense ising x ising / Z2":
+        "a5e778195a251886a5ab7320749356a6cfdfa765d2e103e3c5e478fb71696265",
+    "condense su2_4 / {0,4}":
+        "1c1c7411cb7040b261fe2ed6d2bda14adb6baedcb67313162423164be9ab06ad",
+    "condense su2_8 / {0,8}":
+        "b3f2611e79edb5a6217f5daf8f6d64f096cdcb2d74eb9b19e2a9585e8ad9b860",
+}
+
+
+def split_inputs():
+    """(key, category, bosons) for the split inputs 1-4."""
+    ising, ising_rev = get("ising").category, get("ising_rev").category
+    z2 = [pair_label("1", "1"), pair_label("psi", "psi")]
+    return [("condense ising x ising_rev / Z2", ising.deligne(ising_rev), z2),
+            ("condense ising x ising / Z2", ising.deligne(ising), z2),
+            ("condense su2_4 / {0,4}", su2_level(4), ["0", "4"]),
+            ("condense su2_8 / {0,8}", su2_level(8), ["0", "8"])]
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -136,3 +166,13 @@ def test_catalog_export_is_byte_identical(capsys, tmp_path):
 def test_json_reports_are_byte_identical(capsys, tmp_path):
     export_digests(capsys, tmp_path)
     assert report_digests(capsys, tmp_path) == GOLDEN_REPORTS
+
+
+def test_split_condense_reports_are_byte_identical(capsys, tmp_path):
+    out = {}
+    for key, P, bosons in split_inputs():
+        path = tmp_path / "category.json"
+        path.write_text(to_text(serialize_category(P)), encoding="utf-8")
+        out[key] = _sha(_cli(capsys, ["condense", str(path), "--bosons", ",".join(bosons),
+                                      "--format", "json"]))
+    assert out == GOLDEN_SPLIT_REPORTS
