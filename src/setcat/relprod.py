@@ -6,11 +6,9 @@ centralizer identities."""
 
 from __future__ import annotations
 
-import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 
 from .cyclo import Cyclo
 from .double import drinfeld_double
@@ -53,16 +51,13 @@ class CondensationResult:
         return [lab for lab, (r, _) in self.provenance.items() if r == rep]
 
 
-def _group_table(P: Premodular, bosons: list[str]) -> dict[tuple[str, str], str]:
-    """Check the boson set is a transparent group of invertible bosons and
-    return its multiplication table."""
-    seen = []
+def _boson_group(P: Premodular, bosons: list[str]) -> list[str]:
+    """The boson labels in label order, checked to form a transparent group of
+    invertible bosons."""
     for h in bosons:
         if h not in P.ring.index:
             raise InputError(f"unknown boson label {h!r}")
-        if h not in seen:
-            seen.append(h)
-    H = sorted(seen, key=P.ring.index.__getitem__)
+    H = sorted(set(bosons), key=P.ring.index.__getitem__)
     if P.unit not in H:
         raise InputError("the boson group must contain the unit")
     for h in H:
@@ -70,22 +65,16 @@ def _group_table(P: Premodular, bosons: list[str]) -> dict[tuple[str, str], str]
             raise InputError(f"boson {h!r} is not invertible (pair: ({h},{h}))")
         if P.twist(h) != 0:
             raise InputError(f"label {h!r} has a nontrivial twist (pair: ({h},{h}))")
-    table = {}
-    hset = set(H)
-    for a in H:
-        for b in H:
-            fused = P.ring.fuse(a, b)
-            if len(fused) != 1 or set(fused.values()) != {1}:
-                raise InputError(f"bosons do not fuse to single simples (pair: ({a},{b}))")
-            c = next(iter(fused))
-            if c not in hset:
-                raise InputError(f"boson set is not closed under fusion (pair: ({a},{b}))")
-            table[(a, b)] = c
-    for a in H:
-        for b in H:
-            if not P.centralizes(a, b):
-                raise InputError(f"bosons are not pairwise transparent (pair: ({a},{b}))")
-    return table
+    for a, b in product(H, H):
+        fused = P.ring.fuse(a, b)
+        if len(fused) != 1 or set(fused.values()) != {1}:
+            raise InputError(f"bosons do not fuse to single simples (pair: ({a},{b}))")
+        if next(iter(fused)) not in H:
+            raise InputError(f"boson set is not closed under fusion (pair: ({a},{b}))")
+    for a, b in product(H, H):
+        if not P.centralizes(a, b):
+            raise InputError(f"bosons are not pairwise transparent (pair: ({a},{b}))")
+    return H
 
 
 def _act(P: Premodular, h: str, x: str) -> str:
@@ -102,12 +91,8 @@ def condense_by_invertible_bosons(P: Premodular, bosons: list[str]) -> Condensat
     Deconfined labels are those transparent to H; H acts on them by fusion.
     Free orbits hand their data straight to the quotient; orbits with a
     stabilizer of size s split into s simples of dimension d/s, with the
-    split fusion coefficients resolved by exhaustive constraint enumeration.
-    """
-    table = _group_table(P, bosons)
-    H = sorted({h for pair in table for h in pair}, key=P.ring.index.__getitem__)
-    hset = set(H)
-
+    split fusion coefficients found by `_resolve_split_fusion`."""
+    H = _boson_group(P, bosons)
     deconfined = [x for x in P.labels if all(P.centralizes(x, h) for h in H)]
     confined = [x for x in P.labels if x not in set(deconfined)]
 
@@ -115,73 +100,52 @@ def condense_by_invertible_bosons(P: Premodular, bosons: list[str]) -> Condensat
     # twist is constant on H.x*), with |orbit| * |stabilizer| = |H|, one dim
     # and one twist per orbit, and the unit's orbit first.
     orbits: list[Orbit] = []
-    placed: dict[str, str] = {}
-    for x in deconfined:
-        if x in placed:
-            continue
+    placed: set[str] = set()
+    for x in (x for x in deconfined if x not in placed):
         members = sorted({_act(P, h, x) for h in H}, key=P.ring.index.__getitem__)
-        stab = [h for h in H if _act(P, h, x) == x]
-        rep = members[0]
-        for m in members:
-            placed[m] = rep
-        orbits.append(Orbit(rep, members, stab))
+        placed.update(members)
+        orbits.append(Orbit(members[0], members, [h for h in H if _act(P, h, x) == x]))
     orbits.sort(key=lambda o: P.ring.index[o.representative])
 
     # result skeleton
     child_count = {o.representative: len(o.stabilizer) for o in orbits}
-    result_labels: list[str] = []
-    provenance: dict[str, tuple[str, int]] = {}
-    dims: dict[str, Cyclo] = {}
-    twists: dict[str, Fraction] = {}
-    of_orbit: dict[str, list[str]] = {}
-    for o in orbits:
-        s = child_count[o.representative]
-        labs = [o.representative] if s == 1 else [f"{o.representative}#{k}" for k in range(s)]
-        of_orbit[o.representative] = labs
-        d_child = P.dim(o.representative) if s == 1 else P.dim(o.representative) / s
-        for k, lab in enumerate(labs):
-            result_labels.append(lab)
-            provenance[lab] = (o.representative, k)
-            dims[lab] = d_child
-            twists[lab] = P.twist(o.representative)
-
-    rep_of = {lab: provenance[lab][0] for lab in result_labels}
+    of_orbit = {r: [r] if s == 1 else [f"{r}#{k}" for k in range(s)]
+                for r, s in child_count.items()}
+    provenance = {lab: (r, k) for r, labs in of_orbit.items() for k, lab in enumerate(labs)}
+    result_labels, rep_of = list(provenance), {lab: r for lab, (r, _) in provenance.items()}
+    dims = {lab: P.dim(r) if child_count[r] == 1 else P.dim(r) / child_count[r]
+            for lab, r in rep_of.items()}
+    twists = {lab: P.twist(r) for lab, r in rep_of.items()}
     n_result, unknown, margins = _orbit_fusion(P, H, orbits, of_orbit)
 
     ambiguity_flags: list[str] = []
     if unknown:
-        survivors = _resolve_split_fusion(
+        classes = _resolve_split_fusion(
             n_result, unknown, result_labels, rep_of, dims, twists, margins)
-        if not survivors:
-            raise InternalFault(
-                "splitting enumeration found no consistent fusion assignment")
-        classes = _dedupe_by_child_permutation(survivors, of_orbit, child_count)
-        chosen = classes[0]
+        if not classes:
+            raise ValidationInputError(
+                f"{P.name}: no fusion assignment of the split orbit(s) "
+                f"{', '.join(r for r, s in child_count.items() if s > 1)} is consistent; "
+                f"the data is not a braided category")
         if len(classes) > 1:
-            differing = sorted({t for cls in classes for t in cls.keys()
-                                if any(cls2.get(t, 0) != cls.get(t, 0) for cls2 in classes)})
-            ambiguity_flags = [
-                f"{len(classes)} fusion assignments survive all constraints"] + [
-                f"undetermined coefficient N[{a},{b}]^{c}" for (a, b, c) in differing]
-        n_result = chosen
+            ambiguity_flags = [f"{len(classes)} fusion assignments survive all constraints"] + [
+                f"undetermined coefficient N[{a},{b}]^{c}" for (a, b, c) in sorted(
+                    {t for cls in classes for t in cls if any(c2.get(t, 0) != cls[t]
+                                                              for c2 in classes)})]
+        n_result = classes[0]
 
-    # valid without a check: a split result is a relabelling of a candidate
-    # that passed _candidate_ok; a forced one, all orbits free, is the orbit
-    # quotient of the fusion-closed deconfined labels of a valid P
+    # valid without a check: a split result is a candidate that passed
+    # _candidate_ok; a forced one, all orbits free, is the orbit quotient of
+    # the fusion-closed deconfined labels of a valid P
     ring, result = _build_result(result_labels, n_result, dims, twists,
                                  name=f"{P.name} / H{len(H)}")
 
     dim_in, dim_out = P.global_dim(), result.global_dim()
     gauss_in, gauss_out = P.gauss_sum(), result.gauss_sum()
     conservation = {
-        "algebra_size": len(H),
-        "global_dim_input": dim_in,
-        "global_dim_result": dim_out,
-        "global_dim_conserved": dim_out * (len(H) ** 2) == dim_in,
-        "gauss_input": gauss_in,
-        "gauss_result": gauss_out,
-        "gauss_conserved": gauss_out * len(H) == gauss_in,
-    }
+        "algebra_size": len(H), "global_dim_input": dim_in, "global_dim_result": dim_out,
+        "global_dim_conserved": dim_out * (len(H) ** 2) == dim_in, "gauss_input": gauss_in,
+        "gauss_result": gauss_out, "gauss_conserved": gauss_out * len(H) == gauss_in}
     return CondensationResult(
         result=result, algebra=H, deconfined=deconfined, confined=confined,
         orbits=orbits, splittings=child_count, provenance=provenance,
@@ -246,141 +210,181 @@ def _build_result(labels, n_dict, dims, twists, name):
 
 
 def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_margins):
-    """Enumerate split fusion coefficients consistent with the margins, then
-    filter by ring axioms, exact S-matrix consistency, and Verlinde when the
-    candidate is nondegenerate."""
-    margins: dict[tuple, int] = {}
+    """The assignments of the unknown coefficients that pass `_candidate_ok`,
+    one per class up to relabelling children within orbits (its least member
+    in sorted-items order, as a dict in that order), sorted.
 
-    def margin_keys(triple):
-        a, b, c = triple
-        ox, oy, oz = rep_of[a], rep_of[b], rep_of[c]
-        return (("r", a, oy, oz), ("c", b, ox, oz), ("o", c, ox, oy))
-
+    Depth-first search on an explicit stack, one commutativity class of live
+    unknowns (all three margins nonzero; the rest are 0) per level in sorted
+    order, the N_xy^1 that fix the dual involution of the children first.  A
+    value spreads over N_ab^c = N_(a*)c^b = N_(b*)(a*)^(c*).  Each margin, and
+    each row whose open entries share one dim, is a group of fixed sum.
+    Checked once decided: the group sums, the other rows' dimension equation,
+    associativity once the rows it reads are complete, and the lex-leader
+    condition V <= V o g for each relabelling g (Crawford et al., KR 1996)."""
+    unit, gid, rem, grp = labels[0], {}, [], {}  # sum groups: the sum each still needs
     for t in unknown:
-        for key, m in zip(margin_keys(t), orbit_margins):
-            margins.setdefault(key, m.get(tuple(rep_of[x] for x in t), 0))
+        o = tuple(rep_of[x] for x in t)
+        keys = (("r", t[0], o[1], o[2]), ("c", t[1], o[0], o[2]), ("o", t[2], o[0], o[1]))
+        for key, m in zip(keys, orbit_margins):
+            rem.append(m.get(o, 0)) if key not in gid else None
+            gid.setdefault(key, len(rem) - 1)
+        grp[t] = [gid[k] for k in keys]
+    live = sorted(t for t in unknown if all(rem[g] for g in grp[t]))
+    at, grp, n = {t: p for p, t in enumerate(live)}, [grp[t] for t in live], len(live)
+    rows, fixed, checks = defaultdict(list), defaultdict(dict), []  # checks: [what, rows]
+    for p, t in enumerate(live):
+        rows[t[:2]].append(p)
+    for (a, b, c), v in forced.items():
+        fixed[(a, b)][c] = v
+    rid, V = {r: i for i, r in enumerate(rows)}, [None] * n
 
-    # commutativity ties (a,b,c) with (b,a,c); one variable per class
-    var_of: dict[tuple, tuple] = {}
-    variables: dict[tuple, list[tuple]] = {}
-    for t in unknown:
-        a, b, c = t
-        canon = min(t, (b, a, c))
-        var_of[t] = canon
-        variables.setdefault(canon, [])
-        if t not in variables[canon]:
-            variables[canon].append(t)
-    var_list = sorted(variables)
+    def row(a, b):  # N_ab^c by c, open entries as None
+        return {**fixed[(a, b)], **{live[p][2]: V[p] for p in rows[(a, b)]}}
 
-    solutions: list[dict[tuple, int]] = []
-    budget = [_SEARCH_NODE_BUDGET]
+    for (a, b), ps in rows.items():
+        ds = {dims[live[p][2]] for p in ps}
+        k = (dims[a] * dims[b] - sum((dims[c] * v for c, v in fixed[(a, b)].items()),
+                                     Cyclo.zero())) / ds.pop()
+        if ds:  # mixed dims: the row's dimension equation waits for the row
+            checks.append([(a, b), {rid[(a, b)]}])
+            continue
+        rem.append(int(k.as_fraction()) if k.is_rational() and
+                   k.as_fraction().denominator == 1 else -1)
+        for p in ps:
+            grp[p].append(len(rem) - 1)
+    for i, x in enumerate(labels[1:], 1):  # (x y) z = x (y z), x <= z, waits for its rows
+        for z, y in product(labels[i:], labels[1:]):
+            reads = {(x, y), (y, z), *((m, z) for m in row(x, y)), *((x, m) for m in row(y, z))}
+            checks.append([(x, y, z), {rid[r] for r in reads if r in rid}])
+    watch, wait = defaultdict(list), [len(rs) for _, rs in checks]
+    for i, (_, rs) in enumerate(checks):
+        for r in rs:
+            watch[r].append(i)
+    left, row_of = Counter(g for gs in grp for g in gs), [rid[t[:2]] for t in live]
+    row_left = Counter(row_of)
+    classes = sorted({tuple(sorted({at[t], at.get((t[1], t[0], t[2]), at[t])}))
+                      for t in live if unit not in t[:2]},
+                     key=lambda cl: (live[cl[0]][2] != unit, cl))
+    n_dual, nv = sum(live[cl[0]][2] == unit for cl in classes), len(classes)
+    level = {p: v for v, cl in enumerate(classes) for p in cl}
+    split = [ch for ch in (list(g) for _, g in groupby(labels, rep_of.get)) if len(ch) > 1]
+    maps = [m for m in (dict(zip(sum(split, []), sum(pm, ())))
+                        for pm in product(*map(permutations, split))) if m != dict(zip(m, m))]
+    images = [[None] * n for _ in maps]  # position p -> that of its relabelling by maps[g]
+    dual, trail, ready = {a: b for (a, b, c) in forced if c == unit}, [], []
 
-    def dfs(idx: int, current: dict[tuple, int]):
-        if budget[0] <= 0:
+    def move(p, val, s):  # s = 1 sets V[p] to val, s = -1 clears it
+        V[p] = val if s > 0 else None
+        for g in grp[p]:
+            rem[g] -= s * val
+            left[g] -= s
+        row_left[row_of[p]] -= s
+        for i in watch[row_of[p]] if row_left[row_of[p]] == (s < 0) else ():
+            wait[i] -= s
+            ready.extend([] if wait[i] else [i])
+
+    def put(p, val):
+        if V[p] is None:
+            move(p, val, 1)
+            trail.append(p)
+            return all(rem[g] >= 0 and (left[g] or not rem[g]) for g in grp[p])
+        return V[p] == val
+
+    def spread(ps, val, full):  # then run the checks that became decidable
+        ok = True
+        for a, b, c in (live[p] for p in ps):
+            for t in ({(x, y, dual[z]) for s in ((a, b, dual[c]), (dual[a], dual[b], c))
+                       for x, y, z in permutations(s)} if full else {(a, b, c), (b, a, c)}):
+                ok = (put(at[t], val) if t in at else val == 0) and ok
+        for what in (checks[i][0] for i in ready if ok):
+            if len(what) == 2:
+                ok = sum((dims[c] * v for c, v in row(*what).items()),
+                         Cyclo.zero()) == dims[what[0]] * dims[what[1]]
+                continue
+            x, y, z = what  # (x y) z and x (y z), the latter as (y z) x
+            lhs, rhs = Counter(), Counter()
+            for (a, b, c), side in (((x, y, z), lhs), ((y, z, x), rhs)):
+                for m, v in row(a, b).items():
+                    for w, k in row(m, c).items():
+                        side[w] += v * k
+            ok = +lhs == +rhs
+        ready.clear()
+        return ok
+
+    agenda = defaultdict(list)  # level -> comparisons (g, p) of V and V o g resumed there
+
+    def lex(items, log):
+        for g, p in items:
+            img = images[g]
+            while p < n:
+                if img[p] is None:
+                    img[p] = at[tuple(maps[g].get(x, x) for x in live[p])]
+                x, y = V[p], V[img[p]]
+                if x == y is not None:
+                    p += 1
+                    continue
+                if None in (x, y):
+                    log.append(max(level.get(p, -1), level.get(img[p], -1)))
+                    agenda[log[-1]].append((g, p))
+                elif (y == 0, y) < (x == 0, x):
+                    return False
+                break
+        return True
+
+    # the unit rows: N_1x^y = N_x1^y = [x = y]
+    ok = all(put(p, int(t[2] == t[t[0] == unit])) for p, t in enumerate(live) if unit in t[:2])
+    stack = [[0, None, [], len(trail)]] if ok and spread([], 0, False) and lex(
+        [(g, 0) for g in range(len(maps))], []) else []
+    survivors, nodes = [], 0
+    while stack:  # frames: level, values left to try, lex-log, trail length
+        v, vals, log, mark = frame = stack[-1]
+        while len(trail) > mark:
+            p = trail.pop()
+            move(p, V[p], -1)
+        while log:
+            agenda[log.pop()].pop()
+        if vals is None:
+            frame[1] = vals = list(range(min(rem[g] for p in classes[v] for g in grp[p]) + 1))
+        if not vals:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > _SEARCH_NODE_BUDGET:
+            raise InternalFault(f"splitting enumeration exhausted its search budget of "
+                                f"{_SEARCH_NODE_BUDGET:,} nodes over {nv} unknown variables")
+        if not spread(classes[v], vals.pop(), v >= n_dual):
+            continue
+        nxt = next((w for w in range(v + 1, nv) if V[classes[w][0]] is None), nv)
+        if not all(lex(agenda[w], log) for w in range(v, nxt)):
+            continue
+        if v < n_dual <= nxt:  # the dual involution is decided
+            dual.update(live[p][:2] for cl in classes[:n_dual] for p in cl if V[p])
+        if nxt < nv:
+            stack.append([nxt, None, [], len(trail)])
+        elif len(survivors) < _MAX_SURVIVORS:
+            survivors.append(dict(sorted({**forced, **{t: V[p] for p, t in enumerate(live)
+                                                       if V[p]}}.items())))
+        else:
             raise InternalFault(
-                f"splitting enumeration exhausted its search budget of "
-                f"{_SEARCH_NODE_BUDGET:,} nodes over {len(var_list)} unknown variables")
-        budget[0] -= 1
-        if idx == len(var_list):
-            if all(v == 0 for v in margins.values()):
-                if len(solutions) >= _MAX_SURVIVORS:
-                    raise InternalFault(
-                        f"splitting enumeration: too many candidates, {len(solutions) + 1} "
-                        f"reached against the cap of {_MAX_SURVIVORS}, over "
-                        f"{len(var_list)} unknown variables")
-                solutions.append(dict(current))
-            return
-        var = var_list[idx]
-        concretes = variables[var]
-        ub = min(min(margins[k] for k in margin_keys(t)) for t in concretes)
-        for val in range(ub + 1):
-            for t in concretes:
-                for k in margin_keys(t):
-                    margins[k] -= val
-            if all(m >= 0 for m in margins.values()):
-                if val:
-                    current[var] = val
-                dfs(idx + 1, current)
-                current.pop(var, None)
-            for t in concretes:
-                for k in margin_keys(t):
-                    margins[k] += val
-        return
-
-    try:
-        dfs(0, {})
-    except RecursionError:
-        raise InternalFault(
-            f"splitting enumeration over {len(var_list)} unknown variables needs a "
-            f"deeper recursion than the limit {sys.getrecursionlimit()}") from None
-
-    survivors = []
-    for sol in solutions:
-        n_dict = dict(forced)
-        for t in unknown:
-            v = sol.get(var_of[t], 0)
-            if v:
-                n_dict[t] = v
-        if _candidate_ok(labels, n_dict, dims, twists):
-            survivors.append(n_dict)
-    return survivors
+                f"splitting enumeration: too many candidates, {len(survivors) + 1} reached "
+                f"against the cap of {_MAX_SURVIVORS}, over {nv} unknown variables")
+    return sorted((d for d in survivors if _candidate_ok(labels, d, dims, twists)),
+                  key=lambda d: tuple(d.items()))
 
 
 def _candidate_ok(labels, n_dict, dims, twists) -> bool:
-    try:
-        ring, cand = _build_result(labels, n_dict, dims, twists, name="candidate")
-        if cand.validate():
-            return False
-    except (InternalFault, InputError):
+    ring, cand = _build_result(labels, n_dict, dims, twists, name="candidate")
+    if cand.validate():
         return False
-    # Verlinde consistency whenever the candidate S-matrix is invertible
-    if cand._smatrix_invertible():
-        if cand.muger_center() != [cand.unit]:
-            return False
-        d2_inv = cand.global_dim().inverse()
-        inv_d = {x: cand.dim(x).inverse() for x in labels}
-        for i in labels:
-            for j in labels:
-                for k in labels:
-                    acc = Cyclo.zero()
-                    for l in labels:
-                        acc = acc + (cand.s_entry(i, l) * cand.s_entry(j, l)
-                                     * cand.s_entry(k, l).conjugate() * inv_d[l])
-                    if acc * d2_inv != Cyclo.from_rational(ring.n(i, j, k)):
-                        return False
-    return True
-
-
-def _dedupe_by_child_permutation(survivors, of_orbit, child_count):
-    """Group surviving assignments up to relabeling children within orbits."""
-    split_orbits = [rep for rep, c in child_count.items() if c > 1]
-    perm_maps = [{}]
-    for rep in split_orbits:
-        labs = of_orbit[rep]
-        new_maps = []
-        for base in perm_maps:
-            for perm in permutations(labs):
-                m = dict(base)
-                m.update(dict(zip(labs, perm)))
-                new_maps.append(m)
-        perm_maps = new_maps
-
-    def apply_map(n_dict, m):
-        out = {}
-        for (a, b, c), v in n_dict.items():
-            out[(m.get(a, a), m.get(b, b), m.get(c, c))] = v
-        return out
-
-    def canon(n_dict):
-        return min(tuple(sorted(apply_map(n_dict, m).items())) for m in perm_maps)
-
-    classes: dict[tuple, dict] = {}
-    for sol in survivors:
-        key = canon(sol)
-        if key not in classes:
-            classes[key] = dict(key)
-    ordered = [classes[k] for k in sorted(classes)]
-    return ordered
+    # S conj(S)^T = D^2 Id decides invertibility; given it, Verlinde's formula
+    # is the character identity S_il S_jl = d_l sum_k N_ij^k S_kl
+    if not cand._smatrix_invertible():
+        return True
+    S = cand.s_entry
+    return cand.muger_center() == [cand.unit] and all(S(i, l) * S(j, l) == dims[l] * sum(
+        (S(k, l) * m for k, m in ring.fuse(i, j).items()), Cyclo.zero())
+        for a, i in enumerate(labels) for j in labels[a:] for l in labels)
 
 
 # -- the relative stacking over Rep(G) ---------------------------------------
@@ -420,12 +424,8 @@ def relative_tensor_product(C: Premodular, D: Premodular,
     algebra = canonical_algebra(embC, embD)
     res = condense_by_invertible_bosons(prod, algebra)
 
-    member_to_result: dict[str, str] = {}
-    for lab, (rep, _) in res.provenance.items():
-        orb = res.orbit_of(rep)
-        if len(orb.stabilizer) == 1:
-            for m in orb.members:
-                member_to_result[m] = lab
+    member_to_result = {m: lab for lab, (rep, _) in res.provenance.items()
+                        if res.splittings[rep] == 1 for m in res.orbit_of(rep).members}
     mapping = {}
     for e in embC.elements():
         left = pair_label(embC.mapping[e], D.unit)

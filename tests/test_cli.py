@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from setcat.abelian import iter_elements
+from setcat.catalog import get
 from setcat.cli import main, split_labels
 from setcat.cyclo import MAX_CONDUCTOR
 from setcat.io import serialize_category, to_text
@@ -276,14 +277,25 @@ def test_conductor_limit_exit_2(capsys, fixture_dir, tmp_path, monkeypatch, fiel
     assert "1000000" in err
 
 
-def test_split_recursion_limit_exit_3(capsys, tmp_path):
+def test_split_ising_squared_exit_0(capsys, tmp_path):
     P, bosons = ising_squared()
     path = tmp_path / "ii2.json"
     path.write_text(to_text(serialize_category(P)))
-    code, _, err = run(capsys, ["condense", str(path), "--bosons", ",".join(bosons)])
-    assert code == 3
-    assert "Traceback" not in err
-    assert "1824 unknown variables" in err and "recursion" in err
+    code, out, err = run(capsys, ["condense", str(path), "--bosons", ",".join(bosons)])
+    assert (code, err) == (0, "")
+    assert "splits into 4" in out and "ambiguity" not in out
+
+
+def test_split_without_consistent_fusion_exit_2(capsys, tmp_path):
+    # the Ising fusion ring with every twist 0 validates, yet no braiding
+    # exists, and the fixed point sigma of {1, psi} has no consistent splitting
+    ising = serialize_category(get("ising").category)
+    ising.update(name="ising_untwisted", twists=dict.fromkeys(ising["twists"], "0"))
+    path = tmp_path / "ising0.json"
+    path.write_text(to_text(ising))
+    assert run(capsys, ["validate", str(path)])[0] == 0
+    err = assert_input_error(capsys, ["condense", str(path), "--bosons", "1,psi"])
+    assert "ising_untwisted" in err and "split orbit(s) sigma" in err
 
 
 

@@ -1,4 +1,3 @@
-import sys
 from fractions import Fraction
 
 import pytest
@@ -263,9 +262,11 @@ def test_rep_stack_c_is_relative_centralizer():
     assert find_equivalence(res2.result, cent2) is not None
 
 
-def test_split_budget_message_names_the_numbers():
-    with pytest.raises(InternalFault, match=r"search budget of 200,000 nodes "
-                                            r"over 27 unknown variables"):
+def test_split_budget_message_names_the_numbers(monkeypatch):
+    assert relprod._SEARCH_NODE_BUDGET == 200_000
+    monkeypatch.setattr(relprod, "_SEARCH_NODE_BUDGET", 10)
+    with pytest.raises(InternalFault, match=r"search budget of 10 nodes "
+                                            r"over 23 unknown variables"):
         condense_by_invertible_bosons(su2_level(12), ["0", "12"])
 
 
@@ -278,10 +279,11 @@ def test_split_candidate_cap_message_names_the_numbers(monkeypatch):
         condense_by_invertible_bosons(prod, [pair_label("1", "1"), pair_label("psi", "psi")])
 
 
-def test_split_recursion_limit_is_an_internal_fault():
+def test_split_ising_squared_is_toric_squared():
+    # 5 split orbits, one of them into 4 children: 768 live unknowns
     P, bosons = ising_squared()
-    with pytest.raises(InternalFault) as info:
-        condense_by_invertible_bosons(P, bosons)
-    assert str(info.value) == (
-        "splitting enumeration over 1824 unknown variables needs a deeper "
-        f"recursion than the limit {sys.getrecursionlimit()}")
+    res = condense_by_invertible_bosons(P, bosons)
+    assert res.ambiguity_flags == []
+    assert sorted(res.splittings.values()) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+    toric = get("toric_code").category
+    assert find_equivalence(res.result, toric.deligne(toric)) is not None
