@@ -143,9 +143,14 @@ def condense_by_invertible_bosons(P: Premodular, bosons: list[str]) -> Condensat
     dim_in, dim_out = P.global_dim(), result.global_dim()
     gauss_in, gauss_out = P.gauss_sum(), result.gauss_sum()
     conservation = {
-        "algebra_size": len(H), "global_dim_input": dim_in, "global_dim_result": dim_out,
-        "global_dim_conserved": dim_out * (len(H) ** 2) == dim_in, "gauss_input": gauss_in,
-        "gauss_result": gauss_out, "gauss_conserved": gauss_out * len(H) == gauss_in}
+        "algebra_size": len(H),
+        "global_dim_input": dim_in,
+        "global_dim_result": dim_out,
+        "global_dim_conserved": dim_out * (len(H) ** 2) == dim_in,
+        "gauss_input": gauss_in,
+        "gauss_result": gauss_out,
+        "gauss_conserved": gauss_out * len(H) == gauss_in,
+    }
     return CondensationResult(
         result=result, algebra=H, deconfined=deconfined, confined=confined,
         orbits=orbits, splittings=child_count, provenance=provenance,
@@ -198,14 +203,8 @@ def _orbit_fusion(P, H, orbits, of_orbit):
 
 
 def _build_result(labels, n_dict, dims, twists, name):
-    unit = labels[0]
-    dual: dict[str, str] = {}
-    for a in labels:
-        partners = [b for b in labels if n_dict.get((a, b, unit), 0) == 1]
-        if len(partners) != 1:
-            raise InternalFault(f"result label {a!r} has no unique dual")
-        dual[a] = partners[0]
-    ring = FusionRing(labels, dual, dict(n_dict))
+    # N_ab^1 = [b = a*] holds by the split search for children, by P's validity for the rest
+    ring = FusionRing(labels, {a: b for (a, b, c) in n_dict if c == labels[0]}, dict(n_dict))
     return ring, Premodular(ring, dims, twists, name=name)
 
 
@@ -227,8 +226,9 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         o = tuple(rep_of[x] for x in t)
         keys = (("r", t[0], o[1], o[2]), ("c", t[1], o[0], o[2]), ("o", t[2], o[0], o[1]))
         for key, m in zip(keys, orbit_margins):
-            rem.append(m.get(o, 0)) if key not in gid else None
-            gid.setdefault(key, len(rem) - 1)
+            if key not in gid:
+                gid[key] = len(rem)
+                rem.append(m.get(o, 0))
         grp[t] = [gid[k] for k in keys]
     live = sorted(t for t in unknown if all(rem[g] for g in grp[t]))
     at, grp, n = {t: p for p, t in enumerate(live)}, [grp[t] for t in live], len(live)
@@ -247,7 +247,7 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         k = (dims[a] * dims[b] - sum((dims[c] * v for c, v in fixed[(a, b)].items()),
                                      Cyclo.zero())) / ds.pop()
         if ds:  # mixed dims: the row's dimension equation waits for the row
-            checks.append([(a, b), {rid[(a, b)]}])
+            checks.append([(a, b), (rid[(a, b)],)])
             continue
         rem.append(int(k.as_fraction()) if k.is_rational() and
                    k.as_fraction().denominator == 1 else -1)
@@ -256,7 +256,7 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     for i, x in enumerate(labels[1:], 1):  # (x y) z = x (y z), x <= z, waits for its rows
         for z, y in product(labels[i:], labels[1:]):
             reads = {(x, y), (y, z), *((m, z) for m in row(x, y)), *((x, m) for m in row(y, z))}
-            checks.append([(x, y, z), {rid[r] for r in reads if r in rid}])
+            checks.append([(x, y, z), tuple({rid[r] for r in reads if r in rid})])
     watch, wait = defaultdict(list), [len(rs) for _, rs in checks]
     for i, (_, rs) in enumerate(checks):
         for r in rs:
@@ -271,7 +271,7 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     split = [ch for ch in (list(g) for _, g in groupby(labels, rep_of.get)) if len(ch) > 1]
     maps = [m for m in (dict(zip(sum(split, []), sum(pm, ())))
                         for pm in product(*map(permutations, split))) if m != dict(zip(m, m))]
-    images = [[None] * n for _ in maps]  # position p -> that of its relabelling by maps[g]
+    images = [{} for _ in maps]  # position p -> that of its relabelling by maps[g]
     dual, trail, ready = {a: b for (a, b, c) in forced if c == unit}, [], []
 
     def move(p, val, s):  # s = 1 sets V[p] to val, s = -1 clears it
@@ -318,7 +318,7 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         for g, p in items:
             img = images[g]
             while p < n:
-                if img[p] is None:
+                if p not in img:
                     img[p] = at[tuple(maps[g].get(x, x) for x in live[p])]
                 x, y = V[p], V[img[p]]
                 if x == y is not None:
@@ -333,7 +333,8 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         return True
 
     # the unit rows: N_1x^y = N_x1^y = [x = y]
-    ok = all(put(p, int(t[2] == t[t[0] == unit])) for p, t in enumerate(live) if unit in t[:2])
+    ok = all(put(p, int(b == c if a == unit else a == c))
+             for p, (a, b, c) in enumerate(live) if unit in (a, b))
     stack = [[0, None, [], len(trail)]] if ok and spread([], 0, False) and lex(
         [(g, 0) for g in range(len(maps))], []) else []
     survivors, nodes = [], 0
@@ -379,11 +380,10 @@ def _candidate_ok(labels, n_dict, dims, twists) -> bool:
         return False
     # S conj(S)^T = D^2 Id decides invertibility; given it, Verlinde's formula
     # is the character identity S_il S_jl = d_l sum_k N_ij^k S_kl
-    if not cand._smatrix_invertible():
-        return True
     S = cand.s_entry
-    return cand.muger_center() == [cand.unit] and all(S(i, l) * S(j, l) == dims[l] * sum(
-        (S(k, l) * m for k, m in ring.fuse(i, j).items()), Cyclo.zero())
+    return not cand._smatrix_invertible() or cand.muger_center() == [cand.unit] and all(
+        S(i, l) * S(j, l) == dims[l] * sum((S(k, l) * m for k, m in ring.fuse(i, j).items()),
+                                           Cyclo.zero())
         for a, i in enumerate(labels) for j in labels[a:] for l in labels)
 
 
