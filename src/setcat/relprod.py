@@ -244,11 +244,11 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
 
     for (a, b), ps in rows.items():
         ds = {dims[live[p][2]] for p in ps}
-        k = (dims[a] * dims[b] - sum((dims[c] * v for c, v in fixed[(a, b)].items()),
-                                     Cyclo.zero())) / ds.pop()
-        if ds:  # mixed dims: the row's dimension equation waits for the row
+        if len(ds) > 1:  # mixed dims: the row's dimension equation waits for the row
             checks.append([(a, b), (rid[(a, b)],)])
             continue
+        k = (dims[a] * dims[b] - sum((dims[c] * v for c, v in fixed[(a, b)].items()),
+                                     Cyclo.zero())) / ds.pop()
         rem.append(int(k.as_fraction()) if k.is_rational() and
                    k.as_fraction().denominator == 1 else -1)
         for p in ps:

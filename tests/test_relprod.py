@@ -21,6 +21,7 @@ from setcat.relprod import (
 )
 
 from .test_invariants import su2_level
+from .test_split_differential import assert_least_relabelling
 
 F = Fraction
 
@@ -280,10 +281,10 @@ def test_split_candidate_cap_message_names_the_numbers(monkeypatch):
 
 
 def test_split_ising_squared_is_toric_squared():
-    # 5 split orbits, one of them into 4 children: 768 live unknowns
     P, bosons = ising_squared()
     res = condense_by_invertible_bosons(P, bosons)
     assert res.ambiguity_flags == []
     assert sorted(res.splittings.values()) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
     toric = get("toric_code").category
     assert find_equivalence(res.result, toric.deligne(toric)) is not None
+    assert_least_relabelling(res)

@@ -72,6 +72,23 @@ def test_unit_law_through_the_boson_j_equals_k(k):
     assert relprod.verify_unit_law(C, emb) is True
 
 
+def assert_least_relabelling(res):
+    """The reported assignment is the least, in sorted-items order, of all its
+    relabellings of children within orbits: the reference's dedupe keeps it."""
+    of_orbit = {rep: res.result_labels_of_orbit(rep) for rep in res.splittings}
+    items = list(res.result.ring.N.items())
+    assert [list(d.items()) for d in split_reference._dedupe_by_child_permutation(
+        [dict(items)], of_orbit, res.splittings)] == [items]
+
+
+def test_reported_assignment_is_the_least_relabelling():
+    fib = get("fibonacci").category
+    ii = get("ising").category.deligne(get("ising_rev").category)
+    for P, bosons in [(su2_level(12), ["0", "12"]), (su2_level(16), ["0", "16"]),
+                      (ii.deligne(fib), [pair_label(h, "1") for h in Z2])]:
+        assert_least_relabelling(relprod.condense_by_invertible_bosons(P, bosons))
+
+
 def split_inputs():
     """Fixed-point condensations on which the reference solver finishes."""
     ising, ising_rev = get("ising").category, get("ising_rev").category
