@@ -1,23 +1,18 @@
-"""Finite abelian groups presented by invariant factors, plus the integer
-lattice routines (Hermite/Smith forms) that present quotient groups."""
+"""Finite abelian groups presented by invariant factors, and a cyclic
+decomposition of quotients of their subgroups."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as _iproduct
-from math import gcd
-from typing import Callable
+from math import prod
 
-from .errors import InputError, InternalFault
+from .errors import InputError
 
 Element = tuple[int, ...]
 
 
 def group_order(factors: list[int]) -> int:
-    out = 1
-    for n in factors:
-        out *= n
-    return out
+    return prod(factors)
 
 
 def iter_elements(factors: list[int]) -> list[Element]:
@@ -44,14 +39,6 @@ def neg(factors: list[int], a: Element) -> Element:
     return tuple((-x) % n for x, n in zip(a, factors))
 
 
-def element_order(factors: list[int], a: Element) -> int:
-    out = 1
-    for x, n in zip(a, factors):
-        d = n // gcd(n, x) if x else 1
-        out = out * d // gcd(out, d)
-    return out
-
-
 def subgroup_closure(factors: list[int], gens) -> list[Element]:
     """Closure of the generators under addition, sorted lexicographically."""
     gens = [check_element(factors, g) for g in gens]
@@ -69,216 +56,32 @@ def subgroup_closure(factors: list[int], gens) -> list[Element]:
     return sorted(seen)
 
 
-def small_generating_set(factors: list[int], elems: list[Element]) -> list[Element]:
-    gens: list[Element] = []
-    have = {zero(factors)}
-    for a in sorted(elems, key=lambda e: -element_order(factors, e)):
-        if a not in have:
-            gens.append(a)
-            have = set(subgroup_closure(factors, gens))
-            if len(have) == len(elems):
-                break
-    return gens
+def quotient_basis(factors: list[int], sup: list[Element],
+                   sub: list[Element]) -> tuple[list[int], list[Element]]:
+    """Invariant factors n_1 | n_2 | ... (all > 1) of sup/sub and elements x_i
+    of sup such that t -> sum t_i x_i + sub is an isomorphism onto sup/sub.
 
-
-# -- integer lattices --------------------------------------------------------
-
-
-def _hermite_column_basis(cols: list[list[int]], r: int) -> list[list[int]]:
-    """Lower-triangular basis (as columns) of the lattice spanned by cols.
-
-    Assumes full rank r, which holds whenever the diagonal relations are
-    included among the generators.
+    Greedy, from K = sub: adjoin the first x of largest order n modulo K
+    among those whose order modulo sub is also n (so <x> meets K only
+    inside sub), until K = sup. Such an x exists and K/sub stays a direct
+    summand, because a cyclic subgroup of maximal order is a direct summand.
     """
-    work = [list(c) for c in cols if any(c)]
-    basis: list[list[int]] = []
-    for i in range(r):
-        while True:
-            nz = [c for c in work if c[i] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda c: abs(c[i]))
-            c0 = nz[0]
-            for c in nz[1:]:
-                k = c[i] // c0[i]
-                if k:
-                    for j in range(r):
-                        c[j] -= k * c0[j]
-            work = [c for c in work if any(c)]
-        piv = next((c for c in work if c[i] != 0), None)
-        if piv is None:
-            raise InternalFault("lattice basis is not full rank")
-        if piv[i] < 0:
-            for j in range(r):
-                piv[j] = -piv[j]
-        basis.append(list(piv))
-        work.remove(piv)
-    return basis
+    def order_mod(x: Element, K: set[Element]) -> int:
+        n, y = 1, x
+        while y not in K:
+            n, y = n + 1, add(factors, y, x)
+        return n
 
-
-def _solve_lower_triangular(basis: list[list[int]], x: list[int]) -> list[int]:
-    r = len(basis)
-    rem = list(x)
-    out = [0] * r
-    for j in range(r):
-        d = basis[j][j]
-        if rem[j] % d != 0:
-            raise InternalFault("vector not in lattice")
-        c = rem[j] // d
-        out[j] = c
-        if c:
-            for i in range(r):
-                rem[i] -= c * basis[j][i]
-    if any(rem):
-        raise InternalFault("vector not in lattice")
-    return out
-
-
-def _smith_with_left(mat: list[list[int]]):
-    """Diagonalize mat by unimodular row/column operations.
-
-    Returns (diag, U, Uinv) with U * mat * V = diag(d) for some unimodular V,
-    d_1 | d_2 | ... ; only the row transform U (and its inverse) is tracked.
-    """
-    m = [list(row) for row in mat]
-    r = len(m)
-    c = len(m[0]) if r else 0
-    U = [[int(i == j) for j in range(r)] for i in range(r)]
-    Uinv = [[int(i == j) for j in range(r)] for i in range(r)]
-
-    def row_sub(i, t, k):  # row_i -= k * row_t
-        if not k:
-            return
-        for j in range(c):
-            m[i][j] -= k * m[t][j]
-        for j in range(r):
-            U[i][j] -= k * U[t][j]
-        for j in range(r):
-            Uinv[j][t] += k * Uinv[j][i]
-
-    def row_swap(i, t):
-        m[i], m[t] = m[t], m[i]
-        U[i], U[t] = U[t], U[i]
-        for j in range(r):
-            Uinv[j][i], Uinv[j][t] = Uinv[j][t], Uinv[j][i]
-
-    def row_neg(i):
-        for j in range(c):
-            m[i][j] = -m[i][j]
-        for j in range(r):
-            U[i][j] = -U[i][j]
-        for j in range(r):
-            Uinv[j][i] = -Uinv[j][i]
-
-    def col_sub(j, t, k):  # col_j -= k * col_t
-        if not k:
-            return
-        for i in range(r):
-            m[i][j] -= k * m[i][t]
-
-    def col_swap(j, t):
-        for i in range(r):
-            m[i][j], m[i][t] = m[i][t], m[i][j]
-
-    t = 0
-    while t < r and t < c:
-        # locate a pivot with minimal nonzero magnitude
-        piv = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if m[i][j] and (piv is None or abs(m[i][j]) < abs(m[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, r):
-                if m[i][t]:
-                    k = m[i][t] // m[t][t]
-                    row_sub(i, t, k)
-                    if m[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, c):
-                if m[t][j]:
-                    k = m[t][j] // m[t][t]
-                    col_sub(j, t, k)
-                    if m[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty and all(m[i][t] == 0 for i in range(t + 1, r)) \
-                    and all(m[t][j] == 0 for j in range(t + 1, c)):
-                break
-        # enforce divisibility of the remaining block by the pivot
-        bad = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if m[i][j] % m[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            row_sub(t, bad, -1)  # add the offending row, redo this pivot
-            continue
-        if m[t][t] < 0:
-            row_neg(t)
-        t += 1
-
-    diag = [m[i][i] if i < c else 0 for i in range(r)]
-    return diag, U, Uinv
-
-
-def _matvec(mat: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in mat]
-
-
-@dataclass
-class QuotientPresentation:
-    """Invariant-factor presentation of sup/sub with explicit coordinate maps."""
-
-    invariant_factors: list[int]
-    to_coords: Callable[[Element], Element]
-    from_coords: Callable[[Element], Element]
-
-
-def quotient_presentation(factors: list[int], sup: list[Element],
-                          sub: list[Element]) -> QuotientPresentation:
-    """Present the quotient of subgroup sup by subgroup sub (sub <= sup)."""
-    r = len(factors)
-    if r == 0:
-        return QuotientPresentation([], lambda x: (), lambda t: ())
-    diag_cols = [[factors[i] if j == i else 0 for j in range(r)] for i in range(r)]
-    diag_cols = [list(col) for col in zip(*diag_cols)]  # columns
-    sup_gens = small_generating_set(factors, sup)
-    basis = _hermite_column_basis([list(g) for g in sup_gens] + diag_cols, r)
-    w_cols = [_solve_lower_triangular(basis, list(w))
-              for w in small_generating_set(factors, sub)]
-    w_cols += [_solve_lower_triangular(basis, col) for col in diag_cols]
-    mat = [[col[i] for col in w_cols] for i in range(r)]
-    diag, U, Uinv = _smith_with_left(mat)
-    if any(d <= 0 for d in diag):
-        raise InternalFault("quotient is not finite")
-    keep = [i for i, d in enumerate(diag) if d > 1]
-    inv_factors = [diag[i] for i in keep]
-
-    def to_coords(x: Element) -> Element:
-        c = _solve_lower_triangular(basis, list(x))
-        y = _matvec(U, c)
-        return tuple(y[i] % diag[i] for i in keep)
-
-    def from_coords(t: Element) -> Element:
-        y = [0] * r
-        for pos, i in enumerate(keep):
-            y[i] = int(t[pos])
-        c = _matvec(Uinv, y)
-        x = _matvec([list(row) for row in zip(*basis)], c)
-        return tuple(v % n for v, n in zip(x, factors))
-
-    # consistency: quotient size must match the index
-    size = group_order(inv_factors)
-    if size * len(sub) != len(sup):
-        raise InternalFault("quotient presentation size mismatch")
-    return QuotientPresentation(inv_factors, to_coords, from_coords)
+    sub_set, K = set(sub), set(sub)
+    ns: list[int] = []
+    xs: list[Element] = []
+    while len(K) < len(sup):
+        n, x = 1, None
+        for y in sup:
+            m = order_mod(y, K)
+            if m > n and m == order_mod(y, sub_set):
+                n, x = m, y
+        K = set(subgroup_closure(factors, [*K, x]))
+        ns.append(n)
+        xs.append(x)
+    return ns[::-1], xs[::-1]

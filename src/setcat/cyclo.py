@@ -404,6 +404,14 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
+def parse_int(digits: str) -> int:
+    """int(digits), with Python's limit on str -> int digits as an input error."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise SyntaxInputError(f"integer of {len(digits)} digits is too long") from exc
+
+
 class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
@@ -447,9 +455,9 @@ class _Parser:
             body = tok[1:]
             if "^" in body:
                 n_s, k_s = body.split("^")
-                n, k = int(n_s), int(k_s)
+                n, k = parse_int(n_s), parse_int(k_s)
             else:
-                n, k = int(body), 1
+                n, k = parse_int(body), 1
             if n == 0:
                 raise SyntaxInputError("z0 is not a root of unity")
             if n > MAX_CONDUCTOR:
@@ -458,11 +466,12 @@ class _Parser:
             return root_of_unity(Fraction(k, n))
         if re.fullmatch(r"\d+/\d+", tok):
             p_s, q_s = tok.split("/")
-            if int(q_s) == 0:
+            p, q = parse_int(p_s), parse_int(q_s)
+            if q == 0:
                 raise SyntaxInputError("zero denominator")
-            return Cyclo.from_rational(Fraction(int(p_s), int(q_s)))
+            return Cyclo.from_rational(Fraction(p, q))
         if re.fullmatch(r"\d+", tok):
-            return Cyclo.from_rational(int(tok))
+            return Cyclo.from_rational(parse_int(tok))
         raise SyntaxInputError(f"unexpected token {tok!r}")
 
 

@@ -7,8 +7,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import prod
 
-from .cyclo import MAX_CONDUCTOR, format_cyclo, parse_cyclo
+from .cyclo import MAX_CONDUCTOR, format_cyclo, parse_cyclo, parse_int
 from .embedding import SymmetryEmbedding
 from .errors import InternalFault, SyntaxInputError, ValidationInputError
 from .fusion import FusionRing
@@ -34,6 +35,8 @@ def loads(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SyntaxInputError(f"malformed JSON: {exc}") from exc
+    except ValueError as exc:  # an integer beyond Python's str -> int digit limit
+        raise SyntaxInputError("malformed JSON: an integer is too long") from exc
     if not isinstance(obj, dict):
         raise SyntaxInputError("top level must be an object")
     _reject_floats(obj)
@@ -44,16 +47,15 @@ def _parse_turn(text, field: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL.match(text):
         raise SyntaxInputError(
             f"{field}: expected an exact rational string 'p/q', got {text!r}")
-    if "/" in text:
-        p, q = text.split("/")
-        if int(q) == 0:
-            raise SyntaxInputError(f"{field}: zero denominator")
-        r = Fraction(int(p), int(q))
-        if r.denominator > MAX_CONDUCTOR:
-            raise SyntaxInputError(f"{field}: denominator {r.denominator} exceeds "
-                                   f"the conductor limit {MAX_CONDUCTOR}")
-        return r
-    return Fraction(int(text))
+    p, _, q = text.partition("/")
+    p, q = parse_int(p), parse_int(q or "1")
+    if q == 0:
+        raise SyntaxInputError(f"{field}: zero denominator")
+    r = Fraction(p, q)
+    if r.denominator > MAX_CONDUCTOR:
+        raise SyntaxInputError(f"{field}: denominator {r.denominator} exceeds "
+                               f"the conductor limit {MAX_CONDUCTOR}")
+    return r
 
 
 def _format_turn(r: Fraction) -> str:
@@ -179,6 +181,9 @@ def parse_embedding(obj: dict | str, category: Premodular | None = None) -> Symm
     if not isinstance(group, list) or not all(
             isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in group):
         raise SyntaxInputError("group must be a list of positive integers")
+    if prod(group) != len(obj["map"]):  # before anything enumerates the group
+        raise SyntaxInputError(f"map has {len(obj['map'])} entries, "
+                               f"but the group has order {prod(group)}")
     mapping = {}
     for key, lab in obj["map"].items():
         if not isinstance(lab, str):

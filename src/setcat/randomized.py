@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .cyclo import Cyclo, root_of_unity
 from .equiv import find_equivalence
@@ -21,13 +21,6 @@ _SHAPES = [[2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2], [9],
 _CONSERVING_ATTEMPTS = 50
 
 
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
 def random_cyclo(rng: random.Random, max_order: int = 24) -> Cyclo:
     """All terms of one value drawn from a single field of order <= max_order."""
     n = rng.randint(1, max_order)
@@ -41,7 +34,7 @@ def random_cyclo(rng: random.Random, max_order: int = 24) -> Cyclo:
 
 def random_metric_group(rng: random.Random, max_order: int = 64) -> MetricGroup:
     factors = list(rng.choice(
-        [s for s in _SHAPES if _prod(s) <= max_order]))
+        [s for s in _SHAPES if prod(s) <= max_order]))
     coeffs = {}
     for i, ni in enumerate(factors):
         a = rng.randrange(2 * ni)

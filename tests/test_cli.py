@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
+from setcat import abelian
 from setcat.abelian import iter_elements
 from setcat.catalog import get
 from setcat.cli import main, split_labels
@@ -258,6 +260,40 @@ def test_malformed_embedding_file_exit_2(capsys, fixture_dir, tmp_path, field, v
     obj[field] = value
     assert_input_error(capsys, ["validate", write_json(tmp_path, obj),
                                 "--against", str(fixture_dir / "toric_code.json")])
+
+
+HUGE = "1" * 5000  # beyond Python's limit on str -> int digits
+
+
+@pytest.mark.parametrize("path,raw", [(("twists", "s"), f'"{HUGE}/4"'),
+                                      (("dims", "s"), f'"{HUGE}"'),
+                                      (("name",), HUGE),
+                                      (("dims", "s"), f'"z5^{HUGE}"')],
+                         ids=["twist-numerator", "dim-integer", "json-integer", "root-exponent"])
+def test_huge_integer_exit_2(capsys, fixture_dir, tmp_path, path, raw):
+    obj = json.loads((fixture_dir / "semion.json").read_text())
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "HUGE"
+    bad = tmp_path / "semion.json"
+    bad.write_text(json.dumps(obj).replace('"HUGE"', raw))
+    assert_input_error(capsys, ["validate", str(bad)])
+
+
+def test_embedding_group_bounded_by_map_exit_2(capsys, fixture_dir, tmp_path, monkeypatch):
+    enumerate_small = abelian.iter_elements
+
+    def no_large_groups(factors):
+        if prod(factors) > 10**6:
+            raise AssertionError("enumerated a group larger than its map")
+        return enumerate_small(factors)
+
+    monkeypatch.setattr("setcat.abelian.iter_elements", no_large_groups)
+    obj = {"group": [10**9], "target": "toric_code", "map": {}}
+    err = assert_input_error(capsys, ["validate", write_json(tmp_path, obj),
+                                      "--against", str(fixture_dir / "toric_code.json")])
+    assert "map has 0 entries, but the group has order 1000000000" in err
 
 
 @pytest.mark.parametrize("field,value", [("dims", "z1000000"), ("twists", "1/1000000")])

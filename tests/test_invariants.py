@@ -9,7 +9,12 @@ run time, asserted on the inputs where the engine used to check them:
   condensations of `test_sparse_differential.py` call
   `assert_condensation_invariants`);
 - both formulations of deconfinement agree with each other and with the
-  condensation (once checked for every label pair by `relative_tensor_product`).
+  condensation (once checked for every label pair by `relative_tensor_product`);
+- an isotropic subgroup H lies in H_perp, and q is constant on each coset
+  x + H of H_perp (once checked inside `MetricGroup.condense`). Both follow
+  from B(x, y) = q(x + y) - q(x) - q(y) for any table q that vanishes on H,
+  so they are asserted on the oracle draws and on tables that are not
+  quadratic forms.
 
 A seeded fuzz over validated pointed data that need not be a braided category
 checks that such input ends in an input error or a valid result, never in an
@@ -33,6 +38,7 @@ from setcat.pointed import MetricGroup, element_label
 from setcat.relprod import is_deconfined, relative_centralizer, relative_tensor_product
 
 from .test_acceptance import STACKING_SET, UNIT_LAW_INSTANCES
+from .test_pointed import oracle_draws
 
 ONE = Cyclo.one()
 FUZZ_SEED = 5
@@ -107,6 +113,32 @@ def test_deconfinement_stacking(left, right):
     assert_deconfinement(C, D, embC, embD)
     Cp, Dp = relative_centralizer(C, embC), relative_centralizer(D, embD)
     assert_deconfinement(Cp, Dp, embC.restrict_to(Cp), embD.restrict_to(Dp))
+
+
+def assert_coset_identities(M, H):
+    Hperp = set(M.orthogonal_complement(H))
+    assert set(H) <= Hperp
+    for x in Hperp:
+        assert {M.q[M.add(x, h)] for h in H} == {M.q[x]}, (M.q, H, x)
+
+
+def test_coset_identities_on_oracle_draws():
+    for M, H in oracle_draws():
+        assert_coset_identities(M, H)
+
+
+def test_coset_identities_on_tables_that_are_not_quadratic():
+    rng = random.Random(FUZZ_SEED)
+    not_quadratic = 0
+    for _ in range(40):
+        factors = rng.choice([[4], [6], [2, 2], [2, 4], [3, 3], [2, 2, 2]])
+        elems = abelian.iter_elements(factors)
+        H = abelian.subgroup_closure(factors, [rng.choice(elems)])
+        q = {a: Fraction(0) if a in H else Fraction(rng.randrange(12), 12) for a in elems}
+        M = MetricGroup(factors, q)
+        not_quadratic += bool(M.validate())
+        assert_coset_identities(M, H)
+    assert not_quadratic >= 20, not_quadratic  # 29 of the 40 tables
 
 
 def _random_pointed(rng):

@@ -1,11 +1,18 @@
 import random
 from fractions import Fraction
+from functools import cache
+from math import prod
 
 import pytest
 
+from setcat import abelian
 from setcat.cyclo import Cyclo, root_of_unity
 from setcat.errors import InputError
 from setcat.pointed import MetricGroup, element_label, quadratic_form_from_rule
+from setcat.randomized import (random_conserving_pair, random_isotropic_subgroup,
+                               random_metric_group as _random_metric_group)
+
+from .test_acceptance import ORACLE_COUNT, ORACLE_SEED
 
 F = Fraction
 
@@ -88,10 +95,6 @@ def test_condense_double_toric_diagonal():
     assert sorted(out.q.values()) == [F(0), F(0), F(0), F(1, 2)]
 
 
-from setcat.randomized import (random_isotropic_subgroup,
-                               random_metric_group as _random_metric_group)
-
-
 def test_random_metric_groups_validate_construction():
     rng = random.Random(4242)
     for _ in range(25):
@@ -135,3 +138,57 @@ def test_perfect_pairing_matches_premodular_nondegeneracy():
         M = _random_metric_group(rng, max_order=16)
         P = M.to_premodular(check_smatrix=False)
         assert M.is_perfect_pairing() == P.is_nondegenerate()
+
+
+@cache
+def oracle_draws() -> tuple:
+    """The (M, H) pairs of the acceptance pointed oracle."""
+    rng = random.Random(ORACLE_SEED)
+    return tuple(random_conserving_pair(rng, 64) for _ in range(ORACLE_COUNT))
+
+
+def assert_quotient_basis(M, H):
+    Hperp = M.orthogonal_complement(H)
+    ns, xs = abelian.quotient_basis(M.invariant_factors, Hperp, H)
+    assert all(n > 1 for n in ns) and all(b % a == 0 for a, b in zip(ns, ns[1:]))
+    in_H = set(H)
+    for n, x in zip(ns, xs):
+        assert x in Hperp
+        multiples = [x]
+        while multiples[-1] not in in_H:
+            multiples.append(M.add(multiples[-1], x))
+        assert len(multiples) == n  # the order of x modulo H
+    cosets = {min(M.add(h, tuple(sum(c * g[j] for c, g in zip(t, xs)) % f
+                                 for j, f in enumerate(M.invariant_factors)))
+                  for h in H)
+              for t in abelian.iter_elements(ns)}
+    assert len(cosets) == prod(ns) == len(Hperp) // len(H)
+    return ns
+
+
+def test_quotient_basis_on_oracle_draws():
+    for M, H in oracle_draws():
+        assert_quotient_basis(M, H)
+
+
+def test_quotient_basis_on_nonconserving_subgroups():
+    rng = random.Random(5)
+    done = 0
+    while done < 40:
+        M = _random_metric_group(rng, max_order=64)
+        H = random_isotropic_subgroup(M, rng)
+        if len(M.orthogonal_complement(H)) * len(H) == M.order():
+            continue
+        done += 1
+        assert_quotient_basis(M, H)
+
+
+def test_quotient_basis_on_toric_cases():
+    M = toric_group()
+    assert assert_quotient_basis(M, [M.zero()]) == [2, 2]
+    assert assert_quotient_basis(M, M.subgroup([(1, 0)])) == []
+    assert assert_quotient_basis(M, M.subgroup([(0, 1)])) == []
+    q = {a: F(a[0] * a[1] + a[2] * a[3], 2) for a in abelian.iter_elements([2, 2, 2, 2])}
+    M2 = MetricGroup([2, 2, 2, 2], q, name="toric+toric")
+    assert assert_quotient_basis(M2, M2.subgroup([(1, 0, 1, 0)])) == [2, 2]
+    assert assert_quotient_basis(M2, M2.subgroup([(1, 0, 1, 0), (0, 1, 0, 1)])) == []
