@@ -203,7 +203,7 @@ class Cyclo:
     def as_fraction(self) -> Fraction:
         if self.order != 1:
             raise InputError(f"value {self} is not rational")
-        return self.coeffs.get(0, Fraction(0))
+        return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def is_real(self) -> bool:
         return self.conjugate() == self
@@ -222,6 +222,10 @@ class Cyclo:
         other = Cyclo._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.coeffs:  # values are immutable, so an operand can be shared
+            return self
+        if not self.coeffs:
+            return other
         if self.order == 1 and other.order == 1:
             return Cyclo.from_rational(self.as_fraction() + other.as_fraction())
         big = lcm(self.order, other.order)
@@ -252,28 +256,31 @@ class Cyclo:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return _ZERO
-            return Cyclo(self.order, {e: c * other for e, c in self.coeffs.items()},
-                         _canonical_form=True)
-        if not isinstance(other, Cyclo):
+        if isinstance(other, Cyclo):
+            if self.order == 1:
+                self, other = other, self.as_fraction()
+            elif other.order == 1:
+                other = other.as_fraction()
+            else:
+                big = lcm(self.order, other.order)
+                a = _lift(self.coeffs, self.order, big)
+                b = _lift(other.coeffs, other.order, big)
+                raw: dict[int, Fraction] = {}
+                for e1, c1 in a.items():
+                    for e2, c2 in b.items():
+                        e = e1 + e2
+                        raw[e] = raw.get(e, 0) + c1 * c2
+                out = _canonical(big, raw)
+                n, out = _minimize(big, out)
+                return Cyclo(n, out, _canonical_form=True)
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if self.order == 1:
-            return other * self.as_fraction()
-        if other.order == 1:
-            return self * other.as_fraction()
-        big = lcm(self.order, other.order)
-        a = _lift(self.coeffs, self.order, big)
-        b = _lift(other.coeffs, other.order, big)
-        raw: dict[int, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                raw[e] = raw.get(e, 0) + c1 * c2
-        out = _canonical(big, raw)
-        n, out = _minimize(big, out)
-        return Cyclo(n, out, _canonical_form=True)
+        if not other:
+            return _ZERO
+        if other == 1:  # values are immutable, so an operand can be shared
+            return self
+        return Cyclo(self.order, {e: c * other for e, c in self.coeffs.items()},
+                     _canonical_form=True)
 
     __rmul__ = __mul__
 
@@ -332,6 +339,33 @@ class Cyclo:
             return self
         return self.galois(self.order - 1)
 
+    # -- exact sign ----------------------------------------------------------
+
+    def sign(self) -> int:
+        """Exact sign (-1, 0 or 1) of a real value.
+
+        A rational value reads its Fraction.  Otherwise the value, the sum of
+        c * cos(2 pi e / n) over its terms, is bracketed between rational
+        bounds on each cosine, refined until the bracket excludes 0; a real
+        value that is not rational is not 0, so the refinement ends."""
+        if self.order == 1:
+            q = self.as_fraction()
+            return (q > 0) - (q < 0)
+        if not self.is_real():
+            raise InputError(f"value {self} is not real")
+        bits = 32
+        while True:
+            lo = hi = Fraction(0)
+            for e, c in self.coeffs.items():
+                a, b = _cos_bounds(Fraction(e, self.order), bits)
+                lo += c * (a if c > 0 else b)
+                hi += c * (b if c > 0 else a)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            bits *= 2
+
     # -- numeric embedding -------------------------------------------------
 
     def approx(self) -> complex:
@@ -370,13 +404,68 @@ _ZERO = Cyclo(1, {}, _canonical_form=True)
 _ONE = Cyclo(1, {0: Fraction(1)}, _canonical_form=True)
 
 
+def _dyadic(x: Fraction, bits: int, up: bool) -> Fraction:
+    """x rounded down (or strictly up) to a multiple of 2^-bits."""
+    return Fraction(x.numerator * 2 ** bits // x.denominator + up, 2 ** bits)
+
+
+@lru_cache(maxsize=None)
+def _pi_bounds(bits: int) -> tuple[Fraction, Fraction]:
+    """lo <= pi <= hi with hi - lo < 2^(2-bits), by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239).  The series of atan(1/m) alternates
+    with falling terms, so two consecutive partial sums bracket it."""
+    def atan_inv(m: int) -> tuple[Fraction, Fraction]:
+        s, k = Fraction(0), 0
+        while True:
+            term = Fraction(1, (2 * k + 1) * m ** (2 * k + 1))
+            nxt = s - term if k % 2 else s + term
+            if term < Fraction(1, 2 ** (bits + 5)):
+                return min(s, nxt), max(s, nxt)
+            s, k = nxt, k + 1
+
+    (a_lo, a_hi), (b_lo, b_hi) = atan_inv(5), atan_inv(239)
+    return (_dyadic(16 * a_lo - 4 * b_hi, bits, False),
+            _dyadic(16 * a_hi - 4 * b_lo, bits, True))
+
+
+def _cos_taylor(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """lo <= cos(x) <= hi: a Taylor polynomial, widened by the size of the
+    next term, which bounds the remainder because |cos^(k)| <= 1."""
+    s, term, k = Fraction(0), Fraction(1), 0
+    while abs(term) >= Fraction(1, 2 ** bits):
+        s += term
+        k += 2
+        term = -term * x * x / ((k - 1) * k)
+    return s - abs(term), s + abs(term)
+
+
+@lru_cache(maxsize=None)
+def _cos_bounds(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """lo <= cos(2 pi t) <= hi, rational, with hi - lo = O(2^-bits)."""
+    t %= 1
+    if t > Fraction(1, 2):
+        t = 1 - t  # cos(2 pi t) = cos(2 pi (1 - t))
+    flip = t > Fraction(1, 4)
+    if flip:
+        t = Fraction(1, 2) - t  # cos(2 pi t) = -cos(2 pi (1/2 - t))
+    # 0 <= x_lo <= 2 pi t <= x_hi < 2, and cos falls on [0, pi]
+    p_lo, p_hi = _pi_bounds(bits)
+    lo = _cos_taylor(_dyadic(2 * t * p_hi, bits, True), bits)[0]
+    hi = _cos_taylor(_dyadic(2 * t * p_lo, bits, False), bits)[1]
+    return (-hi, -lo) if flip else (lo, hi)
+
+
 @lru_cache(maxsize=None)
 def _root(p: int, q: int) -> Cyclo:
     return Cyclo(q, {p: Fraction(1)})
 
 
+@lru_cache(maxsize=None)
 def root_of_unity(r, q: int | None = None) -> Cyclo:
-    """Exact e^(2*pi*i*r) for a rational turn r (or a p, q pair of ints)."""
+    """Exact e^(2*pi*i*r) for a rational turn r (or a p, q pair of ints).
+
+    Memoised on the turn as given, so the reduction mod 1 runs once per
+    distinct argument."""
     if q is not None:
         if q == 0:
             raise InputError("root_of_unity: zero denominator")

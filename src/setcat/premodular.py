@@ -5,6 +5,7 @@ calculus (transparency, Mueger center, nondegeneracy)."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .cyclo import Cyclo, root_of_unity, turn_mod1
 from .errors import InputError, ValidationInputError
@@ -31,6 +32,10 @@ class Premodular:
                 raise InputError(f"missing twist for label {x!r}")
         self.dims = {x: dims[x] for x in ring.labels}
         self.twists = {x: turn_mod1(twists[x]) for x in ring.labels}
+        # the twist turns as integers over one denominator, for s_entry
+        self._den = lcm(*(r.denominator for r in self.twists.values()))
+        self._turn = {x: r.numerator * (self._den // r.denominator)
+                      for x, r in self.twists.items()}
         self._s: dict[tuple[str, str], Cyclo] = {}
         self._s_full = False
         self._inv_dims: dict[str, Cyclo] = {}
@@ -72,11 +77,11 @@ class Premodular:
         key = (i, j)
         val = self._s.get(key)
         if val is None:
-            ri, rj = self.twists[i], self.twists[j]
-            val = Cyclo.zero()
-            for k, n in self.ring.fuse(self.dual(i), j).items():
-                term = root_of_unity(self.twists[k] - ri - rj) * self.dims[k]
-                val = val + (term if n == 1 else term * n)
+            turn, den, dims = self._turn, self._den, self.dims
+            rij = turn[i] + turn[j]
+            terms = [root_of_unity((turn[k] - rij) % den, den) * dims[k] * n
+                     for k, n in self.ring.fuse(self.dual(i), j).items()]
+            val = sum(terms[1:], terms[0]) if terms else Cyclo.zero()
             self._s[key] = val
         return val
 
@@ -208,7 +213,7 @@ class Premodular:
             d = self.dims[x]
             if d.conjugate() != d:
                 bad.append(f"dims: d[{x}] is not real")
-            elif d.approx().real <= 0:
+            elif d.sign() <= 0:
                 bad.append(f"dims: d[{x}] is not positive")
             if self.dims[self.dual(x)] != d:
                 bad.append(f"dims: d[{self.dual(x)}] != d[{x}]")

@@ -170,32 +170,36 @@ def _orbit_fusion(P, H, orbits, of_orbit):
     for o in orbits:
         for h in H:
             weight[_act(P, h, o.representative)][o.representative] += 1
-    row, col, out, total = Counter(), Counter(), Counter(), Counter()
+    row, col, out, total = {}, {}, {}, {}
     for (a, b, c), n in P.ring.N.items():
         ox, oy, oz = orbit_of.get(a), orbit_of.get(b), orbit_of.get(c)
         if a == ox and c == oz:  # total: the sum over h of N(X, h.Y, Z)
             for y, w in weight.get(b, {}).items():
-                total[(ox, y, oz)] += w * n
+                total[(ox, y, oz)] = total.get((ox, y, oz), 0) + w * n
         if None in (ox, oy, oz):
             if oz is None and None not in (ox, oy):
                 raise ValidationInputError(
                     f"deconfined labels are not closed under fusion: {a} x {b} "
                     f"contains the confined label {c}")
             continue
-        for margin, hit in ((row, b == oy and c == oz), (col, a == ox and c == oz),
-                            (out, a == ox and b == oy)):
-            if hit:
-                margin[(ox, oy, oz)] += n
+        key = (ox, oy, oz)
+        if b == oy and c == oz:
+            row[key] = row.get(key, 0) + n
+        if a == ox and c == oz:
+            col[key] = col.get(key, 0) + n
+        if a == ox and b == oy:
+            out[key] = out.get(key, 0) + n
     n_result: dict[tuple[str, str, str], int] = {}
     for key in sorted(row.keys() | col.keys() | out.keys() | total.keys(),
-                      key=lambda t: tuple(pos[x] for x in t)):
-        cx, cy, cz = (size[x] for x in key)
-        r_m, c_m, o_m = row[key], col[key], out[key]
-        if cx * r_m != cy * c_m or cy * c_m != cz * o_m or cx * r_m != total[key]:
+                      key=lambda t: (pos[t[0]], pos[t[1]], pos[t[2]])):
+        x, y, z = key
+        cx, cy, cz = size[x], size[y], size[z]
+        r_m, c_m, o_m, t_m = row.get(key, 0), col.get(key, 0), out.get(key, 0), total.get(key, 0)
+        if cx * r_m != cy * c_m or cy * c_m != cz * o_m or cx * r_m != t_m:
             raise InternalFault("inconsistent fusion margins at orbits ({},{},{})".format(*key))
         if (cx > 1) + (cy > 1) + (cz > 1) < 2:
-            val = r_m if cx > 1 else c_m if cy > 1 else o_m if cz > 1 else total[key]
-            n_result.update(dict.fromkeys(product(*(of_orbit[x] for x in key)), val))
+            val = r_m if cx > 1 else c_m if cy > 1 else o_m if cz > 1 else t_m
+            n_result.update(dict.fromkeys(product(of_orbit[x], of_orbit[y], of_orbit[z]), val))
     # every triple with two or more split slots is left to the enumeration
     unknown = [t for key in product(pos, repeat=3) if sum(size[x] > 1 for x in key) >= 2
                for t in product(*(of_orbit[x] for x in key))] if max(size.values()) > 1 else []

@@ -1,16 +1,20 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setcat import abelian
 from setcat.abelian import iter_elements
 from setcat.catalog import get
 from setcat.cli import main, split_labels
 from setcat.cyclo import MAX_CONDUCTOR
-from setcat.io import serialize_category, to_text
+from setcat.io import serialize_category, serialize_metric_group, to_text
 from setcat.pointed import MetricGroup
 
 from .test_relprod import ising_squared
@@ -350,3 +354,76 @@ def test_validated_but_inconsistent_data_exit_2(capsys, tmp_path):
     assert "(0,0,1) x (0,1,0) contains the confined label (0,1,1)" in err
     err = assert_input_error(capsys, ["info", str(path)])
     assert "z2cubed" in err and "not a braided category" in err
+
+
+# -- fuzzed input files ------------------------------------------------------------
+
+# Each mutation leaves a file that is malformed or invalid: a value of another
+# JSON type, a string that no longer parses or names no label, or a missing
+# field.  Names stay out of the string mutations, which would leave them valid.
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                     st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2),
+                    st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2))
+_SUFFIXES = st.sampled_from(["/", "(", "^", "*", "@", " 1"])
+
+
+def _paths(node, path=()):
+    """The path of every node below the root of a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(data, obj):
+    obj = json.loads(json.dumps(obj))
+    paths = list(_paths(obj))
+    strings = [p for p in paths if p != ("name",) and isinstance(_at(obj, p), str)]
+    required = [k for k in obj if k != "name" or "simples" in obj]  # metric groups default it
+    kind = data.draw(st.sampled_from(["type", "string", "field"]))
+    if kind == "field":
+        del obj[data.draw(st.sampled_from(required))]
+        return obj
+    path = data.draw(st.sampled_from(strings if kind == "string" else paths))
+    old = _at(obj, path[:-1])[path[-1]]
+    new = (old + data.draw(_SUFFIXES) if kind == "string" else
+           data.draw(_VALUES.filter(lambda v: type(v) is not type(old))))
+    _at(obj, path[:-1])[path[-1]] = new
+    return obj
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _metric_group_file():
+    q = {a: Fraction(a[0] ** 2, 4) + Fraction(a[1] ** 2, 8) for a in iter_elements([2, 4])}
+    M = MetricGroup([2, 4], q, name="semion x z4")
+    assert M.validate() == []
+    return serialize_metric_group(M)
+
+
+@pytest.mark.parametrize("source,argv", [
+    ("toric_code.json", ["info"]),
+    ("fibonacci.json", ["info"]),
+    ("ising.json", ["info"]),
+    ("toric_code.emb_e.json", ["centralizer", "toric_code.json", "--emb"]),
+    (None, ["validate"]),
+], ids=["toric-code", "fibonacci", "ising", "embedding", "metric-group"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_input_files_exit_2(fixture_dir, source, argv, data):
+    obj = (json.loads((fixture_dir / source).read_text()) if source
+           else _metric_group_file())
+    path = fixture_dir / "fuzzed.json"
+    path.write_text(json.dumps(_mutate(data, obj)))
+    argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + [str(path)])
+    assert code == 2, err.getvalue()
+    assert err.getvalue().startswith("input error") and "Traceback" not in err.getvalue()

@@ -247,3 +247,75 @@ def test_parse_format_roundtrip_property(left, right):
         assert w == v
         assert hash(w) == hash(v)
         assert w.order == v.order
+
+
+# -- identity shortcuts ---------------------------------------------------------
+
+
+def arith_values(count: int = 64) -> list[Cyclo]:
+    """The values of the first `count` arithmetic trials (seed 1729) with their
+    products a*b and (a*b)*c; the second trial's reach conductor 5681."""
+    rng = random.Random(1729)
+    out = []
+    for _ in range(count):
+        a, b, c = random_cyclo(rng), random_cyclo(rng), random_cyclo(rng)
+        rng.randrange(rng.randint(1, 24))  # the trial's root of unity
+        out += [a, b, c, a * b, (a * b) * c]
+    return out
+
+
+def test_multiplying_by_one_and_adding_zero_keep_the_value():
+    rng = random.Random(2718)
+    values = [random_cyclo(rng) for _ in range(300)] + arith_values()
+    assert max(v.order for v in values) == 5681
+    ones = [Cyclo.one(), Cyclo.from_rational(1), parse_cyclo("z5 - z5 + 1"), 1, Fraction(1)]
+    zeros = [Cyclo.zero(), Cyclo.from_rational(0), parse_cyclo("z7 - z7"), 0, Fraction(0)]
+    for a in values:
+        text = format_cyclo(a)
+        got = [a * one for one in ones] + [one * a for one in ones]
+        got += [a + zero for zero in zeros] + [zero + a for zero in zeros]
+        for v in got:
+            assert v == a and hash(v) == hash(a) and v.order == a.order, (a, v)
+            assert format_cyclo(v) == text
+    a = values[0]
+    assert a * Cyclo.one() is a and Cyclo.one() * a is a
+    assert a + Cyclo.zero() is a and Cyclo.zero() + a is a
+
+
+def test_root_of_unity_memoised_on_the_turn():
+    for r in (Fraction(3, 7), Fraction(-4, 7), Fraction(10, 7)):
+        assert root_of_unity(r) is root_of_unity(Fraction(3, 7))
+    assert root_of_unity(3, 7) is root_of_unity(Fraction(3, 7))
+    assert root_of_unity(-11, 14) == root_of_unity(Fraction(3, 14))
+    with pytest.raises(InputError):
+        root_of_unity(1, 0)
+
+
+# -- exact sign -----------------------------------------------------------------
+
+
+def test_sign_of_rationals_and_roots():
+    assert [Cyclo.from_rational(q).sign() for q in (Fraction(-1, 3), 0, 5)] == [-1, 0, 1]
+    assert parse_cyclo("z8 + z8^7").sign() == 1       # sqrt 2
+    assert parse_cyclo("1 + z5 + z5^4").sign() == 1   # the golden ratio
+    assert parse_cyclo("1 + z5^2 + z5^3").sign() == -1  # its Galois conjugate
+    assert parse_cyclo("z12 + z12^11 - 2").sign() == -1  # sqrt 3 - 2
+    with pytest.raises(InputError):
+        root_of_unity(Fraction(1, 4)).sign()
+
+
+def test_sign_beyond_float_precision():
+    # sqrt 2 - p/q over the continued-fraction convergents p/q of sqrt 2,
+    # which alternate below and above it, from |d| < 1e-17 on
+    sqrt2 = parse_cyclo("z8 + z8^7")
+    p, q = 1, 1
+    signs = []
+    while q < 10 ** 40:
+        p, q = p + 2 * q, p + q
+        d = sqrt2 - Fraction(p, q)
+        if q * q < 10 ** 17:
+            continue  # |sqrt2 - p/q| = |p^2 - 2q^2| / (q^2 (sqrt2 + p/q)) < 1 / q^2
+        want = 1 if p * p < 2 * q * q else -1
+        assert d.sign() == want, (p, q)
+        signs.append(want)
+    assert signs.count(1) >= 10 and signs.count(-1) >= 10

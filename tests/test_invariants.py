@@ -21,10 +21,12 @@ checks that such input ends in an input error or a valid result, never in an
 internal fault."""
 
 import importlib.util
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from setcat import abelian
@@ -127,18 +129,67 @@ def test_coset_identities_on_oracle_draws():
         assert_coset_identities(M, H)
 
 
-def test_coset_identities_on_tables_that_are_not_quadratic():
+def tables_that_are_not_quadratic() -> list:
+    """40 pairs (M, H): q = 0 on a cyclic H and random twelfths elsewhere."""
     rng = random.Random(FUZZ_SEED)
-    not_quadratic = 0
+    out = []
     for _ in range(40):
         factors = rng.choice([[4], [6], [2, 2], [2, 4], [3, 3], [2, 2, 2]])
         elems = abelian.iter_elements(factors)
         H = abelian.subgroup_closure(factors, [rng.choice(elems)])
         q = {a: Fraction(0) if a in H else Fraction(rng.randrange(12), 12) for a in elems}
-        M = MetricGroup(factors, q)
+        out.append((MetricGroup(factors, q), H))
+    return out
+
+
+def test_coset_identities_on_tables_that_are_not_quadratic():
+    not_quadratic = 0
+    for M, H in tables_that_are_not_quadratic():
         not_quadratic += bool(M.validate())
         assert_coset_identities(M, H)
     assert not_quadratic >= 20, not_quadratic  # 29 of the 40 tables
+
+
+def full_scan_report(M):
+    """MetricGroup.validate as a scan of all |A|^3 triples for biadditivity."""
+    bad = ["q(0) != 0"] if M.q[M.zero()] != 0 else []
+    elems = M.elements()
+    bad += [f"q(-a) != q(a) at a = {element_label(a)}" for a in elems if M.q[M.neg(a)] != M.q[a]]
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                if M.bilinear(M.add(a, b), c) != (M.bilinear(a, c) + M.bilinear(b, c)) % 1:
+                    bad.append(f"B not biadditive at ({element_label(a)},"
+                               f"{element_label(b)},{element_label(c)})")
+    return bad
+
+
+def biadditive_by_full_scan(M) -> bool:
+    """B(a + b, c) = B(a, c) + B(b, c) on all triples, in integer arrays."""
+    elems = M.elements()
+    at = {a: i for i, a in enumerate(elems)}
+    den = math.lcm(*(M.q[a].denominator for a in elems))
+    q = np.array([M.q[a].numerator * (den // M.q[a].denominator) for a in elems])
+    add = np.array([[at[M.add(a, b)] for b in elems] for a in elems])
+    B = (q[add] - q[:, None] - q[None, :]) % den
+    return bool(np.all(B[add] == (B[:, None, :] + B[None, :, :]) % den))
+
+
+def test_metric_group_validate_matches_the_full_scan():
+    reports = [M.validate() for M, _ in tables_that_are_not_quadratic()]
+    assert reports == [full_scan_report(M) for M, _ in tables_that_are_not_quadratic()]
+    assert sum(any("biadditive" in r for r in rep) for rep in reports) >= 20
+    for M, _ in oracle_draws():
+        assert M.validate() == [] and biadditive_by_full_scan(M)
+
+
+def test_metric_group_validate_reads_generator_rows_only(monkeypatch):
+    M = next(M for M, _ in oracle_draws() if M.invariant_factors == [8, 8])
+    calls = []
+    add = MetricGroup.add
+    monkeypatch.setattr(MetricGroup, "add", lambda self, a, b: calls.append(1) or add(self, a, b))
+    assert M.validate() == []
+    assert len(calls) <= (len(M.invariant_factors) + 1) * M.order() ** 2  # not 3 |A|^3
 
 
 def _random_pointed(rng):

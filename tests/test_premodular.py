@@ -5,12 +5,15 @@ import pytest
 from setcat.catalog import catalog, get
 from setcat.cyclo import Cyclo, parse_cyclo, root_of_unity
 from setcat.double import drinfeld_double
+from setcat.equiv import canonical_fingerprint
 from setcat.errors import InputError
 from setcat.fusion import FusionRing, pair_label
 from setcat.premodular import Premodular
 from setcat.relprod import relative_centralizer
 
 from .test_acceptance import STACKING_SET, UNIT_LAW_INSTANCES
+from .test_invariants import su2_level
+from .test_pointed import oracle_draws
 
 ONE = Cyclo.one()
 MINUS_ONE = Cyclo.from_rational(-1)
@@ -271,3 +274,38 @@ def test_product_nondegeneracy_iff_factors_over_catalog():
             prod = e1.category.deligne(e2.category)
             want = e1.category.is_nondegenerate() and e2.category.is_nondegenerate()
             assert prod.is_nondegenerate() == want, (e1.name, e2.name)
+
+
+def test_validate_rejects_the_fibonacci_galois_conjugate():
+    # zeta5 -> zeta5^2 sends d_tau = 1 + z5 + z5^4 (the golden ratio) to
+    # 1 + z5^2 + z5^3 = -1/phi and the twist 2/5 to 4/5; only the sign of
+    # d_tau is wrong, and d_tau is within 0.62 of 0
+    fib = get("fibonacci").category
+    conj = Premodular(fib.ring, {"1": ONE, "tau": parse_cyclo("1 + z5^2 + z5^3")},
+                      {"1": Fraction(0), "tau": Fraction(4, 5)}, name="fib_conjugate")
+    assert conj.validate() == ["dims: d[tau] is not positive"]
+
+
+def balancing_reference(P, i, j):
+    """S_ij by the balancing formula as s_entry computed it before it used
+    integer turns: Fraction turn differences and a sum seeded with zero."""
+    ri, rj = P.twist(i), P.twist(j)
+    val = Cyclo.zero()
+    for k, n in P.ring.fuse(P.dual(i), j).items():
+        term = root_of_unity(P.twist(k) - ri - rj) * P.dim(k)
+        val = val + (term if n == 1 else term * n)
+    return val
+
+
+def test_s_entry_and_fingerprint_match_the_balancing_reference():
+    # equal S-entries give equal fingerprints, so the fingerprints are
+    # compared on the catalog and SU(2)_k only, to keep the test short
+    small = [e.category for e in catalog().values()] + [su2_level(k) for k in range(4, 17)]
+    pointed = [M.to_premodular(check_smatrix=False) for M, _ in oracle_draws()]
+    for P in small + pointed:
+        want = {(i, j): balancing_reference(P, i, j) for i in P.labels for j in P.labels}
+        assert P.smatrix() == want, P.name
+        if P in small:
+            ref = Premodular(P.ring, P.dims, P.twists, name=P.name)
+            ref.s_entry = lambda i, j, want=want: want[(i, j)]
+            assert canonical_fingerprint(P) == canonical_fingerprint(ref), P.name
