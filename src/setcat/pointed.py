@@ -64,42 +64,34 @@ class MetricGroup:
         for a in elems:
             if self.q[self.neg(a)] != self.q[a]:
                 bad.append(f"q(-a) != q(a) at a = {element_label(a)}")
-        if self.q[self.zero()] == 0 and self._biadditive_on_generators():
+        factors = self.invariant_factors
+        basis = [tuple(int(j == i) % n for j, n in enumerate(factors)) for i in range(len(factors))]
+        if self.q[self.zero()] == 0 and next(self._not_biadditive(basis), None) is None:
             return bad
-        for a in elems:  # the full scan, for the report
-            for b in elems:
-                for c in elems:
-                    lhs = self.bilinear(self.add(a, b), c)
-                    rhs = turn_mod1(self.bilinear(a, c) + self.bilinear(b, c))
-                    if lhs != rhs:
-                        bad.append(
-                            f"B not biadditive at ({element_label(a)},"
-                            f"{element_label(b)},{element_label(c)})")
-        return bad
+        return bad + [f"B not biadditive at ({element_label(a)},{element_label(b)},"
+                      f"{element_label(c)})" for a, b, c in self._not_biadditive(elems)]
 
-    def _biadditive_on_generators(self) -> bool:
-        """B(e_i + b, c) = B(e_i, c) + B(b, c) for each basis vector e_i and
-        all b, c: O(rank * |A|^2) instead of |A|^3 triples.
+    def _not_biadditive(self, firsts):
+        """The triples (a, b, c), a in firsts, in order, with B(a + b, c) !=
+        B(a, c) + B(b, c), read from an integer table of B.
 
-        Given q(0) = 0, B(0, c) = 0 and biadditivity holds at a = 0; from a and
-        e_i it follows at a + e_i, as B(a + e_i + b, c) = B(e_i, c) + B(a + b, c)
-        = B(e_i, c) + B(a, c) + B(b, c) = B(a + e_i, c) + B(b, c). Every
-        element is a sum of basis vectors, so B is biadditive in all of A."""
+        Given q(0) = 0, none with a in a basis means none at all: B(0, c) = 0
+        and biadditivity holds at a = 0; from a and e_i it follows at a + e_i,
+        as B(a + e_i + b, c) = B(e_i, c) + B(a + b, c) = B(e_i, c) + B(a, c) +
+        B(b, c) = B(a + e_i, c) + B(b, c).  So validity reads rank * |A|^2
+        triples, not |A|^3."""
         elems = self.elements()
         at = {a: i for i, a in enumerate(elems)}
         den = lcm(*(r.denominator for r in self.q.values()))
         q = [self.q[a].numerator * (den // self.q[a].denominator) for a in elems]
-        B = [[(q[at[self.add(a, b)]] - qa - qb) % den for b, qb in zip(elems, q)]
-             for a, qa in zip(elems, q)]  # B(a, b) in turns of 1/den
-        factors = self.invariant_factors
-        for i in range(len(factors)):
-            e = tuple(int(j == i) % n for j, n in enumerate(factors))
-            row_e = B[at[e]]
-            for b, row_b in zip(elems, B):
-                row_eb = B[at[self.add(e, b)]]
-                if any((x + y - z) % den for x, y, z in zip(row_e, row_b, row_eb)):
-                    return False
-        return True
+        sums = [[at[self.add(a, b)] for b in elems] for a in elems]  # indices of a + b
+        B = [[(q[k] - qa - qb) % den for k, qb in zip(row, q)]
+             for row, qa in zip(sums, q)]  # B(a, b) in turns of 1/den
+        for a in firsts:
+            for b, row_b, ab in zip(elems, B, sums[at[a]]):
+                for c, x, y, z in zip(elems, B[at[a]], row_b, B[ab]):
+                    if (x + y - z) % den:
+                        yield a, b, c
 
     def is_perfect_pairing(self) -> bool:
         """B nondegenerate: only 0 pairs trivially with everything."""

@@ -224,7 +224,12 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     each row whose open entries share one dim, is a group of fixed sum.
     Checked once decided: the group sums, the other rows' dimension equation,
     associativity once the rows it reads are complete, and the lex-leader
-    condition V <= V o g for each relabelling g (Crawford et al., KR 1996)."""
+    condition V <= V o g for each relabelling g (Crawford et al., KR 1996) in
+    search order and the value order 1 < 2 < ... < 0, each comparison waiting
+    for the level of the later position it reads: one dual involution per
+    class outlives the level that decides it, and one survivor, the class's
+    least member in search order, outlives the search.  Each survivor is then
+    relabelled to its least member in live (sorted-items) order."""
     unit, gid, rem, grp = labels[0], {}, [], {}  # sum groups: the sum each still needs
     for t in unknown:
         o = tuple(rep_of[x] for x in t)
@@ -265,13 +270,15 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     for i, (_, rs) in enumerate(checks):
         for r in rs:
             watch[r].append(i)
-    left, row_of = Counter(g for gs in grp for g in gs), [rid[t[:2]] for t in live]
-    row_left = Counter(row_of)
+    row_of = [rid[t[:2]] for t in live]  # then the open entries per sum group and per row
+    left = list(map(Counter(g for gs in grp for g in gs).__getitem__, range(len(rem))))
+    row_left = list(map(Counter(row_of).__getitem__, range(len(rows))))
     classes = sorted({tuple(sorted({at[t], at.get((t[1], t[0], t[2]), at[t])}))
                       for t in live if unit not in t[:2]},
                      key=lambda cl: (live[cl[0]][2] != unit, cl))
     n_dual, nv = sum(live[cl[0]][2] == unit for cl in classes), len(classes)
     level = {p: v for v, cl in enumerate(classes) for p in cl}
+    order = [p for cl in classes for p in cl]  # search order; the unit rows are invariant
     split = [ch for ch in (list(g) for _, g in groupby(labels, rep_of.get)) if len(ch) > 1]
     maps = [m for m in (dict(zip(sum(split, []), sum(pm, ())))
                         for pm in product(*map(permutations, split))) if m != dict(zip(m, m))]
@@ -286,7 +293,8 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         row_left[row_of[p]] -= s
         for i in watch[row_of[p]] if row_left[row_of[p]] == (s < 0) else ():
             wait[i] -= s
-            ready.extend([] if wait[i] else [i])
+            if not wait[i]:
+                ready.append(i)
 
     def put(p, val):
         if V[p] is None:
@@ -316,25 +324,36 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         ready.clear()
         return ok
 
-    agenda = defaultdict(list)  # level -> comparisons (g, p) of V and V o g resumed there
+    agenda = defaultdict(list)  # level -> comparisons (g, s) of V and V o g resumed there
 
-    def lex(items, log):
-        for g, p in items:
+    def image(g, p):  # the position of live[p] relabelled by maps[g]
+        (a, b, c), m = live[p], maps[g]
+        return at[m.get(a, a), m.get(b, b), m.get(c, c)]
+
+    def lex(items, log):  # V <= V o g on order[s:], in the value order 1 < 2 < ... < 0
+        for g, s in items:
             img = images[g]
-            while p < n:
-                if p not in img:
-                    img[p] = at[tuple(maps[g].get(x, x) for x in live[p])]
-                x, y = V[p], V[img[p]]
+            for s in range(s, len(order)):
+                p = order[s]
+                q = img[p] if p in img else img.setdefault(p, image(g, p))
+                x, y = V[p], V[q]
                 if x == y is not None:
-                    p += 1
                     continue
                 if None in (x, y):
-                    log.append(max(level.get(p, -1), level.get(img[p], -1)))
-                    agenda[log[-1]].append((g, p))
+                    log.append(max(level[p], level[q]))
+                    agenda[log[-1]].append((g, s))
                 elif (y == 0, y) < (x == 0, x):
                     return False
                 break
         return True
+
+    def least(W):  # the least W o g in live order, as a dict in items order
+        best = W
+        for g in range(len(maps)):
+            x, y = next(((v, W[image(g, p)]) for p, v in enumerate(best)
+                         if v != W[image(g, p)]), (0, 0))
+            best = [W[image(g, p)] for p in range(n)] if (y == 0, y) < (x == 0, x) else best
+        return dict(sorted({**forced, **{t: v for t, v in zip(live, best) if v}}.items()))
 
     # the unit rows: N_1x^y = N_x1^y = [x = y]
     ok = all(put(p, int(b == c if a == unit else a == c))
@@ -368,13 +387,12 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         if nxt < nv:
             stack.append([nxt, None, [], len(trail)])
         elif len(survivors) < _MAX_SURVIVORS:
-            survivors.append(dict(sorted({**forced, **{t: V[p] for p, t in enumerate(live)
-                                                       if V[p]}}.items())))
+            survivors.append(V[:])
         else:
             raise InternalFault(
                 f"splitting enumeration: too many candidates, {len(survivors) + 1} reached "
                 f"against the cap of {_MAX_SURVIVORS}, over {nv} unknown variables")
-    return sorted((d for d in survivors if _candidate_ok(labels, d, dims, twists)),
+    return sorted((d for d in map(least, survivors) if _candidate_ok(labels, d, dims, twists)),
                   key=lambda d: tuple(d.items()))
 
 

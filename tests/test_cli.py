@@ -17,7 +17,7 @@ from setcat.cyclo import MAX_CONDUCTOR
 from setcat.io import serialize_category, serialize_metric_group, to_text
 from setcat.pointed import MetricGroup
 
-from .test_relprod import ising_squared
+from .test_split_differential import ising_squared
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +256,18 @@ def test_malformed_category_file_exit_2(capsys, fixture_dir, tmp_path, field, va
 def test_metric_group_q_list_exit_2(capsys, tmp_path):
     obj = {"name": "z2", "invariant_factors": [2], "q": ["0", "1/4"]}
     assert_input_error(capsys, ["validate", write_json(tmp_path, obj)])
+
+
+def test_invalid_order_64_metric_group_lists_its_first_five_triples(capsys, tmp_path):
+    # a quadratic form on Z8 x Z8, then q = 1/3 at (1,2) and at its negative
+    q = {(x, y): Fraction(x * x + 2 * x * y + 3 * y * y, 16) for x, y in iter_elements([8, 8])}
+    obj = serialize_metric_group(MetricGroup([8, 8], q, name="z8 x z8"))
+    obj["q"]["1,2"] = obj["q"]["7,6"] = "1/3"
+    code, out, _ = run(capsys, ["validate", write_json(tmp_path, obj)])
+    assert code == 1  # the invalid verdict; parse errors exit 2
+    assert out == "invalid metric_group: metric group fails validation: " + "; ".join(
+        f"B not biadditive at ((0,1),(0,1),{c})"
+        for c in ("(1,0)", "(1,1)", "(1,2)", "(7,4)", "(7,5)")) + "\n"
 
 
 @pytest.mark.parametrize("field,value", [("map", ["1", "e"]), ("target", 3)])

@@ -21,16 +21,9 @@ from setcat.relprod import (
 )
 
 from .test_invariants import su2_level
-from .test_split_differential import assert_least_relabelling
+from .test_split_differential import assert_least_relabelling, ising_squared
 
 F = Fraction
-
-
-def ising_squared():
-    """(ising x ising_rev)^2 and its Z2 x Z2 of (psi, psi) bosons."""
-    ii = get("ising").category.deligne(get("ising_rev").category)
-    one, psi = pair_label("1", "1"), pair_label("psi", "psi")
-    return ii.deligne(ii), [pair_label(a, b) for a in (one, psi) for b in (one, psi)]
 
 
 def test_canonical_algebra_toric_toric():

@@ -8,8 +8,13 @@ quotients of rank 5 and 6 (Kirillov-Ostrik, Adv. Math. 171, 2002).  The
 surviving classes, representatives and their order included, are compared
 with the reference wherever the reference finishes; the sparse Verlinde check
 of `relprod._candidate_ok` is compared with the dense O(r^4) sum on
-candidates that pass it and on candidates that fail it."""
+candidates that pass it and on candidates that fail it.  On all eight inputs
+of the benchmark's `split` workload, the reports (flags and fusion table) are
+compared with digests recorded before the lex-leader comparison followed the
+search order, under the real candidate check and under `ring_only`."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -41,6 +46,12 @@ def condensed(P, bosons):
     return res.result
 
 
+def ising_squared():
+    """(ising x ising_rev)^2 and its Z2 x Z2 of (psi, psi) bosons."""
+    ii = get("ising").category.deligne(get("ising_rev").category)
+    return ii.deligne(ii), [pair_label(a, b) for a in Z2 for b in Z2]
+
+
 def test_su2_4_is_z3():
     assert find_equivalence(condensed(su2_level(4), ["0", "4"]), metric_cyclic(3, 3))
 
@@ -55,6 +66,13 @@ def test_su2_d_series_quotient(k, rank):
     result = condensed(su2_level(k), ["0", str(k)])
     assert result.ring.rank() == rank
     assert result.is_nondegenerate()
+
+
+def test_ising_squared_within_3000_nodes(monkeypatch):
+    # 5,413 nodes when the lex-leader walked the positions in sorted order
+    monkeypatch.setattr(relprod, "_SEARCH_NODE_BUDGET", 3_000)
+    toric = get("toric_code").category
+    assert find_equivalence(condensed(*ising_squared()), toric.deligne(toric))
 
 
 def test_ising_ising_rev_fib_is_toric_fib():
@@ -85,7 +103,7 @@ def test_reported_assignment_is_the_least_relabelling():
     fib = get("fibonacci").category
     ii = get("ising").category.deligne(get("ising_rev").category)
     for P, bosons in [(su2_level(12), ["0", "12"]), (su2_level(16), ["0", "16"]),
-                      (ii.deligne(fib), [pair_label(h, "1") for h in Z2])]:
+                      (ii.deligne(fib), [pair_label(h, "1") for h in Z2]), ising_squared()]:
         assert_least_relabelling(relprod.condense_by_invertible_bosons(P, bosons))
 
 
@@ -194,3 +212,50 @@ def test_sparse_verlinde_matches_dense(monkeypatch):
             args = (P.labels, dict(P.ring.N), P.dims, P.twists)
             assert relprod._candidate_ok(*args) is automorphism
             assert split_reference.dense_candidate_ok(*args) is automorphism
+
+
+def benchmark_split_inputs():
+    """The eight condensations of the benchmark's `split` workload, in its order."""
+    ising, ising_rev, fib = (get(n).category for n in ("ising", "ising_rev", "fibonacci"))
+    ii = ising.deligne(ising_rev)
+    return [(ii, Z2), (ising.deligne(ising), Z2)] + [
+        (su2_level(k), ["0", str(k)]) for k in (4, 8, 12, 16)] + [
+        (ii.deligne(fib), [pair_label(h, "1") for h in Z2]), ising_squared()]
+
+
+# per input: the number of ambiguity flags and the sha256 of the JSON text of
+# [ambiguity_flags, list(result.ring.N.items())], recorded when the lex-leader
+# comparison still walked the positions in sorted order
+FROZEN_REPORTS = {
+    "candidate_ok": [
+        (0, "c7f29dff2c6ffc8b882ca014be757b2bcfb7985d8eef9ea51a53d379cceab998"),
+        (0, "0444fa51fec266d720401837375570b6d0195de025a6a1a624d03dc2a8a23f7f"),
+        (0, "51c3a029ab3b1037058bd4c94bf5e58cc88ff9530fa20452c159febc8fa5dd76"),
+        (0, "c4cc9a9a98180c37b5df508aa39c12116296f4cb06796724c2088f0205c6ac8e"),
+        (0, "ed4712d7d426639c661f655ab1f6c800243e1542710acaaa3b1f4dd06ffe55f4"),
+        (0, "af39c573f16ec68cefb9ade95bc0f62055312cfae3e17899c6796f39606e0bbb"),
+        (0, "c584c7e7dec0636150e220d53bacce53d84576e08207becc03a485443b8742a6"),
+        (0, "f0448ab90e695c7a6d54113d38987f2629e146fb267c5025e9d27ae5be8e891e")],
+    "ring_only": [
+        (9, "133f4c47f4ec5c02fabf05b1f3371d078888ca5963b3fa6a5df0f01b3f5dd086"),
+        (9, "133f4c47f4ec5c02fabf05b1f3371d078888ca5963b3fa6a5df0f01b3f5dd086"),
+        (0, "51c3a029ab3b1037058bd4c94bf5e58cc88ff9530fa20452c159febc8fa5dd76"),
+        (0, "c4cc9a9a98180c37b5df508aa39c12116296f4cb06796724c2088f0205c6ac8e"),
+        (0, "ed4712d7d426639c661f655ab1f6c800243e1542710acaaa3b1f4dd06ffe55f4"),
+        (0, "af39c573f16ec68cefb9ade95bc0f62055312cfae3e17899c6796f39606e0bbb"),
+        (41, "5abc1ebf87debd90fdc79cbcc322cd0ad6f5c0982bdbd77084142e3852967af1"),
+        (257, "eb3b5c0e9369bf5b7051abbf2e26c72612085441a865596d63db3aba68c778cf")],
+}
+
+
+@pytest.mark.parametrize("check", sorted(FROZEN_REPORTS))
+def test_split_reports_match_the_frozen_digests(check, monkeypatch):
+    if check == "ring_only":
+        monkeypatch.setattr(relprod, "_candidate_ok", ring_only)
+    reports = []
+    for P, bosons in benchmark_split_inputs():
+        res = relprod.condense_by_invertible_bosons(P, bosons)
+        text = json.dumps([res.ambiguity_flags,
+                           [[list(t), v] for t, v in res.result.ring.N.items()]])
+        reports.append((len(res.ambiguity_flags), hashlib.sha256(text.encode()).hexdigest()))
+    assert reports == FROZEN_REPORTS[check]
