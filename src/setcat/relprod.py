@@ -282,7 +282,7 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     split = [ch for ch in (list(g) for _, g in groupby(labels, rep_of.get)) if len(ch) > 1]
     maps = [m for m in (dict(zip(sum(split, []), sum(pm, ())))
                         for pm in product(*map(permutations, split))) if m != dict(zip(m, m))]
-    images = [{} for _ in maps]  # position p -> that of its relabelling by maps[g]
+    images = [[] for _ in maps]  # s -> the position of order[s] relabelled by maps[g]
     dual, trail, ready = {a: b for (a, b, c) in forced if c == unit}, [], []
 
     def move(p, val, s):  # s = 1 sets V[p] to val, s = -1 clears it
@@ -335,12 +335,13 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
             img = images[g]
             for s in range(s, len(order)):
                 p = order[s]
-                q = img[p] if p in img else img.setdefault(p, image(g, p))
-                x, y = V[p], V[q]
+                if s == len(img):  # a walk reaches order[s] only after order[:s]
+                    img.append(image(g, p))
+                x, y = V[p], V[img[s]]
                 if x == y is not None:
                     continue
                 if None in (x, y):
-                    log.append(max(level[p], level[q]))
+                    log.append(max(level[p], level[img[s]]))
                     agenda[log[-1]].append((g, s))
                 elif (y == 0, y) < (x == 0, x):
                     return False
