@@ -190,8 +190,8 @@ def cmd_info(args) -> int:
 def cmd_product(args) -> int:
     A = load_category(args.left)
     B = load_category(args.right)
-    prod = A.deligne(B)
-    _emit(args, sio.serialize_category(prod), sio.to_text(sio.serialize_category(prod)))
+    report = sio.serialize_category(A.deligne(B))
+    _emit(args, report, sio.to_text(report))
     return EXIT_OK
 
 

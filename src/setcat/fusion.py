@@ -3,6 +3,10 @@ Frobenius-Perron dimensions, and Deligne products."""
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import cached_property
+from types import MappingProxyType
+
 import numpy as np
 
 from .errors import InputError
@@ -27,8 +31,9 @@ def _lincomb(terms) -> tuple:
 class FusionRing:
     """Simple-object labels with duals and sparse fusion multiplicities.
 
-    The first label is the tensor unit.  Fusion data is a map
-    (i, j, k) -> N_ij^k with absent entries meaning zero.
+    The first label is the tensor unit.  Fusion data is stored as rows
+    (i, j) -> {k: N_ij^k} of the nonzero entries; `N` is a read-only
+    (i, j, k) -> N_ij^k view of them, made when first read.
     """
 
     def __init__(self, labels: list[str], dual: dict[str, str],
@@ -39,26 +44,34 @@ class FusionRing:
             raise InputError("duplicate labels")
         self.labels = list(labels)
         self.unit = labels[0]
-        self.index = {x: i for i, x in enumerate(labels)}
+        self.index = ix = {x: i for i, x in enumerate(labels)}
         for x in labels:
             if x not in dual:
                 raise InputError(f"dual map misses label {x!r}")
             if dual[x] not in self.index:
                 raise InputError(f"dual of {x!r} is the unknown label {dual[x]!r}")
         self.dual = {x: dual[x] for x in labels}
-        self.N: dict[tuple[str, str, str], int] = {}
-        self._fuse: dict[tuple[str, str], dict[str, int]] = {}
+        rows: dict[tuple[str, str], dict[str, int]] = defaultdict(dict)
         for (i, j, k), n in fusion.items():
-            if i not in self.index or j not in self.index or k not in self.index:
+            if i not in ix or j not in ix or k not in ix:
                 raise InputError(f"fusion entry {(i, j, k)} uses unknown labels")
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise InputError(f"fusion multiplicity N[{i},{j}]^{k} must be a nonnegative integer")
             if n:
-                self.N[(i, j, k)] = n
-                self._fuse.setdefault((i, j), {})[k] = n
+                rows[(i, j)][k] = n
+        self._fuse = dict(rows)
+
+    @cached_property
+    def N(self) -> MappingProxyType:
+        return MappingProxyType({(i, j, k): n for (i, j), row in self._fuse.items()
+                                 for k, n in row.items()})
+
+    def rows(self):
+        """The nonzero rows as ((i, j), {k: N_ij^k}) pairs."""
+        return self._fuse.items()
 
     def n(self, i: str, j: str, k: str) -> int:
-        return self.N.get((i, j, k), 0)
+        return self._fuse.get((i, j), {}).get(k, 0)
 
     def fuse(self, i: str, j: str) -> dict[str, int]:
         return self._fuse.get((i, j), {})
@@ -76,7 +89,8 @@ class FusionRing:
         the rows k -> (i x j) x k and k -> i x (j x k) one index i at a time."""
         L, r, ix, one = self.labels, self.rank(), self.index, self.unit
         dual = [ix[self.dual[x]] for x in L]
-        N = {(ix[i], ix[j], ix[k]): n for (i, j, k), n in self.N.items()}
+        N = {(ix[i], ix[j], ix[k]): n for (i, j), row in self._fuse.items()
+             for k, n in row.items()}
         prod = [[()] * r for _ in range(r)]  # a x b: sorted ((k, N_ab^k), ...)
         into: list[list[tuple[int, int]]] = [[] for _ in range(r)]  # k -> [(a, b)]
         for (a, b, k) in sorted(N):
@@ -151,14 +165,19 @@ class FusionRing:
     # -- products and restriction -------------------------------------------
 
     def product(self, other: "FusionRing") -> "FusionRing":
-        labels = [pair_label(a, b) for a in self.labels for b in other.labels]
-        dual = {pair_label(a, b): pair_label(self.dual[a], other.dual[b])
+        lab = {a: {b: pair_label(a, b) for b in other.labels} for a in self.labels}
+        dual = {lab[a][b]: lab[self.dual[a]][other.dual[b]]
                 for a in self.labels for b in other.labels}
         fusion: dict[tuple[str, str, str], int] = {}
-        for (i, j, k), n1 in self.N.items():
-            for (a, b, c), n2 in other.N.items():
-                fusion[(pair_label(i, a), pair_label(j, b), pair_label(k, c))] = n1 * n2
-        return FusionRing(labels, dual, fusion)
+        rows2 = [(a, b, list(r2.items())) for (a, b), r2 in other._fuse.items()]
+        for (i, j), r1 in self._fuse.items():
+            li, lj, r1 = lab[i], lab[j], [(lab[k], n1) for k, n1 in r1.items()]
+            for a, b, r2 in rows2:
+                ia, jb = li[a], lj[b]
+                for lk, n1 in r1:
+                    for c, n2 in r2:
+                        fusion[(ia, jb, lk[c])] = n1 * n2
+        return FusionRing(list(dual), dual, fusion)
 
     def restrict(self, labels: list[str]) -> "FusionRing":
         keep = set(labels)
@@ -169,12 +188,12 @@ class FusionRing:
                 raise InputError(f"unknown label {x!r}")
             if self.dual[x] not in keep:
                 raise InputError(f"restriction is not dual-closed at {x!r}")
-        for i in labels:
-            for j in labels:
-                for k in self.fuse(i, j):
+        fusion = {}
+        for (i, j), row in self._fuse.items():
+            if i in keep and j in keep:
+                for k, n in row.items():
                     if k not in keep:
                         raise InputError(f"restriction is not fusion-closed: {i} x {j} hits {k}")
+                    fusion[(i, j, k)] = n
         ordered = [x for x in self.labels if x in keep]
-        fusion = {(i, j, k): n for (i, j, k), n in self.N.items()
-                  if i in keep and j in keep and k in keep}
         return FusionRing(ordered, {x: self.dual[x] for x in ordered}, fusion)

@@ -153,7 +153,7 @@ def serialize_category(P: Premodular) -> dict:
                 raise InternalFault(f"cannot write category {P.name!r}: the {what} of {x!r} "
                                     f"has {noun} {n}, above the conductor limit {MAX_CONDUCTOR}")
     fusion_rows = sorted(
-        ([i, j, k, n] for (i, j, k), n in P.ring.N.items()),
+        ([i, j, k, n] for (i, j), row in P.ring.rows() for k, n in row.items()),
         key=lambda row: (P.ring.index[row[0]], P.ring.index[row[1]],
                          P.ring.index[row[2]]))
     return {

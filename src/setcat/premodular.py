@@ -5,11 +5,12 @@ calculus (transparency, Mueger center, nondegeneracy)."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from .cyclo import Cyclo, root_of_unity, turn_mod1
 from .errors import InputError, ValidationInputError
-from .fusion import FusionRing, pair_label
+from .fusion import FusionRing
 
 _ONE = Cyclo.one()
 
@@ -168,13 +169,10 @@ class Premodular:
         Its S-matrix is the Kronecker product S_(a,b),(c,d) = S_ac * S_bd, as
         tests/test_premodular.py asserts."""
         ring = self.ring.product(other.ring)
-        dims = {}
-        twists = {}
-        for a in self.labels:
-            for b in other.labels:
-                lab = pair_label(a, b)
-                dims[lab] = self.dims[a] * other.dims[b]
-                twists[lab] = turn_mod1(self.twists[a] + other.twists[b])
+        dims, twists = {}, {}
+        for lab, (a, b) in zip(ring.labels, product(self.labels, other.labels)):
+            dims[lab] = self.dims[a] * other.dims[b]
+            twists[lab] = turn_mod1(self.twists[a] + other.twists[b])
         return Premodular(ring, dims, twists, name=f"{self.name} (x) {other.name}")
 
     def reverse(self) -> "Premodular":
@@ -219,12 +217,11 @@ class Premodular:
                 bad.append(f"dims: d[{self.dual(x)}] != d[{x}]")
             if self.twists[self.dual(x)] != self.twists[x]:
                 bad.append(f"twists: theta[{self.dual(x)}] != theta[{x}]")
+        dims = self.dims
         for i in self.labels:
             for j in self.labels:
-                rhs = Cyclo.zero()
-                for k, n in self.ring.fuse(i, j).items():
-                    rhs = rhs + self.dims[k] * n
-                if self.dims[i] * self.dims[j] != rhs:
+                if dims[i] * dims[j] != sum((dims[k] * n for k, n in self.ring.fuse(i, j).items()),
+                                            Cyclo.zero()):
                     bad.append(f"dims: dimension equation fails at ({i},{j})")
         for i in self.labels:
             for j in self.labels:

@@ -171,24 +171,25 @@ def _orbit_fusion(P, H, orbits, of_orbit):
         for h in H:
             weight[_act(P, h, o.representative)][o.representative] += 1
     row, col, out, total = {}, {}, {}, {}
-    for (a, b, c), n in P.ring.N.items():
-        ox, oy, oz = orbit_of.get(a), orbit_of.get(b), orbit_of.get(c)
-        if a == ox and c == oz:  # total: the sum over h of N(X, h.Y, Z)
-            for y, w in weight.get(b, {}).items():
-                total[(ox, y, oz)] = total.get((ox, y, oz), 0) + w * n
-        if None in (ox, oy, oz):
-            if oz is None and None not in (ox, oy):
+    for (a, b), entries in P.ring.rows():  # no margin reads a row with a confined input
+        ox, oy = orbit_of.get(a), orbit_of.get(b)
+        if ox is None or oy is None:
+            continue
+        for c, n in entries.items():
+            oz = orbit_of.get(c)
+            if oz is None:
                 raise ValidationInputError(
                     f"deconfined labels are not closed under fusion: {a} x {b} "
                     f"contains the confined label {c}")
-            continue
-        key = (ox, oy, oz)
-        if b == oy and c == oz:
-            row[key] = row.get(key, 0) + n
-        if a == ox and c == oz:
-            col[key] = col.get(key, 0) + n
-        if a == ox and b == oy:
-            out[key] = out.get(key, 0) + n
+            key = (ox, oy, oz)
+            if a == ox and c == oz:  # total: the sum over h of N(X, h.Y, Z)
+                col[key] = col.get(key, 0) + n
+                for y, w in weight[b].items():
+                    total[(ox, y, oz)] = total.get((ox, y, oz), 0) + w * n
+            if b == oy and c == oz:
+                row[key] = row.get(key, 0) + n
+            if a == ox and b == oy:
+                out[key] = out.get(key, 0) + n
     n_result: dict[tuple[str, str, str], int] = {}
     for key in sorted(row.keys() | col.keys() | out.keys() | total.keys(),
                       key=lambda t: (pos[t[0]], pos[t[1]], pos[t[2]])):
