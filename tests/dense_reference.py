@@ -1,11 +1,26 @@
 """Test-only references: the dense orbit-triple scan of the condensation
-engine and the label-keyed `FusionRing.validate`, as they were before both
-became sparse and integer-indexed.  The differential tests in
-`tests/test_sparse_differential.py` assert that the engine matches them.
+engine, the label-keyed `FusionRing.validate` and the triple-wise
+`FusionRing.product`, as they were before the first two became sparse and
+integer-indexed and the product was built row by row.  The differential tests
+in `tests/test_sparse_differential.py` assert that the engine matches them.
 They are not a second path of the package; nothing in `src/` imports them."""
 
 from setcat.errors import InternalFault
+from setcat.fusion import FusionRing, pair_label
 from setcat.relprod import _act
+
+
+def triple_product(R1, R2):
+    """The Deligne product of two fusion rings, one entry per pair of nonzero
+    triples with three `pair_label` calls each."""
+    labels = [pair_label(a, b) for a in R1.labels for b in R2.labels]
+    dual = {pair_label(a, b): pair_label(R1.dual[a], R2.dual[b])
+            for a in R1.labels for b in R2.labels}
+    fusion = {}
+    for (i, j, k), n1 in R1.N.items():
+        for (a, b, c), n2 in R2.N.items():
+            fusion[(pair_label(i, a), pair_label(j, b), pair_label(k, c))] = n1 * n2
+    return FusionRing(labels, dual, fusion)
 
 
 def dense_orbit_fusion(P, H, orbits, of_orbit):

@@ -118,3 +118,89 @@ def test_double_z4_pinned_embeddings_not_equivalent():
     if len(toric_like) > 1:
         emb_c = SymmetryEmbedding([2], d4.name, {(0,): d4.unit, (1,): toric_like[1]})
         assert find_equivalence(d4, d4, emb_a, emb_c) is not None
+
+
+# -- every bijection the search returns passes the verifier -----------------
+#
+# find_equivalence does not re-check its result at run time: its pools and
+# consistency test enforce what check_bijection verifies (the argument is in
+# CHANGES.md).  These tests hold it to that on the inputs the package and the
+# benchmark run.
+
+
+@pytest.fixture
+def verified(monkeypatch):
+    """find_equivalence, also as relprod calls it, with each bijection it
+    returns checked by check_bijection; returns the wrapper and the count."""
+    from setcat import relprod
+    found = []
+
+    def search(P1, P2, emb1=None, emb2=None):
+        sigma = find_equivalence(P1, P2, emb1, emb2)
+        if sigma is not None:
+            assert check_bijection(P1, P2, sigma, emb1, emb2), (P1.name, P2.name)
+            found.append(sigma)
+        return sigma
+
+    monkeypatch.setattr(relprod, "find_equivalence", search)
+    return search, found
+
+
+def test_search_results_verify_on_catalog_pairs(verified):
+    search, found = verified
+    entries = list(catalog().values())
+    for e1 in entries:
+        for e2 in entries:
+            search(e1.category, e2.category)
+    embedded = [(e.category, emb) for e in entries for emb in e.embeddings.values()]
+    for C1, emb1 in embedded:
+        for C2, emb2 in embedded:
+            if emb1.group == emb2.group:
+                search(C1, C2, emb1, emb2)
+    assert len(found) >= len(entries) + len(embedded)
+
+
+def test_search_results_verify_on_oracle_inputs(verified):
+    from setcat.pointed import element_label
+    from setcat.relprod import condense_by_invertible_bosons
+
+    from .test_sparse_differential import oracle_inputs
+    search, found = verified
+    for M, H in oracle_inputs():
+        oracle = M.condense([g for g in H if g != M.zero()])
+        res = condense_by_invertible_bosons(M.to_premodular(check_smatrix=False),
+                                            [element_label(h) for h in H])
+        assert search(res.result, oracle.to_premodular(check_smatrix=False)) is not None
+    assert len(found) == len(oracle_inputs())
+
+
+def test_search_results_verify_on_split_results(verified):
+    from .test_split_differential import benchmark_split_inputs, condensed, metric_cyclic
+    search, found = verified
+    toric, fib = get("toric_code").category, get("fibonacci").category
+    rev_fib = fib.reverse()
+    references = [toric, metric_cyclic(4, 8), metric_cyclic(3, 3), rev_fib.deligne(rev_fib),
+                  None, None, toric.deligne(fib), toric.deligne(toric)]
+    for (P, bosons), ref in zip(benchmark_split_inputs(), references):
+        result = condensed(P, bosons)
+        if ref is None:  # no closed-form reference: the result with its labels reversed
+            ref = result.relabel(dict(zip(result.labels, [result.unit, *result.labels[:0:-1]])),
+                                 "reversed")
+        assert search(result, ref) is not None, P.name
+    assert len(found) == len(references)
+
+
+def test_search_results_verify_on_stack_identities(verified):
+    from setcat.relprod import verify_stacking_identity, verify_unit_law
+
+    from .test_acceptance import STACKING_SET, UNIT_LAW_INSTANCES
+    _, found = verified
+    for name, key in UNIT_LAW_INSTANCES:
+        entry = get(name)
+        assert verify_unit_law(entry.category, entry.embeddings[key]) is True
+    for n1, k1 in STACKING_SET:
+        for n2, k2 in STACKING_SET:
+            e1, e2 = get(n1), get(n2)
+            assert verify_stacking_identity(e1.category, e2.category,
+                                            e1.embeddings[k1], e2.embeddings[k2]) is True
+    assert len(found) == len(UNIT_LAW_INSTANCES) + len(STACKING_SET) ** 2

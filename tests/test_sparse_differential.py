@@ -1,8 +1,9 @@
-"""Differential tests: the sparse, integer-indexed condensation scan and
-`FusionRing.validate` against the dense references in `dense_reference.py`,
-on the catalog, the first 17 pointed-oracle inputs, split inputs 1-4 and
-seeded corruptions of catalog rings. Every condensation that succeeds here
-also passes `test_invariants.assert_condensation_invariants`."""
+"""Differential tests: the sparse, integer-indexed condensation scan,
+`FusionRing.validate` and the row-built `FusionRing.product` against the
+dense references in `dense_reference.py`, on the catalog, the Deligne products
+of the stacking identities, the first 17 pointed-oracle inputs, split inputs
+1-4 and seeded corruptions of catalog rings. Every condensation that succeeds
+here also passes `test_invariants.assert_condensation_invariants`."""
 
 import random
 
@@ -15,7 +16,8 @@ from setcat.io import serialize_category
 from setcat.pointed import element_label
 from setcat.randomized import random_conserving_pair
 
-from .dense_reference import dense_orbit_fusion, dense_validate
+from .dense_reference import dense_orbit_fusion, dense_validate, triple_product
+from .test_acceptance import STACKING_SET
 from .test_invariants import assert_condensation_invariants, su2_level
 
 ORACLE_SEED = 20260808
@@ -75,6 +77,46 @@ def test_condensation_matches_dense_on_catalog(monkeypatch):
             Z, embZ = drinfeld_double(emb.group)
             algebra = relprod.canonical_algebra(embZ, emb)
             assert_same_condensation(Z.deligne(C), algebra, monkeypatch)
+
+
+def test_condensation_matches_dense_on_stacking_products(monkeypatch):
+    """The products C x D of the stacking identities and of the centralizers
+    of their symmetries, each with its canonical algebra."""
+    for n1, k1 in STACKING_SET:
+        for n2, k2 in STACKING_SET:
+            (C, embC), (D, embD) = ((get(n).category, get(n).embeddings[k])
+                                    for n, k in ((n1, k1), (n2, k2)))
+            Cp, Dp = relprod.relative_centralizer(C, embC), relprod.relative_centralizer(D, embD)
+            for (A, embA), (B, embB) in (((C, embC), (D, embD)),
+                                         ((Cp, embC.restrict_to(Cp)), (Dp, embD.restrict_to(Dp)))):
+                assert_same_condensation(A.deligne(B), relprod.canonical_algebra(embA, embB),
+                                         monkeypatch)
+
+
+def near_group_ring():
+    """x x x = 1 + 2x: a rank-2 fusion ring with a multiplicity of 2."""
+    return FusionRing(["1", "x"], {"1": "1", "x": "x"},
+                      {("1", "1", "1"): 1, ("1", "x", "x"): 1, ("x", "1", "x"): 1,
+                       ("x", "x", "1"): 1, ("x", "x", "x"): 2})
+
+
+def test_product_matches_triple_product():
+    rings = [near_group_ring(), get("ising").category.ring, su2_level(4).ring,
+             get("double_4").category.ring]
+    assert rings[0].validate() == []
+    for R in rings:
+        new, old = R.product(R), triple_product(R, R)
+        assert new.labels == old.labels and new.dual == old.dual
+        assert dict(new.N) == dict(old.N)
+        assert max(new.N.values()) == max(R.N.values()) ** 2
+        for i in new.labels:
+            for j in new.labels:
+                assert new.fuse(i, j) == old.fuse(i, j)
+                assert all(new.n(i, j, k) == n for k, n in old.fuse(i, j).items())
+        if new.rank() <= 25:  # every triple, zeros too
+            assert all(new.n(i, j, k) == old.n(i, j, k) for i in new.labels
+                       for j in new.labels for k in new.labels)
+        assert new.validate() == []
 
 
 def oracle_inputs():
