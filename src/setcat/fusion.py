@@ -31,9 +31,8 @@ def _lincomb(terms) -> tuple:
 class FusionRing:
     """Simple-object labels with duals and sparse fusion multiplicities.
 
-    The first label is the tensor unit.  Fusion data is stored as rows
-    (i, j) -> {k: N_ij^k} of the nonzero entries; `N` is a read-only
-    (i, j, k) -> N_ij^k view of them, made when first read.
+    The first label is the tensor unit.  Fusion data is stored as the rows
+    (i, j) -> {k: N_ij^k} of nonzero entries; `N` is a read-only triple view.
     """
 
     def __init__(self, labels: list[str], dual: dict[str, str],
@@ -171,10 +170,10 @@ class FusionRing:
         fusion: dict[tuple[str, str, str], int] = {}
         rows2 = [(a, b, list(r2.items())) for (a, b), r2 in other._fuse.items()]
         for (i, j), r1 in self._fuse.items():
-            li, lj, r1 = lab[i], lab[j], [(lab[k], n1) for k, n1 in r1.items()]
+            li, lj, outs = lab[i], lab[j], [(lab[k], n1) for k, n1 in r1.items()]
             for a, b, r2 in rows2:
                 ia, jb = li[a], lj[b]
-                for lk, n1 in r1:
+                for lk, n1 in outs:
                     for c, n2 in r2:
                         fusion[(ia, jb, lk[c])] = n1 * n2
         return FusionRing(list(dual), dual, fusion)

@@ -217,11 +217,12 @@ class Premodular:
                 bad.append(f"dims: d[{self.dual(x)}] != d[{x}]")
             if self.twists[self.dual(x)] != self.twists[x]:
                 bad.append(f"twists: theta[{self.dual(x)}] != theta[{x}]")
-        dims = self.dims
         for i in self.labels:
             for j in self.labels:
-                if dims[i] * dims[j] != sum((dims[k] * n for k, n in self.ring.fuse(i, j).items()),
-                                            Cyclo.zero()):
+                rhs = Cyclo.zero()
+                for k, n in self.ring.fuse(i, j).items():
+                    rhs = rhs + self.dims[k] * n
+                if self.dims[i] * self.dims[j] != rhs:
                     bad.append(f"dims: dimension equation fails at ({i},{j})")
         for i in self.labels:
             for j in self.labels:
