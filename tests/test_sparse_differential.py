@@ -84,8 +84,8 @@ def test_condensation_matches_dense_on_stacking_products(monkeypatch):
     of their symmetries, each with its canonical algebra."""
     for n1, k1 in STACKING_SET:
         for n2, k2 in STACKING_SET:
-            (C, embC), (D, embD) = ((get(n).category, get(n).embeddings[k])
-                                    for n, k in ((n1, k1), (n2, k2)))
+            e1, e2 = get(n1), get(n2)
+            C, D, embC, embD = e1.category, e2.category, e1.embeddings[k1], e2.embeddings[k2]
             Cp, Dp = relprod.relative_centralizer(C, embC), relprod.relative_centralizer(D, embD)
             for (A, embA), (B, embB) in (((C, embC), (D, embD)),
                                          ((Cp, embC.restrict_to(Cp)), (Dp, embD.restrict_to(Dp)))):
