@@ -1,6 +1,7 @@
-"""Modular-data equivalence: fingerprint-pruned backtracking over label
-bijections, optionally constrained to respect a symmetry embedding on both
-sides, plus an independent verifier for found bijections."""
+"""Modular-data equivalence: backtracking over label bijections, pruned by
+per-label fingerprints of integer data (no S-matrix entry is read), optionally
+constrained to respect a symmetry embedding on both sides, plus an independent
+verifier for found bijections."""
 
 from __future__ import annotations
 
@@ -11,17 +12,26 @@ from .premodular import Premodular
 Fingerprint = tuple
 
 
-def label_fingerprint(P: Premodular, x: str) -> Fingerprint:
-    """Per-label invariant: exact dim, twist, S-row multiset, self-fusion counts."""
-    tw = P.twist(x)
-    row = tuple(sorted(P.s_entry(x, j).sort_key() for j in P.labels))
-    stats = tuple(sorted(P.ring.fuse(x, x).values()))
-    return (P.dim(x).sort_key(), (tw.numerator, tw.denominator), row, stats)
+def label_fingerprints(P: Premodular) -> dict[str, Fingerprint]:
+    """Per-label invariants: exact dim, twist turn and its denominator, the
+    balancing multiset over j of sorted ((t_k - t_x - t_j) mod den, dim of k,
+    N_(x* j)^k), self-fusion counts.  S_xj is a function of the j-th tuple, so
+    equal fingerprints give equal S-rows."""
+    turn, den = P.turns()
+    keys = {x: d.sort_key() for x, d in P.dims.items()}
+    bal: dict[str, list[tuple]] = {x: [] for x in P.labels}
+    for (i, j), row in P.ring.rows():  # row (x*, j) for x = i*
+        x = P.dual(i)
+        t = turn[x] + turn[j]
+        bal[x].append(tuple(sorted([((turn[k] - t) % den, keys[k], n)
+                                    for k, n in row.items()])))
+    return {x: (keys[x], turn[x], den, tuple(sorted(bal[x])),
+                tuple(sorted(P.ring.fuse(x, x).values()))) for x in P.labels}
 
 
 def canonical_fingerprint(P: Premodular) -> tuple[Fingerprint, ...]:
     """Sorted fingerprint multiset; equal for data-equivalent categories."""
-    return tuple(sorted(label_fingerprint(P, x) for x in P.labels))
+    return tuple(sorted(label_fingerprints(P).values()))
 
 
 def check_bijection(P1: Premodular, P2: Premodular, sigma: dict[str, str],
@@ -62,14 +72,6 @@ def check_bijection(P1: Premodular, P2: Premodular, sigma: dict[str, str],
     return True
 
 
-def _targets_in(P: Premodular) -> dict[str, list[tuple[str, str, int]]]:
-    out: dict[str, list[tuple[str, str, int]]] = {x: [] for x in P.labels}
-    for (i, j), row in P.ring.rows():
-        for k, n in row.items():
-            out[k].append((i, j, n))
-    return out
-
-
 def find_equivalence(P1: Premodular, P2: Premodular,
                      emb1: SymmetryEmbedding | None = None,
                      emb2: SymmetryEmbedding | None = None) -> dict[str, str] | None:
@@ -88,8 +90,8 @@ def find_equivalence(P1: Premodular, P2: Premodular,
             if pins.get(a, b) != b:
                 return None
             pins[a] = b
-    fps1 = {x: label_fingerprint(P1, x) for x in P1.labels}
-    fps2 = {u: label_fingerprint(P2, u) for u in P2.labels}
+    fps1 = label_fingerprints(P1)
+    fps2 = label_fingerprints(P2)
     if sorted(fps1.values()) != sorted(fps2.values()):
         return None
 
@@ -103,11 +105,13 @@ def find_equivalence(P1: Premodular, P2: Premodular,
             return None
         pools[x] = cand
 
-    t_in1 = _targets_in(P1)
-    t_in2 = _targets_in(P2)
+    t_in1: dict[str, list[tuple[str, str, int]]] = {x: [] for x in P1.labels}
+    for (i, j), row in P1.ring.rows():  # k -> the entries (i, j, N_ij^k) into k
+        for k, n in row.items():
+            t_in1[k].append((i, j, n))
     order = list(P1.labels)
     assign: dict[str, str] = {}
-    inverse: dict[str, str] = {}
+    used: set[str] = set()
 
     def consistent(x: str, u: str) -> bool:
         xd = P1.dual(x)
@@ -116,15 +120,11 @@ def find_equivalence(P1: Premodular, P2: Premodular,
                 return False
         elif xd in assign and assign[xd] != P2.dual(u):
             return False
-        if P1.s_entry(x, x) != P2.s_entry(u, u):
-            return False
-        for a, va in assign.items():
-            if P1.s_entry(x, a) != P2.s_entry(u, va):
-                return False
+        for a, va in ((x, u), *assign.items()):  # rows (x, x), (x, a) and (a, x)
             for (p, q), (vp, vq) in (((x, a), (u, va)), ((a, x), (va, u))):
                 f1 = P1.ring.fuse(p, q)
                 f2 = P2.ring.fuse(vp, vq)
-                if sorted(f1.values()) != sorted(f2.values()):
+                if len(f1) != len(f2):
                     return False
                 for k, n in f1.items():
                     if k in assign and f2.get(assign[k], 0) != n:
@@ -137,12 +137,6 @@ def find_equivalence(P1: Premodular, P2: Premodular,
             if va is not None and vb is not None:
                 if P2.ring.n(va, vb, u) != n:
                     return False
-        for (a2, b2, n2) in t_in2[u]:
-            pa = inverse.get(a2, x if a2 == u else None)
-            pb = inverse.get(b2, x if b2 == u else None)
-            if pa is not None and pb is not None:
-                if P1.ring.n(pa, pb, x) != n2:
-                    return False
         return True
 
     def backtrack(pos: int) -> bool:
@@ -150,16 +144,16 @@ def find_equivalence(P1: Premodular, P2: Premodular,
             return True
         x = order[pos]
         for u in pools[x]:
-            if u in inverse:
+            if u in used:
                 continue
             if not consistent(x, u):
                 continue
             assign[x] = u
-            inverse[u] = x
+            used.add(u)
             if backtrack(pos + 1):
                 return True
             del assign[x]
-            del inverse[u]
+            used.remove(u)
         return False
 
     # on valid data the pools and `consistent` enforce all that check_bijection

@@ -61,6 +61,9 @@ class Premodular:
     def twist(self, x: str) -> Fraction:
         return self.twists[x]
 
+    def turns(self) -> tuple[dict[str, int], int]:
+        return self._turn, self._den  # theta_x = e^(2 pi i turn[x] / den)
+
     def theta(self, x: str) -> Cyclo:
         return root_of_unity(self.twists[x])
 
@@ -188,7 +191,8 @@ class Premodular:
         m = mapping
         ring = FusionRing([m[x] for x in self.labels],
                           {m[x]: m[self.dual(x)] for x in self.labels},
-                          {(m[i], m[j], m[k]): n for (i, j, k), n in self.ring.N.items()})
+                          {(m[i], m[j], m[k]): n for (i, j), row in self.ring.rows()
+                           for k, n in row.items()})
         return Premodular(ring, {m[x]: self.dims[x] for x in self.labels},
                           {m[x]: self.twists[x] for x in self.labels}, name=name)
 

@@ -5,9 +5,12 @@ import pytest
 
 from setcat.catalog import catalog, get
 from setcat.embedding import SymmetryEmbedding
-from setcat.equiv import (canonical_fingerprint, check_bijection,
-                          find_equivalence, label_fingerprint)
+from setcat.equiv import canonical_fingerprint, check_bijection, find_equivalence
 from setcat.errors import InputError
+from setcat.fusion import FusionRing
+from setcat.premodular import Premodular
+
+from .equiv_reference import reference_equivalence
 
 F = Fraction
 
@@ -84,6 +87,19 @@ def test_search_matches_brute_force_small_pairs():
                 assert check_bijection(e1.category, e2.category, got)
 
 
+def test_search_reads_no_s_entries_and_the_verifier_does(monkeypatch):
+    entries = list(catalog().values())
+    calls = []
+    s_entry = Premodular.s_entry
+    monkeypatch.setattr(Premodular, "s_entry",
+                        lambda P, i, j: calls.append((i, j)) or s_entry(P, i, j))
+    found = [(e1.category, e2.category, find_equivalence(e1.category, e2.category))
+             for e1 in entries for e2 in entries]
+    assert calls == []
+    assert all(check_bijection(*case) for case in found if case[2] is not None)
+    assert calls
+
+
 def test_verifier_independent_of_search():
     toric = get("toric_code").category
     bad = {"1": "1", "e": "e", "m": "f", "f": "m"}
@@ -125,24 +141,29 @@ def test_double_z4_pinned_embeddings_not_equivalent():
 # find_equivalence does not re-check its result at run time: its pools and
 # consistency test enforce what check_bijection verifies (the argument is in
 # CHANGES.md).  These tests hold it to that on the inputs the package and the
-# benchmark run.
+# benchmark run, and compare it with the search as it was while it still read
+# S-entries (tests/equiv_reference.py): pruning by true invariants must leave
+# the first bijection in backtracking order, or its absence, unchanged.
 
 
 @pytest.fixture
 def verified(monkeypatch):
-    """find_equivalence, also as relprod calls it, with each bijection it
-    returns checked by check_bijection; returns the wrapper and the count."""
-    from setcat import relprod
+    """find_equivalence, also as relprod and randomized call it, with each
+    answer compared with the reference search and each bijection checked by
+    check_bijection; returns the wrapper and the bijections found."""
+    from setcat import randomized, relprod
     found = []
 
     def search(P1, P2, emb1=None, emb2=None):
         sigma = find_equivalence(P1, P2, emb1, emb2)
+        assert sigma == reference_equivalence(P1, P2, emb1, emb2), (P1.name, P2.name)
         if sigma is not None:
             assert check_bijection(P1, P2, sigma, emb1, emb2), (P1.name, P2.name)
             found.append(sigma)
         return sigma
 
     monkeypatch.setattr(relprod, "find_equivalence", search)
+    monkeypatch.setattr(randomized, "find_equivalence", search)
     return search, found
 
 
@@ -161,17 +182,12 @@ def test_search_results_verify_on_catalog_pairs(verified):
 
 
 def test_search_results_verify_on_oracle_inputs(verified):
-    from setcat.pointed import element_label
-    from setcat.relprod import condense_by_invertible_bosons
+    from setcat.randomized import run_pointed_oracle_trials
 
-    from .test_sparse_differential import oracle_inputs
-    search, found = verified
-    for M, H in oracle_inputs():
-        oracle = M.condense([g for g in H if g != M.zero()])
-        res = condense_by_invertible_bosons(M.to_premodular(check_smatrix=False),
-                                            [element_label(h) for h in H])
-        assert search(res.result, oracle.to_premodular(check_smatrix=False)) is not None
-    assert len(found) == len(oracle_inputs())
+    from .test_acceptance import ORACLE_COUNT, ORACLE_SEED
+    _, found = verified
+    assert run_pointed_oracle_trials(ORACLE_COUNT, 64, ORACLE_SEED)["ok"]
+    assert len(found) == ORACLE_COUNT
 
 
 def test_search_results_verify_on_split_results(verified):
@@ -204,3 +220,51 @@ def test_search_results_verify_on_stack_identities(verified):
             assert verify_stacking_identity(e1.category, e2.category,
                                             e1.embeddings[k1], e2.embeddings[k2]) is True
     assert len(found) == len(UNIT_LAW_INSTANCES) + len(STACKING_SET) ** 2
+
+
+def with_twist(P, x, turn):
+    return Premodular(P.ring, P.dims, {**P.twists, x: turn}, name=f"{P.name}~twist")
+
+
+def with_entries_swapped(P, i, j):
+    """P with N_ij^k and N_ij^l exchanged, for the first output k of row
+    (i, j) and the first label l that is not one."""
+    rows = {ij: dict(row) for ij, row in P.ring.rows()}
+    row = rows[(i, j)]
+    k = next(iter(row))
+    l = next(y for y in P.labels if y not in row)
+    row[l] = row.pop(k)
+    ring = FusionRing(P.labels, P.ring.dual,
+                      {(a, b, c): n for (a, b), r in rows.items() for c, n in r.items()})
+    return Premodular(ring, P.dims, P.twists, name=f"{P.name}~swap({i},{j})")
+
+
+def test_perturbed_copies_are_equivalent_to_nothing(verified):
+    # one twist changed, or two entries swapped in a row of two distinct
+    # labels (so the ring is no longer commutative): no bijection can
+    # preserve the data, and neither search may find one
+    search, found = verified
+    checked = 0
+    for e in catalog().values():
+        P = e.category
+        if P.ring.rank() < 3:
+            continue
+        x, y = P.labels[1:3]
+        for Q in (with_twist(P, x, (P.twist(x) + F(1, 2)) % 1), with_entries_swapped(P, x, y)):
+            assert search(P, Q) is None, Q.name
+            assert search(Q, P) is None, Q.name
+            checked += 1
+    assert found == [] and checked >= 16
+
+
+def test_search_checks_self_rows_without_frobenius_reciprocity():
+    # rep_z4 with (1) x (1) = (0): Frobenius reciprocity fails in that row.
+    # The search checks self rows entry by entry and finds nothing; the
+    # reference, which inferred them by reciprocity, returned a bijection
+    # that the verifier rejects.
+    P = get("rep_z4").category
+    Q = with_entries_swapped(P, "(1)", "(1)")
+    assert Q.ring.fuse("(1)", "(1)") == {"(0)": 1}
+    assert find_equivalence(P, Q) is None
+    sigma = reference_equivalence(P, Q)
+    assert sigma is not None and not check_bijection(P, Q, sigma)

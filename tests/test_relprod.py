@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -281,3 +282,43 @@ def test_split_ising_squared_is_toric_squared():
     toric = get("toric_code").category
     assert find_equivalence(res.result, toric.deligne(toric)) is not None
     assert_least_relabelling(res)
+
+
+# -- non-pointed stacking through the split solver ---------------------------
+
+
+def z2_embedding(P, generator):
+    return SymmetryEmbedding([2], P.name, {(0,): P.unit, (1,): generator})
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_su2_stacking_identity_over_z2(k):
+    # SU(2)_k x_Z2 SU(2)_k with the boson k splits its fixed point (k/2, k/2)
+    P = su2_level(k)
+    emb = z2_embedding(P, str(k))
+    assert verify_stacking_identity(P, P, emb, emb) is True
+
+
+# the 89 ambiguity flags of the left-hand condensation below, as recorded
+ISING_PAIR_LHS_FLAGS = "38842fe075b355b8c86198e1e3dcb4c06bba5aa32def05f834c918edea217838"
+
+
+def test_ising_pair_unit_law_holds_and_self_stacking_is_inconclusive():
+    ii = get("ising").category.deligne(get("ising_rev").category)
+    emb = z2_embedding(ii, pair_label("psi", "psi"))
+    assert emb.validate(ii) == []
+    assert verify_unit_law(ii, emb) is True
+    assert verify_stacking_identity(ii, ii, emb, emb) is None
+    # the right-hand side is unambiguous; on the left, C' x_E C' for the
+    # centralizer C' (five labels) keeps 9 fusion assignments that its
+    # degenerate modular data does not tell apart
+    rhs, _ = relative_tensor_product(ii, ii, emb, emb)
+    assert rhs.ambiguity_flags == [] and rhs.result.ring.rank() == 22
+    Cp = relative_centralizer(ii, emb)
+    assert Cp.ring.rank() == 5
+    embp = emb.restrict_to(Cp)
+    lhs, _ = relative_tensor_product(Cp, Cp, embp, embp)
+    flags = lhs.ambiguity_flags
+    assert flags[0] == "9 fusion assignments survive all constraints"
+    assert (len(flags), hashlib.sha256("\n".join(flags).encode()).hexdigest()) == \
+        (89, ISING_PAIR_LHS_FLAGS)
