@@ -10,6 +10,7 @@ from .equiv import canonical_fingerprint, check_bijection, find_equivalence
 from .errors import (
     InputError,
     InternalFault,
+    LimitExceeded,
     SetcatError,
     SyntaxInputError,
     ValidationInputError,
@@ -39,5 +40,5 @@ __all__ = [
     "verify_unit_law", "verify_stacking_identity",
     "find_equivalence", "check_bijection", "canonical_fingerprint",
     "SetcatError", "InputError", "SyntaxInputError", "ValidationInputError",
-    "InternalFault",
+    "InternalFault", "LimitExceeded",
 ]

@@ -19,3 +19,7 @@ class ValidationInputError(InputError):
 
 class InternalFault(SetcatError):
     """An internal invariant failed or an engine limit was hit."""
+
+
+class LimitExceeded(InternalFault):
+    """An engine limit was hit; the message names the limit and the numbers."""

@@ -28,6 +28,21 @@ def _lincomb(terms) -> tuple:
     return tuple(sorted(acc.items()))
 
 
+def _commutative_and_associative(prod) -> bool:
+    """Whether a x b = b x a and, on sorted triples a <= b <= c, the products
+    (a b) c, (b c) a and (a c) b agree; with commutativity these are all the
+    bracketings of all orderings, at a third of the products of a full scan."""
+    r = len(prod)
+
+    def times(xy, z):  # (x y) z from x y
+        return (prod[xy[0][0]][z] if len(xy) == 1 and xy[0][1] == 1 else
+                _lincomb((prod[m][z], n) for m, n in xy))
+
+    return all(prod[i][j] == prod[j][i] for i in range(r) for j in range(i)) and all(
+        times(prod[a][b], c) == times(prod[b][c], a) == times(prod[a][c], b)
+        for a in range(r) for b in range(a, r) for c in range(b, r))
+
+
 class FusionRing:
     """Simple-object labels with duals and sparse fusion multiplicities.
 
@@ -120,6 +135,8 @@ class FusionRing:
                 for x, y, z in ((dual[i], k, j), (k, dual[j], i)):
                     if N.get((i, j, k), 0) != N.get((x, y, z), 0):
                         bad.append(f"frobenius: N[{L[i]},{L[j]}]^{L[k]} != N[{L[x]},{L[y]}]^{L[z]}")
+        if _commutative_and_associative(prod):
+            return bad
         for i in range(r):
             p_i = prod[i]
             for j in range(r):

@@ -6,15 +6,18 @@ centralizer identities."""
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import groupby, permutations, product
+from functools import cache
+from itertools import (accumulate, chain, compress, count, groupby, permutations, product,
+                       repeat)
 
 from .cyclo import Cyclo
 from .double import drinfeld_double
 from .embedding import SymmetryEmbedding, same_symmetry
 from .equiv import find_equivalence
-from .errors import InputError, InternalFault, ValidationInputError
+from .errors import InputError, InternalFault, LimitExceeded, ValidationInputError
 from .fusion import FusionRing, pair_label
 from .premodular import Premodular
 
@@ -223,13 +226,15 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     order, the N_xy^1 that fix the dual involution of the children first.  A
     value spreads over N_ab^c = N_(a*)c^b = N_(b*)(a*)^(c*).  Each margin, and
     each row whose open entries share one dim, is a group of fixed sum.
-    Checked once decided: the group sums, the other rows' dimension equation,
-    associativity once the rows it reads are complete, and the lex-leader
-    condition V <= V o g for each relabelling g (Crawford et al., KR 1996) in
-    search order and the value order 1 < 2 < ... < 0, each comparison waiting
-    for the level of the later position it reads: one dual involution per
-    class outlives the level that decides it, and one survivor, the class's
-    least member in search order, outlives the search.  Each survivor is then
+    Checked once decided, on rows kept in place: the group sums, the other
+    rows' dimension equation, associativity once the rows it reads are
+    complete, and the lex-leader condition V <= V o g for each relabelling g
+    (Crawford et al., KR 1996) in search order and the value order
+    1 < 2 < ... < 0, on the positions g moves from the first not known to
+    agree (Frisch et al., CP 2002), each comparison waiting for the level of
+    the later position it reads: one dual involution per class outlives the
+    level that decides it, and one survivor, the class's least member in
+    search order, outlives the search.  Each survivor that passes is then
     relabelled to its least member in live (sorted-items) order."""
     unit, gid, rem, grp = labels[0], {}, [], {}  # sum groups: the sum each still needs
     for t in unknown:
@@ -242,30 +247,35 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         grp[t] = [gid[k] for k in keys]
     live = sorted(t for t in unknown if all(rem[g] for g in grp[t]))
     at, grp, n = {t: p for p, t in enumerate(live)}, [grp[t] for t in live], len(live)
-    rows, fixed, checks = defaultdict(list), defaultdict(dict), []  # checks: [what, rows]
-    for p, t in enumerate(live):
-        rows[t[:2]].append(p)
+    rows, row, checks = defaultdict(list), defaultdict(dict), []  # checks: [what, rows]
     for (a, b, c), v in forced.items():
-        fixed[(a, b)][c] = v
-    rid, V = {r: i for i, r in enumerate(rows)}, [None] * n
-
-    def row(a, b):  # N_ab^c by c, open entries as None
-        return {**fixed[(a, b)], **{live[p][2]: V[p] for p in rows[(a, b)]}}
-
+        row[(a, b)][c] = v
+    for p, (a, b, c) in enumerate(live):  # row[(a, b)]: N_ab^c by c, open entries as None
+        rows[(a, b)].append(p)
+        row[(a, b)][c] = None
+    # and packed[b][a]: row (a, b) as one integer, N_ab^c in the bits from shift[c] on,
+    # wide enough that no sum an associativity check forms carries into the next
+    width = (len(labels) * max(1, *forced.values(), *rem) ** 2).bit_length()
+    shift = {c: width * i for i, c in enumerate(labels)}
+    packed = {b: dict.fromkeys(labels, 0) for b in labels}
+    for (a, b, c), v in forced.items():
+        packed[b][a] += v << shift[c]
+    rid, V, inverse = {r: i for i, r in enumerate(rows)}, [None] * n, cache(Cyclo.inverse)
+    cell = [(row[(a, b)], c, packed[b], a, shift[c]) for a, b, c in live]
     for (a, b), ps in rows.items():
         ds = {dims[live[p][2]] for p in ps}
         if len(ds) > 1:  # mixed dims: the row's dimension equation waits for the row
             checks.append([(a, b), (rid[(a, b)],)])
             continue
-        k = (dims[a] * dims[b] - sum((dims[c] * v for c, v in fixed[(a, b)].items()),
-                                     Cyclo.zero())) / ds.pop()
+        k = (dims[a] * dims[b] - sum((dims[c] * v for c, v in row[(a, b)].items() if v),
+                                     Cyclo.zero())) * inverse(ds.pop())
         rem.append(int(k.as_fraction()) if k.is_rational() and
                    k.as_fraction().denominator == 1 else -1)
         for p in ps:
             grp[p].append(len(rem) - 1)
     for i, x in enumerate(labels[1:], 1):  # (x y) z = x (y z), x <= z, waits for its rows
         for z, y in product(labels[i:], labels[1:]):
-            reads = {(x, y), (y, z), *((m, z) for m in row(x, y)), *((x, m) for m in row(y, z))}
+            reads = {(x, y), (y, z), *((m, z) for m in row[x, y]), *((x, m) for m in row[y, z])}
             checks.append([(x, y, z), tuple({rid[r] for r in reads if r in rid})])
     watch, wait = defaultdict(list), [len(rs) for _, rs in checks]
     for i, (_, rs) in enumerate(checks):
@@ -279,15 +289,25 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
                      key=lambda cl: (live[cl[0]][2] != unit, cl))
     n_dual, nv = sum(live[cl[0]][2] == unit for cl in classes), len(classes)
     level = {p: v for v, cl in enumerate(classes) for p in cl}
+    start = list(accumulate(map(len, classes), initial=0))  # level -> its first index in order
     order = [p for cl in classes for p in cl]  # search order; the unit rows are invariant
     split = [ch for ch in (list(g) for _, g in groupby(labels, rep_of.get)) if len(ch) > 1]
     maps = [m for m in (dict(zip(sum(split, []), sum(pm, ())))
                         for pm in product(*map(permutations, split))) if m != dict(zip(m, m))]
-    images = [[] for _ in maps]  # s -> the position of order[s] relabelled by maps[g]
+    bit = {x: 1 << i for i, x in enumerate(sum(split, []))}
+    mask = [bit.get(a, 0) | bit.get(b, 0) | bit.get(c, 0)
+            for a, b, c in map(live.__getitem__, order)]
+    moving = [sum(bit[a] for a, b in m.items() if a != b) for m in maps]  # the labels g moves
+    scans = {key: chain(compress(count(), map(key.__and__, mask)), repeat(len(order) + 1))
+             for key in moving}  # key -> the indices s of the order[s] it moves, then a stop
+    moved = {key: array("i", [next(scan)]) for key, scan in scans.items()}  # found so far
+    images = [[] for _ in maps]  # i -> order[s] relabelled by maps[g], s the i-th index g moves
     dual, trail, ready = {a: b for (a, b, c) in forced if c == unit}, [], []
 
     def move(p, val, s):  # s = 1 sets V[p] to val, s = -1 clears it
-        V[p] = val if s > 0 else None
+        entries, c, col, a, at_c = cell[p]
+        V[p] = entries[c] = val if s > 0 else None
+        col[a] += s * val << at_c
         for g in grp[p]:
             rem[g] -= s * val
             left[g] -= s
@@ -312,56 +332,63 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
                 ok = (put(at[t], val) if t in at else val == 0) and ok
         for what in (checks[i][0] for i in ready if ok):
             if len(what) == 2:
-                ok = sum((dims[c] * v for c, v in row(*what).items()),
+                ok = sum((dims[c] * v for c, v in row[what].items() if v),
                          Cyclo.zero()) == dims[what[0]] * dims[what[1]]
                 continue
             x, y, z = what  # (x y) z and x (y z), the latter as (y z) x
-            lhs, rhs = Counter(), Counter()
-            for (a, b, c), side in (((x, y, z), lhs), ((y, z, x), rhs)):
-                for m, v in row(a, b).items():
-                    for w, k in row(m, c).items():
-                        side[w] += v * k
-            ok = +lhs == +rhs
+            by_z, by_x = packed[z], packed[x]
+            ok = (sum(v * by_z[m] for m, v in row[(x, y)].items() if v) ==
+                  sum(v * by_x[m] for m, v in row[(y, z)].items() if v))
         ready.clear()
         return ok
 
-    agenda = defaultdict(list)  # level -> comparisons (g, s) of V and V o g resumed there
+    agenda = [[] for _ in range(nv + 1)]  # level -> comparisons (g, i) resumed there
 
     def image(g, p):  # the position of live[p] relabelled by maps[g]
         (a, b, c), m = live[p], maps[g]
         return at[m.get(a, a), m.get(b, b), m.get(c, c)]
 
-    def lex(items, log):  # V <= V o g on order[s:], in the value order 1 < 2 < ... < 0
-        for g, s in items:
-            img = images[g]
-            for s in range(s, len(order)):
-                p = order[s]
-                if s == len(img):  # a walk reaches order[s] only after order[:s]
-                    img.append(image(g, p))
-                x, y = V[p], V[img[s]]
-                if x == y is not None:
-                    continue
-                if None in (x, y):
-                    log.append(max(level[p], level[img[s]]))
-                    agenda[log[-1]].append((g, s))
-                elif (y == 0, y) < (x == 0, x):
-                    return False
-                break
+    def lex(items, log, w):  # V <= V o g in the value order 1 < 2 < ... < 0; level w is open
+        u = start[w]  # order[:u] is set
+        for g, i in items:  # i: the first of the indices g moves not known to agree
+            ms, img = moved[moving[g]], images[g]
+            while ms[-1] <= u:
+                ms.append(next(scans[moving[g]]))
+            while (s := ms[i]) <= u:
+                if i == len(img):  # a walk reaches ms[i] only after ms[:i]
+                    img.append(image(g, order[s]))
+                x, y = V[order[s]], V[img[i]]
+                if x != y or x is None:
+                    break
+                i += 1
+            else:  # V = V o g on order[:u]; g moves order[s] next: resume once order[:s] is set
+                if s < len(order):
+                    log.append(level[order[s - 1]])
+                    agenda[log[-1]].append((g, i))
+                continue
+            if x is None or y is None:  # wait for the level of the later open position
+                log.append(max(level[order[s]], level[img[i]]))
+                agenda[log[-1]].append((g, i))
+            elif (y == 0, y) < (x == 0, x):
+                return False
         return True
 
-    def least(W):  # the least W o g in live order, as a dict in items order
+    def least(W):  # the least W o g in live order
         best = W
         for g in range(len(maps)):
-            x, y = next(((v, W[image(g, p)]) for p, v in enumerate(best)
-                         if v != W[image(g, p)]), (0, 0))
+            x, y = next(((x, y) for x, y in zip(best, (W[image(g, p)] for p in range(n)))
+                         if x != y), (0, 0))
             best = [W[image(g, p)] for p in range(n)] if (y == 0, y) < (x == 0, x) else best
-        return dict(sorted({**forced, **{t: v for t, v in zip(live, best) if v}}.items()))
+        return best
+
+    def assignment(W):  # with the forced entries, as a dict in items order
+        return dict(sorted({**forced, **{t: v for t, v in zip(live, W) if v}}.items()))
 
     # the unit rows: N_1x^y = N_x1^y = [x = y]
     ok = all(put(p, int(b == c if a == unit else a == c))
              for p, (a, b, c) in enumerate(live) if unit in (a, b))
     stack = [[0, None, [], len(trail)]] if ok and spread([], 0, False) and lex(
-        [(g, 0) for g in range(len(maps))], []) else []
+        [(g, 0) for g in range(len(maps))], [], 0) else []
     survivors, nodes = [], 0
     while stack:  # frames: level, values left to try, lex-log, trail length
         v, vals, log, mark = frame = stack[-1]
@@ -377,12 +404,12 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
             continue
         nodes += 1
         if nodes > _SEARCH_NODE_BUDGET:
-            raise InternalFault(f"splitting enumeration exhausted its search budget of "
+            raise LimitExceeded(f"splitting enumeration exhausted its search budget of "
                                 f"{_SEARCH_NODE_BUDGET:,} nodes over {nv} unknown variables")
         if not spread(classes[v], vals.pop(), v >= n_dual):
             continue
         nxt = next((w for w in range(v + 1, nv) if V[classes[w][0]] is None), nv)
-        if not all(lex(agenda[w], log) for w in range(v, nxt)):
+        if not all(lex(agenda[w], log, nxt) for w in range(v, nxt)):
             continue
         if v < n_dual <= nxt:  # the dual involution is decided
             dual.update(live[p][:2] for cl in classes[:n_dual] for p in cl if V[p])
@@ -391,24 +418,59 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         elif len(survivors) < _MAX_SURVIVORS:
             survivors.append(V[:])
         else:
-            raise InternalFault(
+            raise LimitExceeded(
                 f"splitting enumeration: too many candidates, {len(survivors) + 1} reached "
                 f"against the cap of {_MAX_SURVIVORS}, over {nv} unknown variables")
-    return sorted((d for d in map(least, survivors) if _candidate_ok(labels, d, dims, twists)),
+    # relabelling keeps the verdict, so only the survivors that pass are relabelled
+    return sorted((assignment(least(W)) for W in survivors
+                   if _candidate_ok(labels, assignment(W), dims, twists)),
                   key=lambda d: tuple(d.items()))
 
 
 def _candidate_ok(labels, n_dict, dims, twists) -> bool:
-    ring, cand = _build_result(labels, n_dict, dims, twists, name="candidate")
+    _, cand = _build_result(labels, n_dict, dims, twists, name="candidate")
     if cand.validate():
         return False
-    # S conj(S)^T = D^2 Id decides invertibility; given it, Verlinde's formula
-    # is the character identity S_il S_jl = d_l sum_k N_ij^k S_kl
-    S = cand.s_entry
-    return not cand._smatrix_invertible() or cand.muger_center() == [cand.unit] and all(
-        S(i, l) * S(j, l) == dims[l] * sum((S(k, l) * m for k, m in ring.fuse(i, j).items()),
-                                           Cyclo.zero())
-        for a, i in enumerate(labels) for j in labels[a:] for l in labels)
+    verdict = _character_verdict(cand)
+    # undecided, some column is no character: Verlinde fails, and only a
+    # singular S passes; S conj(S)^T = D^2 Id decides invertibility
+    return not cand._smatrix_invertible() if verdict is None else verdict
+
+
+def _generators(ring: FusionRing) -> list[str]:
+    """A set G of labels whose monomials span the ring over Q: a label joins
+    the span when it is the only output outside it of some g x y with g in G
+    and y in the span; when none joins, the first label outside is added to G."""
+    span, G = {ring.unit}, []
+    while len(span) < ring.rank():
+        G.append(next(x for x in ring.labels if x not in span))
+        span.add(G[-1])
+        while grown := {out.pop() for g, y in product(G, span)
+                        if len(out := ring.fuse(g, y).keys() - span) == 1}:
+            span |= grown
+    return G
+
+
+def _character_verdict(cand: Premodular) -> bool | None:
+    """`_candidate_ok`'s braiding verdict on validated data from the columns
+    chi_l = S_.l / d_l, or None when they do not decide it (EGNO, Tensor
+    Categories, ch. 8).  Validation gives chi_l(1) = 1; if also chi_l(g x) =
+    chi_l(g) chi_l(x) for g in G and every x, chi_l is a character, fixed by
+    its values on G, and Verlinde holds.  Distinct characters are linearly
+    independent (Dedekind), so S is invertible; then with a trivial Mueger
+    center the characters' orthogonality gives S conj(S)^T = D^2 Id.  Two
+    equal normalised columns make S singular, which passes whatever Verlinde
+    says."""
+    labels, fuse, S, inverse = cand.labels, cand.ring.fuse, cand.s_entry, cache(Cyclo.inverse)
+    G, chis = _generators(cand.ring), [{x: S(x, l) * inverse(cand.dims[l]) for x in labels}
+                                       for l in labels]
+    multiplicative = all(
+        chi[g] * chi[x] == sum((chi[k] * n for k, n in fuse(g, x).items()), Cyclo.zero())
+        for chi in chis for g in G for x in labels)
+    columns = {tuple(chi[x] for x in (G if multiplicative else labels)) for chi in chis}
+    if len(columns) < len(labels):
+        return True
+    return cand.muger_center() == [cand.unit] if multiplicative else None
 
 
 # -- the relative stacking over Rep(G) ---------------------------------------

@@ -4,7 +4,9 @@ coefficients one commutativity class at a time under the integer margins
 (recursively), validates each complete candidate with the dense O(r^4)
 Verlinde sum, and only then groups the survivors up to relabelling children
 within orbits.  `tests/test_split_differential.py` asserts that the engine
-finds the same classes, with the same representatives, wherever this finishes.
+finds the same classes, with the same representatives, wherever this finishes,
+and that the engine's candidate check gives the verdict of
+`sparse_candidate_ok`, the check it had before its character fast path.
 Nothing in `src/` imports it."""
 
 import sys
@@ -143,6 +145,20 @@ def dense_candidate_ok(labels, n_dict, dims, twists) -> bool:
 
 
 _candidate_ok = dense_candidate_ok  # what `_resolve_split_fusion` calls
+
+
+def sparse_candidate_ok(labels, n_dict, dims, twists) -> bool:
+    """The engine's candidate check before the character fast path: the full
+    validation, the rank^3 test S conj(S)^T = D^2 Id, the Mueger center, and
+    Verlinde as the character identity S_il S_jl = d_l sum_k N_ij^k S_kl."""
+    ring, cand = _build_result(labels, n_dict, dims, twists, name="candidate")
+    if cand.validate():
+        return False
+    S = cand.s_entry
+    return not cand._smatrix_invertible() or cand.muger_center() == [cand.unit] and all(
+        S(i, l) * S(j, l) == dims[l] * sum((S(k, l) * m for k, m in ring.fuse(i, j).items()),
+                                           Cyclo.zero())
+        for a, i in enumerate(labels) for j in labels[a:] for l in labels)
 
 
 def _dedupe_by_child_permutation(survivors, of_orbit, child_count):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setcat import abelian
+from setcat import abelian, relprod
 from setcat.abelian import iter_elements
 from setcat.catalog import get
 from setcat.cli import main, split_labels
@@ -336,6 +336,18 @@ def test_split_ising_squared_exit_0(capsys, tmp_path):
     code, out, err = run(capsys, ["condense", str(path), "--bosons", ",".join(bosons)])
     assert (code, err) == (0, "")
     assert "splits into 4" in out and "ambiguity" not in out
+
+
+def test_split_node_budget_exit_3(capsys, tmp_path, monkeypatch):
+    # an engine limit is an internal fault (exit 3) that names its numbers
+    monkeypatch.setattr(relprod, "_SEARCH_NODE_BUDGET", 10)
+    path = tmp_path / "ii.json"
+    path.write_text(to_text(serialize_category(
+        get("ising").category.deligne(get("ising_rev").category))))
+    code, out, err = run(capsys, ["condense", str(path), "--bosons", "(1,1),(psi,psi)"])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal fault: splitting enumeration exhausted its search budget "
+                          "of 10 nodes over ") and "Traceback" not in err
 
 
 def test_split_without_consistent_fusion_exit_2(capsys, tmp_path):

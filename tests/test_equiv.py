@@ -5,7 +5,9 @@ import pytest
 
 from setcat.catalog import catalog, get
 from setcat.embedding import SymmetryEmbedding
-from setcat.equiv import canonical_fingerprint, check_bijection, find_equivalence
+from setcat.cyclo import Cyclo
+from setcat.equiv import (canonical_fingerprint, check_bijection, find_equivalence,
+                           label_fingerprints)
 from setcat.errors import InputError
 from setcat.fusion import FusionRing
 from setcat.premodular import Premodular
@@ -268,3 +270,22 @@ def test_search_checks_self_rows_without_frobenius_reciprocity():
     assert find_equivalence(P, Q) is None
     sigma = reference_equivalence(P, Q)
     assert sigma is not None and not check_bijection(P, Q, sigma)
+
+
+def z2_fusion_with_twist(twist):
+    """The Z2 fusion ring with twist(f) = twist: balancing-formula data, a
+    braided category only for twists in Z/4."""
+    ring = FusionRing(["1", "f"], {"1": "1", "f": "f"}, {
+        ("1", "1", "1"): 1, ("1", "f", "f"): 1, ("f", "1", "f"): 1, ("f", "f", "1"): 1})
+    return Premodular(ring, dict.fromkeys(ring.labels, Cyclo.one()),
+                      {"1": F(0), "f": twist}, name=f"z2_{twist}")
+
+
+def test_turn_denominator_separates_equal_turns():
+    # twists 3/5 and 3/10: turn 3 on both, and the balancing value of
+    # f x f = 1 is -6 mod 5 = -6 mod 10 = 4; only the denominator differs
+    P, Q = z2_fusion_with_twist(F(3, 5)), z2_fusion_with_twist(F(3, 10))
+    fp, fq = label_fingerprints(P)["f"], label_fingerprints(Q)["f"]
+    assert (fp[1:3], fq[1:3]) == ((3, 5), (3, 10)) and fp[:2] + fp[3:] == fq[:2] + fq[3:]
+    assert find_equivalence(P, Q) is None
+

@@ -300,8 +300,11 @@ def balancing_reference(P, i, j):
 def test_s_entry_and_fingerprint_match_the_balancing_reference():
     # the S-entries equal the reference; the equivalence fingerprints, which
     # read no S, refine the S-rows: labels with equal fingerprints, in one
-    # category or in two, have equal S-row multisets
-    small = [e.category for e in catalog().values()] + [su2_level(k) for k in range(4, 17)]
+    # category or in two, have equal S-row multisets (the units of the two
+    # products differ only in the dims of the outputs in their balancing tuples)
+    fib = get("fibonacci").category
+    small = [e.category for e in catalog().values()] + [su2_level(k) for k in range(4, 17)] + [
+        get("rep_z2").category.deligne(fib), fib.deligne(fib)]
     pointed = [M.to_premodular(check_smatrix=False) for M, _ in oracle_draws()]
     s_row_of: dict = {}
     for P in small + pointed:

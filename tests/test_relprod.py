@@ -9,7 +9,7 @@ from setcat.cyclo import Cyclo, root_of_unity
 from setcat.double import drinfeld_double, rep_abelian
 from setcat.embedding import SymmetryEmbedding
 from setcat.equiv import find_equivalence
-from setcat.errors import InputError, InternalFault
+from setcat.errors import InputError, InternalFault, LimitExceeded
 from setcat.fusion import pair_label
 from setcat.relprod import (
     canonical_algebra,
@@ -261,8 +261,9 @@ def test_split_budget_message_names_the_numbers(monkeypatch):
     assert relprod._SEARCH_NODE_BUDGET == 200_000
     monkeypatch.setattr(relprod, "_SEARCH_NODE_BUDGET", 10)
     with pytest.raises(InternalFault, match=r"search budget of 10 nodes "
-                                            r"over 23 unknown variables"):
+                                            r"over 23 unknown variables") as fault:
         condense_by_invertible_bosons(su2_level(12), ["0", "12"])
+    assert isinstance(fault.value, LimitExceeded)
 
 
 def test_split_candidate_cap_message_names_the_numbers(monkeypatch):
@@ -270,8 +271,9 @@ def test_split_candidate_cap_message_names_the_numbers(monkeypatch):
     monkeypatch.setattr(relprod, "_MAX_SURVIVORS", 0)
     prod = get("ising").category.deligne(get("ising_rev").category)
     with pytest.raises(InternalFault, match=r"too many candidates, 1 reached against "
-                                            r"the cap of 0, over \d+ unknown variables"):
+                                            r"the cap of 0, over \d+ unknown variables") as fault:
         condense_by_invertible_bosons(prod, [pair_label("1", "1"), pair_label("psi", "psi")])
+    assert isinstance(fault.value, LimitExceeded)
 
 
 def test_split_ising_squared_is_toric_squared():
@@ -291,7 +293,7 @@ def z2_embedding(P, generator):
     return SymmetryEmbedding([2], P.name, {(0,): P.unit, (1,): generator})
 
 
-@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("k", [4, 8, 12])
 def test_su2_stacking_identity_over_z2(k):
     # SU(2)_k x_Z2 SU(2)_k with the boson k splits its fixed point (k/2, k/2)
     P = su2_level(k)

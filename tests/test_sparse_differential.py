@@ -6,8 +6,9 @@ of the stacking identities, the first 17 pointed-oracle inputs, split inputs
 here also passes `test_invariants.assert_condensation_invariants`."""
 
 import random
+from collections import Counter
 
-from setcat import relprod
+from setcat import fusion, relprod
 from setcat.catalog import catalog, get
 from setcat.double import drinfeld_double
 from setcat.errors import SetcatError
@@ -172,3 +173,43 @@ def test_validate_matches_dense_on_corruptions():
             assert report == dense_validate(broken)
             reported += bool(report)
         assert reported >= 0.8 * CORRUPTIONS_PER_KIND, kind
+
+
+def test_sorted_triple_scan_matches_the_full_scan(monkeypatch):
+    # a commutative ring is checked for associativity on sorted triples only;
+    # that verdict is the full scan's, and the reports the dense reference's
+    verdicts = []
+    scan = fusion._commutative_and_associative
+    monkeypatch.setattr(fusion, "_commutative_and_associative",
+                        lambda prod: verdicts.append(scan(prod)) or verdicts[-1])
+    rng = random.Random(5)
+    rings = [entry.category.ring for entry in catalog().values()] + [
+        get("ising").category.deligne(get("toric_code").category).ring, su2_level(8).ring]
+    # and a commutative ring on which (a b) c = (b c) a on sorted triples, but
+    # not (a c) b: (x, x) -> z, (x, z) -> x + y, (y, y) -> y, (z, z) -> z
+    labels = ["1", "x", "y", "z"]
+    entries = [("x", "x", "z"), ("x", "z", "x"), ("x", "z", "y"), ("z", "x", "x"),
+               ("z", "x", "y"), ("y", "y", "y"), ("z", "z", "z")]
+    entries += [(a, "1", a) for a in labels] + [("1", a, a) for a in labels[1:]]
+    cases = rings + [FusionRing(labels, dict(zip(labels, labels)), dict.fromkeys(entries, 1))]
+    for kind in ("bump", "drop", "dual", "commuting bump"):
+        for _ in range(CORRUPTIONS_PER_KIND // 2):
+            ring = rng.choice(rings)
+            if kind != "commuting bump":
+                cases.append(_corrupt(ring, kind, rng))
+                continue
+            fusion_ = dict(ring.N)
+            a, b, c = (rng.choice(ring.labels) for _ in range(3))
+            for key in {(a, b, c), (b, a, c)}:
+                fusion_[key] = fusion_.get(key, 0) + 1
+            cases.append(FusionRing(ring.labels, ring.dual, fusion_))
+    seen = Counter()
+    for ring in cases:
+        report = ring.validate()
+        assert report == dense_validate(ring)
+        commutative = all(ring.fuse(a, b) == ring.fuse(b, a)
+                          for a in ring.labels for b in ring.labels)
+        associative = not any(msg.startswith("associativity") for msg in report)
+        assert verdicts.pop() is (commutative and associative)
+        seen[commutative, associative] += 1
+    assert min(seen[True, True], seen[True, False], seen[False, False]) >= 5, seen

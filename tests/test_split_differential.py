@@ -16,6 +16,7 @@ search order, under the real candidate check and under `ring_only`."""
 import hashlib
 import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -23,6 +24,7 @@ from setcat import relprod
 from setcat.catalog import get
 from setcat.cyclo import Cyclo
 from setcat.embedding import SymmetryEmbedding
+from setcat.errors import LimitExceeded
 from setcat.equiv import find_equivalence
 from setcat.fusion import pair_label
 from setcat.pointed import MetricGroup, element_label
@@ -66,6 +68,18 @@ def test_su2_d_series_quotient(k, rank):
     result = condensed(su2_level(k), ["0", str(k)])
     assert result.ring.rank() == rank
     assert result.is_nondegenerate()
+
+
+def test_ising_squared_takes_2617_nodes(monkeypatch):
+    # the nodes the search needs, to the node: a change in where a check prunes shows here
+    for budget, enough in ((2_617, True), (2_616, False)):
+        monkeypatch.setattr(relprod, "_SEARCH_NODE_BUDGET", budget)
+        try:
+            relprod.condense_by_invertible_bosons(*ising_squared())
+        except LimitExceeded:
+            assert not enough
+        else:
+            assert enough
 
 
 def test_ising_squared_within_3000_nodes(monkeypatch):
@@ -192,17 +206,26 @@ def permuted_rows(P, sigma):
     return Q
 
 
-def test_sparse_verlinde_matches_dense(monkeypatch):
+def permuted_cases():
+    """(category, sigma on labels, sigma preserves fusion)"""
     z5, z7 = metric_cyclic(5, 5), metric_cyclic(7, 7)
+    cube = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    q = [0, Fraction(3, 4), 0, Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(1, 4), 0]
+    z2_cubed = MetricGroup([2, 2, 2], dict(zip(cube, q)), name="z2^3").to_premodular()
 
     def lab(*xs):
-        return [element_label((x,)) for x in xs]
+        return [element_label(x if isinstance(x, tuple) else (x,)) for x in xs]
 
-    cases = [  # (category, sigma on labels, sigma preserves fusion)
-        (z5, lab(0, 1, 2, 3, 4), True), (z5, lab(0, 2, 4, 1, 3), True),
-        (z5, lab(0, 2, 1, 4, 3), False), (z7, lab(0, 3, 6, 2, 5, 1, 4), True),
-        (z7, lab(0, 2, 1, 3, 4, 6, 5), False), (z7, lab(0, 1, 3, 2, 5, 4, 6), False)]
-    for P, image, automorphism in cases:
+    # on z2^3 sigma keeps the products with (0,0,1), the first of the three
+    # generators the character check needs, and breaks some with the others
+    return [(z5, lab(0, 1, 2, 3, 4), True), (z5, lab(0, 2, 4, 1, 3), True),
+            (z5, lab(0, 2, 1, 4, 3), False), (z7, lab(0, 3, 6, 2, 5, 1, 4), True),
+            (z7, lab(0, 2, 1, 3, 4, 6, 5), False), (z7, lab(0, 1, 3, 2, 5, 4, 6), False),
+            (z2_cubed, lab(*(cube[i] for i in (0, 4, 6, 2, 5, 1, 7, 3))), False)]
+
+
+def test_sparse_verlinde_matches_dense(monkeypatch):
+    for P, image, automorphism in permuted_cases():
         Q = permuted_rows(P, dict(zip(P.labels, image)))
         assert Q.validate() == [] and Q._smatrix_invertible()
         assert Q.muger_center() == [Q.unit]
@@ -259,3 +282,70 @@ def test_split_reports_match_the_frozen_digests(check, monkeypatch):
                            [[list(t), v] for t, v in res.result.ring.N.items()]])
         reports.append((len(res.ambiguity_flags), hashlib.sha256(text.encode()).hexdigest()))
     assert reports == FROZEN_REPORTS[check]
+
+
+# -- the candidate check against the check it replaced ------------------------
+
+
+def candidates_of(monkeypatch, check, runs):
+    """Every candidate the solver hands to `_candidate_ok` (here `check`)."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(relprod, "_candidate_ok", lambda *c: seen.append(c) or check(*c))
+        for run in runs:
+            run()
+    return seen
+
+
+def corrupted(candidate, count=6):
+    """The candidate with one fusion entry moved to another output, or with
+    one twist changed: `count` of each."""
+    labels, n_dict, dims, twists = candidate
+    unit = labels[0]
+    moved = ((t, c) for t in n_dict if unit not in t
+             for c in labels[1:] if (*t[:2], c) not in n_dict)
+    for (a, b, c), c2 in islice(moved, count):
+        n = {t: v for t, v in n_dict.items() if t != (a, b, c)}
+        yield labels, {**n, (a, b, c2): n_dict[(a, b, c)]}, dims, twists
+    for x in labels[1:count + 1]:
+        yield labels, n_dict, dims, {**twists, x: twists[x] + Fraction(1, 4)}
+
+
+def test_candidate_verdicts_match_the_check_they_replace(monkeypatch):
+    # every candidate the solver checks on the split inputs (under the real
+    # check and under ring_only) and on SU(2)_k x_Z2 SU(2)_k for k = 4, 8,
+    # corruptions of those that pass up to rank 16, and the permuted S rows
+    def condense(P, bosons):
+        return lambda: relprod.condense_by_invertible_bosons(P, bosons)
+
+    def stack(k):
+        P = su2_level(k)
+        emb = SymmetryEmbedding([2], P.name, {(0,): P.unit, (1,): str(k)})
+        return lambda: relprod.verify_stacking_identity(P, P, emb, emb)
+
+    runs = [condense(P, bosons) for P, bosons in benchmark_split_inputs()]
+    real = candidates_of(monkeypatch, relprod._candidate_ok, runs + [stack(4), stack(8)])
+    ring = candidates_of(monkeypatch, ring_only, runs)
+    cases = [(c, split_reference.sparse_candidate_ok(*c)) for c in real + ring]
+    cases += [(bad, split_reference.sparse_candidate_ok(*bad))
+              for c, ok in cases[:len(real)] if ok and len(c[0]) <= 16 for bad in corrupted(c)]
+    verdict, decided = relprod._character_verdict, []
+
+    def counted(cand):
+        decided.append(verdict(cand))
+        return decided[-1]
+
+    monkeypatch.setattr(relprod, "_character_verdict", counted)
+    for c, ok in cases:
+        assert relprod._candidate_ok(*c) is ok
+    for P, image, _ in permuted_cases():
+        Q = permuted_rows(P, dict(zip(P.labels, image)))
+        with monkeypatch.context() as m:
+            for module in (relprod, split_reference):
+                m.setattr(module, "_build_result", lambda *a, **k: (Q.ring, Q))
+            args = (P.labels, dict(P.ring.N), P.dims, P.twists)
+            assert relprod._candidate_ok(*args) is split_reference.sparse_candidate_ok(*args)
+    # the fast path decides every candidate that gets past validation here,
+    # except the permuted S rows that break Verlinde
+    assert (len(real), len(ring), len(cases)) == (18, 14, 143)
+    assert [decided.count(v) for v in (True, False, None)] == [23, 0, 4]
