@@ -184,16 +184,12 @@ class FusionRing:
         lab = {a: {b: pair_label(a, b) for b in other.labels} for a in self.labels}
         dual = {lab[a][b]: lab[self.dual[a]][other.dual[b]]
                 for a in self.labels for b in other.labels}
-        fusion: dict[tuple[str, str, str], int] = {}
-        rows2 = [(a, b, list(r2.items())) for (a, b), r2 in other._fuse.items()]
+        rows = {}
         for (i, j), r1 in self._fuse.items():
             li, lj, outs = lab[i], lab[j], [(lab[k], n1) for k, n1 in r1.items()]
-            for a, b, r2 in rows2:
-                ia, jb = li[a], lj[b]
-                for lk, n1 in outs:
-                    for c, n2 in r2:
-                        fusion[(ia, jb, lk[c])] = n1 * n2
-        return FusionRing(list(dual), dual, fusion)
+            for (a, b), r2 in other._fuse.items():
+                rows[(li[a], lj[b])] = {lk[c]: n1 * n2 for lk, n1 in outs for c, n2 in r2.items()}
+        return _with_rows(list(dual), dual, rows)
 
     def restrict(self, labels: list[str]) -> "FusionRing":
         keep = set(labels)
@@ -204,12 +200,20 @@ class FusionRing:
                 raise InputError(f"unknown label {x!r}")
             if self.dual[x] not in keep:
                 raise InputError(f"restriction is not dual-closed at {x!r}")
-        fusion = {}
+        rows = {}
         for (i, j), row in self._fuse.items():
             if i in keep and j in keep:
-                for k, n in row.items():
+                for k in row:
                     if k not in keep:
                         raise InputError(f"restriction is not fusion-closed: {i} x {j} hits {k}")
-                    fusion[(i, j, k)] = n
+                rows[(i, j)] = row
         ordered = [x for x in self.labels if x in keep]
-        return FusionRing(ordered, {x: self.dual[x] for x in ordered}, fusion)
+        return _with_rows(ordered, {x: self.dual[x] for x in ordered}, rows)
+
+
+def _with_rows(labels: list[str], dual: dict[str, str], rows: dict) -> FusionRing:
+    """A ring on checked labels and duals that keeps `rows`, computed from
+    valid rings and so needing no entry check."""
+    ring = FusionRing(labels, dual, {})
+    ring._fuse = rows
+    return ring

@@ -5,6 +5,7 @@ calculus (transparency, Mueger center, nondegeneracy)."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import product
 from math import lcm
 
@@ -39,7 +40,7 @@ class Premodular:
                       for x, r in self.twists.items()}
         self._s: dict[tuple[str, str], Cyclo] = {}
         self._s_full = False
-        self._inv_dims: dict[str, Cyclo] = {}
+        self._inverse = cache(Cyclo.inverse)  # of dims, by value
         self._nondeg: bool | None = None
 
     # -- conveniences --------------------------------------------------------
@@ -69,11 +70,6 @@ class Premodular:
 
     def is_invertible(self, x: str) -> bool:
         return self.dims[x] == _ONE
-
-    def _inv_dim(self, x: str) -> Cyclo:
-        if x not in self._inv_dims:
-            self._inv_dims[x] = self.dims[x].inverse()
-        return self._inv_dims[x]
 
     # -- derived S-matrix ------------------------------------------------------
 
@@ -107,7 +103,7 @@ class Premodular:
         """Scalar of the double braiding of an invertible e around x."""
         if not self.is_invertible(e):
             raise InputError(f"monodromy requires an invertible label, got {e!r}")
-        return self.s_entry(e, x) * self._inv_dim(x)
+        return self.s_entry(e, x) * self._inverse(self.dims[x])
 
     def centralizer(self, subset: list[str]) -> list[str]:
         seen = set(subset)
@@ -128,7 +124,7 @@ class Premodular:
         two; that is an input error."""
         if self._nondeg is None:
             claim = self.muger_center() == [self.unit]
-            invertible = self._smatrix_invertible()
+            invertible = self._s_invertibility[1]
             if claim != invertible:
                 raise ValidationInputError(
                     f"{self.name}: Mueger-center criterion ({claim}) disagrees with "
@@ -136,6 +132,24 @@ class Premodular:
                     f"braided category")
             self._nondeg = claim
         return self._nondeg
+
+    @cached_property
+    def _s_invertibility(self) -> tuple[bool, bool]:
+        """(Verlinde holds, S is invertible), on validated data, from the
+        columns chi_l = S_.l / d_l (EGNO, Tensor Categories, ch. 8).
+        Validation gives chi_l(1) = 1; if also chi_l(g x) = chi_l(g) chi_l(x)
+        for g in G (`_generators`) and every x, chi_l is a character, fixed by
+        its values on G, and Verlinde holds.  Then S is invertible iff the
+        characters are pairwise distinct: distinct characters are linearly
+        independent (Dedekind), and two equal columns make S singular.
+        Otherwise the dense test decides."""
+        labels, fuse, S = self.labels, self.ring.fuse, self.s_entry
+        G, chis = _generators(self.ring), [{x: S(x, l) * d for x in labels} for l, d in
+                                           zip(labels, map(self._inverse, self.dims.values()))]
+        if all(chi[g] * chi[x] == sum((chi[k] * n for k, n in fuse(g, x).items()), Cyclo.zero())
+               for chi in chis for g in G for x in labels):
+            return True, len({tuple(chi[g] for g in G) for chi in chis}) == len(labels)
+        return False, self._smatrix_invertible()
 
     def _smatrix_invertible(self) -> bool:
         # S * conj(S)^T = (global dim) * Id holds exactly iff nondegenerate
@@ -175,7 +189,7 @@ class Premodular:
         dims, twists = {}, {}
         for lab, (a, b) in zip(ring.labels, product(self.labels, other.labels)):
             dims[lab] = self.dims[a] * other.dims[b]
-            twists[lab] = turn_mod1(self.twists[a] + other.twists[b])
+            twists[lab] = self.twists[a] + other.twists[b]
         return Premodular(ring, dims, twists, name=f"{self.name} (x) {other.name}")
 
     def reverse(self) -> "Premodular":
@@ -183,7 +197,7 @@ class Premodular:
 
         Its S-matrix is the complex conjugate of this one, as
         tests/test_premodular.py asserts."""
-        twists = {x: turn_mod1(-self.twists[x]) for x in self.labels}
+        twists = {x: -self.twists[x] for x in self.labels}
         return Premodular(self.ring, self.dims, twists, name=f"rev({self.name})")
 
     def relabel(self, mapping: dict[str, str], name: str) -> "Premodular":
@@ -246,3 +260,17 @@ class Premodular:
 
     def __repr__(self):
         return f"Premodular({self.name}, rank {self.ring.rank()})"
+
+
+def _generators(ring: FusionRing) -> list[str]:
+    """A set G of labels whose monomials span the ring over Q: a label joins
+    the span when it is the only output outside it of some g x y with g in G
+    and y in the span; when none joins, the first label outside is added to G."""
+    span, G = {ring.unit}, []
+    while len(span) < ring.rank():
+        G.append(next(x for x in ring.labels if x not in span))
+        span.add(G[-1])
+        while grown := {out.pop() for g, y in product(G, span)
+                        if len(out := ring.fuse(g, y).keys() - span) == 1}:
+            span |= grown
+    return G

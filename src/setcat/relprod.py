@@ -97,7 +97,8 @@ def condense_by_invertible_bosons(P: Premodular, bosons: list[str]) -> Condensat
     split fusion coefficients found by `_resolve_split_fusion`."""
     H = _boson_group(P, bosons)
     deconfined = [x for x in P.labels if all(P.centralizes(x, h) for h in H)]
-    confined = [x for x in P.labels if x not in set(deconfined)]
+    transparent = set(deconfined)
+    confined = [x for x in P.labels if x not in transparent]
 
     # For valid P, H acts on the deconfined labels (x is deconfined iff the
     # twist is constant on H.x*), with |orbit| * |stabilizer| = |H|, one dim
@@ -431,46 +432,8 @@ def _candidate_ok(labels, n_dict, dims, twists) -> bool:
     _, cand = _build_result(labels, n_dict, dims, twists, name="candidate")
     if cand.validate():
         return False
-    verdict = _character_verdict(cand)
-    # undecided, some column is no character: Verlinde fails, and only a
-    # singular S passes; S conj(S)^T = D^2 Id decides invertibility
-    return not cand._smatrix_invertible() if verdict is None else verdict
-
-
-def _generators(ring: FusionRing) -> list[str]:
-    """A set G of labels whose monomials span the ring over Q: a label joins
-    the span when it is the only output outside it of some g x y with g in G
-    and y in the span; when none joins, the first label outside is added to G."""
-    span, G = {ring.unit}, []
-    while len(span) < ring.rank():
-        G.append(next(x for x in ring.labels if x not in span))
-        span.add(G[-1])
-        while grown := {out.pop() for g, y in product(G, span)
-                        if len(out := ring.fuse(g, y).keys() - span) == 1}:
-            span |= grown
-    return G
-
-
-def _character_verdict(cand: Premodular) -> bool | None:
-    """`_candidate_ok`'s braiding verdict on validated data from the columns
-    chi_l = S_.l / d_l, or None when they do not decide it (EGNO, Tensor
-    Categories, ch. 8).  Validation gives chi_l(1) = 1; if also chi_l(g x) =
-    chi_l(g) chi_l(x) for g in G and every x, chi_l is a character, fixed by
-    its values on G, and Verlinde holds.  Distinct characters are linearly
-    independent (Dedekind), so S is invertible; then with a trivial Mueger
-    center the characters' orthogonality gives S conj(S)^T = D^2 Id.  Two
-    equal normalised columns make S singular, which passes whatever Verlinde
-    says."""
-    labels, fuse, S, inverse = cand.labels, cand.ring.fuse, cand.s_entry, cache(Cyclo.inverse)
-    G, chis = _generators(cand.ring), [{x: S(x, l) * inverse(cand.dims[l]) for x in labels}
-                                       for l in labels]
-    multiplicative = all(
-        chi[g] * chi[x] == sum((chi[k] * n for k, n in fuse(g, x).items()), Cyclo.zero())
-        for chi in chis for g in G for x in labels)
-    columns = {tuple(chi[x] for x in (G if multiplicative else labels)) for chi in chis}
-    if len(columns) < len(labels):
-        return True
-    return cand.muger_center() == [cand.unit] if multiplicative else None
+    verlinde, invertible = cand._s_invertibility
+    return verlinde or not invertible  # a singular S passes whatever Verlinde says
 
 
 # -- the relative stacking over Rep(G) ---------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,16 @@ from setcat.double import drinfeld_double
 from setcat.equiv import label_fingerprints
 from setcat.errors import InputError
 from setcat.fusion import FusionRing, pair_label
+from setcat.pointed import element_label
 from setcat.premodular import Premodular
-from setcat.relprod import relative_centralizer
+from setcat.randomized import random_conserving_pair
+from setcat.relprod import condense_by_invertible_bosons, relative_centralizer
 
-from .test_acceptance import STACKING_SET, UNIT_LAW_INSTANCES
+from .test_acceptance import ORACLE_COUNT, ORACLE_SEED, STACKING_SET, UNIT_LAW_INSTANCES
 from .test_invariants import su2_level
 from .test_pointed import oracle_draws
+from .test_split_differential import (benchmark_split_inputs, condensed, permuted_cases,
+                                      permuted_rows)
 
 ONE = Cyclo.one()
 MINUS_ONE = Cyclo.from_rational(-1)
@@ -313,3 +318,44 @@ def test_s_entry_and_fingerprint_match_the_balancing_reference():
         for x, fp in label_fingerprints(P).items():
             s_row = sorted(want[(x, j)].sort_key() for j in P.labels)
             assert s_row_of.setdefault(fp, s_row) == s_row, (P.name, x)
+
+
+# -- the S-invertibility decision against the dense test -----------------------
+
+DENSE_RANK = 17  # every SU(2)_k here; the dense r^3 test takes a second at rank 64
+
+
+def s_decision(P):
+    """P's (Verlinde holds, S invertible), compared with the dense test up to
+    rank DENSE_RANK and, via is_nondegenerate, with the Mueger center."""
+    verlinde, invertible = P._s_invertibility
+    if P.ring.rank() <= DENSE_RANK:
+        assert invertible == P._smatrix_invertible(), P.name
+    assert P.is_nondegenerate() == (P.muger_center() == [P.unit]) == invertible, P.name
+    return verlinde, invertible
+
+
+def test_s_decision_matches_dense_on_catalog_products_and_su2():
+    cats = [e.category for e in catalog().values()]
+    decided = [s_decision(P) for P in cats + [A.deligne(B) for A in cats for B in cats]
+               + [su2_level(k) for k in range(1, 17)]]
+    assert all(verlinde for verlinde, _ in decided)
+    assert sum(invertible for _, invertible in decided) == 11 + 11 ** 2 + 16
+
+
+def test_s_decision_matches_dense_on_oracle_inputs_and_condensations():
+    rng, decided = random.Random(ORACLE_SEED), []
+    for _ in range(ORACLE_COUNT):
+        M, H = random_conserving_pair(rng, 64)
+        P = M.to_premodular(check_smatrix=False)
+        res = condense_by_invertible_bosons(P, [element_label(h) for h in H])
+        decided += [s_decision(P), s_decision(res.result)]
+    assert all(verlinde for verlinde, _ in decided)
+    assert {invertible for _, invertible in decided} == {True, False}
+
+
+def test_s_decision_matches_dense_on_split_results_and_permuted_rows():
+    for P, bosons in benchmark_split_inputs():
+        assert s_decision(condensed(P, bosons)) == (True, True)
+    for P, image, automorphism in permuted_cases():  # a broken Verlinde reaches the dense test
+        assert s_decision(permuted_rows(P, dict(zip(P.labels, image)))) == (automorphism, True)

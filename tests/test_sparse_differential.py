@@ -1,7 +1,8 @@
 """Differential tests: the sparse, integer-indexed condensation scan,
 `FusionRing.validate` and the row-built `FusionRing.product` against the
-dense references in `dense_reference.py`, on the catalog, the Deligne products
-of the stacking identities, the first 17 pointed-oracle inputs, split inputs
+dense references in `dense_reference.py`, and the rows `restrict` keeps
+against a checked rebuild, on the catalog, the Deligne products of the
+stacking identities, the first 17 pointed-oracle inputs, split inputs
 1-4 and seeded corruptions of catalog rings. Every condensation that succeeds
 here also passes `test_invariants.assert_condensation_invariants`."""
 
@@ -118,6 +119,26 @@ def test_product_matches_triple_product():
             assert all(new.n(i, j, k) == old.n(i, j, k) for i in new.labels
                        for j in new.labels for k in new.labels)
         assert new.validate() == []
+    # restrict keeps its parent's rows; on the relative centralizers of the
+    # catalog, of D(Z4) x D(Z4) and of ising x ising_rev, a checked rebuild
+    # from the parent's triples on the kept labels agrees
+    D4 = get("double_4")
+    Q, emb = D4.category.deligne(D4.category), D4.embeddings["canonical"]
+    ii = get("ising").category.deligne(get("ising_rev").category)
+    parents = [(e.category, emb.image()) for e in catalog().values()
+               for emb in e.embeddings.values()]
+    parents += [(Q, relprod.canonical_algebra(emb, emb)),
+                (ii, [pair_label("1", "1"), pair_label("psi", "psi")])]
+    ranks = []
+    for P, subset in parents:
+        keep = set(labels := P.centralizer(subset))
+        R = P.ring.restrict(labels)
+        checked = FusionRing(R.labels, R.dual, {t: n for t, n in P.ring.N.items()
+                                                if t[0] in keep and t[1] in keep})
+        assert dict(R.N) == dict(checked.N) and R.validate() == []
+        assert all(R.fuse(i, j) == checked.fuse(i, j) for i in R.labels for j in R.labels)
+        ranks.append(R.rank())
+    assert ranks[-2:] == [64, 5]  # (sigma,sigma)^2 has four outputs in the last
 
 
 def oracle_inputs():
