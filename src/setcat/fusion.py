@@ -4,10 +4,6 @@ Frobenius-Perron dimensions, and Deligne products."""
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property
-from types import MappingProxyType
-
-import numpy as np
 
 from .errors import InputError
 
@@ -47,7 +43,7 @@ class FusionRing:
     """Simple-object labels with duals and sparse fusion multiplicities.
 
     The first label is the tensor unit.  Fusion data is stored as the rows
-    (i, j) -> {k: N_ij^k} of nonzero entries; `N` is a read-only triple view.
+    (i, j) -> {k: N_ij^k} of nonzero entries, the ring's only fusion store.
     """
 
     def __init__(self, labels: list[str], dual: dict[str, str],
@@ -74,11 +70,6 @@ class FusionRing:
             if n:
                 rows[(i, j)][k] = n
         self._fuse = dict(rows)
-
-    @cached_property
-    def N(self) -> MappingProxyType:
-        return MappingProxyType({(i, j, k): n for (i, j), row in self._fuse.items()
-                                 for k, n in row.items()})
 
     def rows(self):
         """The nonzero rows as ((i, j), {k: N_ij^k}) pairs."""
@@ -153,30 +144,34 @@ class FusionRing:
     # -- Frobenius-Perron dimensions (float; no exact decision reads them) --
 
     def fp_dims(self) -> list[float]:
-        n = self.rank()
-        T = np.zeros((n, n))
-        for (i, j, k), mult in self.N.items():
-            T[self.index[j], self.index[k]] += mult
-        v = np.ones(n)
+        """Power iteration on T_jk = sum_i N_ij^k from the all-ones vector,
+        normalised by the largest entry each step."""
+        ix = self.index
+        T: list[dict[int, int]] = [{} for _ in self.labels]
+        for (i, j), row in self._fuse.items():
+            t = T[ix[j]]
+            for k, mult in row.items():
+                t[ix[k]] = t.get(ix[k], 0) + mult
+        v = [1.0] * len(T)
         for _ in range(_FP_MAX_ITER):
-            w = T @ v
-            norm = np.max(np.abs(w))
+            w = [sum(mult * v[k] for k, mult in t.items()) for t in T]
+            norm = max(map(abs, w))
             if norm == 0:
                 raise InputError("fp_dims: fusion matrix is nilpotent; ring invalid")
-            w /= norm
-            if np.max(np.abs(w - v)) < _FP_TOL:
-                v = w
-                break
+            w = [x / norm for x in w]
+            converged = max(abs(x - y) for x, y in zip(w, v)) < _FP_TOL
             v = w
+            if converged:
+                break
         else:
             raise InputError("fp_dims: power iteration did not converge; ring invalid")
-        u = self.index[self.unit]
-        if v[u] <= 0:
+        u = v[ix[self.unit]]
+        if u <= 0:
             raise InputError("fp_dims: Perron vector is not positive; ring invalid")
-        d = v / v[u]
-        if np.any(d <= 0):
+        d = [x / u for x in v]
+        if any(x <= 0 for x in d):
             raise InputError("fp_dims: nonpositive dimension; ring invalid")
-        return [float(x) for x in d]
+        return d
 
     # -- products and restriction -------------------------------------------
 

@@ -12,7 +12,7 @@ from . import abelian
 from .abelian import Element
 from .cyclo import Cyclo, root_of_unity, turn_mod1
 from .errors import InputError, InternalFault
-from .fusion import FusionRing
+from .fusion import _with_rows
 from .premodular import Premodular
 
 
@@ -144,14 +144,14 @@ class MetricGroup:
         lab = {a: element_label(a) for a in elems}
         labels = list(lab.values())
         dual = {lab[a]: lab[self.neg(a)] for a in elems}
-        fusion = {}
+        rows = {}
         for a in elems:
             # a + b for b in lexicographic order: each coordinate range rotated by a
             sums = product(*([*range(x, n), *range(x)]
                              for x, n in zip(a, self.invariant_factors)))
             la = lab[a]
-            fusion.update(((la, lb, lab[c]), 1) for lb, c in zip(labels, sums))
-        ring = FusionRing(labels, dual, fusion)
+            rows.update(((la, lb), {lab[c]: 1}) for lb, c in zip(labels, sums))
+        ring = _with_rows(labels, dual, rows)
         one = Cyclo.one()
         P = Premodular(ring, {x: one for x in labels},
                        {lab[a]: self.q[a] for a in elems},

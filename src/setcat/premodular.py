@@ -11,7 +11,7 @@ from math import lcm
 
 from .cyclo import Cyclo, root_of_unity, turn_mod1
 from .errors import InputError, ValidationInputError
-from .fusion import FusionRing
+from .fusion import FusionRing, _with_rows
 
 _ONE = Cyclo.one()
 
@@ -39,7 +39,6 @@ class Premodular:
         self._turn = {x: r.numerator * (self._den // r.denominator)
                       for x, r in self.twists.items()}
         self._s: dict[tuple[str, str], Cyclo] = {}
-        self._s_full = False
         self._inverse = cache(Cyclo.inverse)  # of dims, by value
         self._nondeg: bool | None = None
 
@@ -84,14 +83,6 @@ class Premodular:
             val = sum(terms[1:], terms[0]) if terms else Cyclo.zero()
             self._s[key] = val
         return val
-
-    def smatrix(self) -> dict[tuple[str, str], Cyclo]:
-        if not self._s_full:
-            for i in self.labels:
-                for j in self.labels:
-                    self.s_entry(i, j)
-            self._s_full = True
-        return self._s
 
     # -- centralizer calculus -------------------------------------------------
 
@@ -153,12 +144,13 @@ class Premodular:
 
     def _smatrix_invertible(self) -> bool:
         # S * conj(S)^T = (global dim) * Id holds exactly iff nondegenerate
-        d2 = self.global_dim()
-        for i in self.labels:
-            for j in self.labels:
+        d2, labels = self.global_dim(), self.labels
+        conj = {(j, k): self.s_entry(j, k).conjugate() for j in labels for k in labels}
+        for i in labels:
+            for j in labels:
                 acc = Cyclo.zero()
-                for k in self.labels:
-                    acc = acc + self.s_entry(i, k) * self.s_entry(j, k).conjugate()
+                for k in labels:
+                    acc = acc + self.s_entry(i, k) * conj[(j, k)]
                 want = d2 if i == j else Cyclo.zero()
                 if acc != want:
                     return False
@@ -203,10 +195,10 @@ class Premodular:
     def relabel(self, mapping: dict[str, str], name: str) -> "Premodular":
         """The same data with every label x renamed to mapping[x]."""
         m = mapping
-        ring = FusionRing([m[x] for x in self.labels],
+        ring = _with_rows([m[x] for x in self.labels],
                           {m[x]: m[self.dual(x)] for x in self.labels},
-                          {(m[i], m[j], m[k]): n for (i, j), row in self.ring.rows()
-                           for k, n in row.items()})
+                          {(m[i], m[j]): {m[k]: n for k, n in row.items()}
+                           for (i, j), row in self.ring.rows()})
         return Premodular(ring, {m[x]: self.dims[x] for x in self.labels},
                           {m[x]: self.twists[x] for x in self.labels}, name=name)
 
@@ -251,10 +243,10 @@ class Premodular:
             # S_1i = d_i and S_ij = S_ji follow from the checks above, and the
             # dims, a positive eigenvector of the positive matrix sum_i N_i, are
             # its Perron vector; tests/test_invariants.py asserts all three
-            smat = self.smatrix()
+            S = self.s_entry
             for a, i in enumerate(self.labels):
                 for j in self.labels[a:]:
-                    if smat[(self.dual(i), j)] != smat[(i, j)].conjugate():
+                    if S(self.dual(i), j) != S(i, j).conjugate():
                         bad.append(f"smatrix: dual row is not the conjugate at ({i},{j})")
         return bad
 

@@ -120,7 +120,7 @@ def condense_by_invertible_bosons(P: Premodular, bosons: list[str]) -> Condensat
     dims = {lab: P.dim(r) if child_count[r] == 1 else P.dim(r) / child_count[r]
             for lab, r in rep_of.items()}
     twists = {lab: P.twist(r) for lab, r in rep_of.items()}
-    n_result, unknown, margins = _orbit_fusion(P, H, orbits, of_orbit)
+    n_result, unknown, margins = _orbit_fusion(P, orbits, of_orbit)
 
     ambiguity_flags: list[str] = []
     if unknown:
@@ -161,7 +161,7 @@ def condense_by_invertible_bosons(P: Premodular, bosons: list[str]) -> Condensat
         ambiguity_flags=ambiguity_flags, conservation=conservation)
 
 
-def _orbit_fusion(P, H, orbits, of_orbit):
+def _orbit_fusion(P, orbits, of_orbit):
     """From the nonzero entries of P among deconfined labels: the forced
     coefficients of the quotient in orbit order, the triples left unknown, and
     the margins per orbit triple (X, Y, Z), i.e. N summed over the orbit of X
@@ -170,11 +170,7 @@ def _orbit_fusion(P, H, orbits, of_orbit):
     pos = {o.representative: i for i, o in enumerate(orbits)}
     orbit_of = {m: o.representative for o in orbits for m in o.members}
     size = {o.representative: len(o.stabilizer) for o in orbits}
-    weight: dict[str, Counter] = defaultdict(Counter)  # b -> {Y: #{h : h.Y = b}}
-    for o in orbits:
-        for h in H:
-            weight[_act(P, h, o.representative)][o.representative] += 1
-    row, col, out, total = {}, {}, {}, {}
+    row, col, out = {}, {}, {}
     for (a, b), entries in P.ring.rows():  # no margin reads a row with a confined input
         ox, oy = orbit_of.get(a), orbit_of.get(b)
         if ox is None or oy is None:
@@ -186,24 +182,22 @@ def _orbit_fusion(P, H, orbits, of_orbit):
                     f"deconfined labels are not closed under fusion: {a} x {b} "
                     f"contains the confined label {c}")
             key = (ox, oy, oz)
-            if a == ox and c == oz:  # total: the sum over h of N(X, h.Y, Z)
+            if a == ox and c == oz:
                 col[key] = col.get(key, 0) + n
-                for y, w in weight[b].items():
-                    total[(ox, y, oz)] = total.get((ox, y, oz), 0) + w * n
             if b == oy and c == oz:
                 row[key] = row.get(key, 0) + n
             if a == ox and b == oy:
                 out[key] = out.get(key, 0) + n
     n_result: dict[tuple[str, str, str], int] = {}
-    for key in sorted(row.keys() | col.keys() | out.keys() | total.keys(),
+    for key in sorted(row.keys() | col.keys() | out.keys(),
                       key=lambda t: (pos[t[0]], pos[t[1]], pos[t[2]])):
         x, y, z = key
         cx, cy, cz = size[x], size[y], size[z]
-        r_m, c_m, o_m, t_m = row.get(key, 0), col.get(key, 0), out.get(key, 0), total.get(key, 0)
-        if cx * r_m != cy * c_m or cy * c_m != cz * o_m or cx * r_m != t_m:
+        r_m, c_m, o_m = row.get(key, 0), col.get(key, 0), out.get(key, 0)
+        if cx * r_m != cy * c_m or cy * c_m != cz * o_m:
             raise InternalFault("inconsistent fusion margins at orbits ({},{},{})".format(*key))
-        if (cx > 1) + (cy > 1) + (cz > 1) < 2:
-            val = r_m if cx > 1 else c_m if cy > 1 else o_m if cz > 1 else t_m
+        if (cx > 1) + (cy > 1) + (cz > 1) < 2:  # all free: N(X, Y, Z) = c_m
+            val = r_m if cx > 1 else o_m if cz > 1 else c_m
             n_result.update(dict.fromkeys(product(of_orbit[x], of_orbit[y], of_orbit[z]), val))
     # every triple with two or more split slots is left to the enumeration
     unknown = [t for key in product(pos, repeat=3) if sum(size[x] > 1 for x in key) >= 2

@@ -1,13 +1,29 @@
 """Test-only references: the dense orbit-triple scan of the condensation
 engine, the label-keyed `FusionRing.validate` and the triple-wise
 `FusionRing.product`, as they were before the first two became sparse and
-integer-indexed and the product was built row by row.  The differential tests
-in `tests/test_sparse_differential.py` assert that the engine matches them.
-They are not a second path of the package; nothing in `src/` imports them."""
+integer-indexed and the product was built row by row; the numpy
+Frobenius-Perron dims and the rank^3 S-invertibility test, as they were
+before `FusionRing.fp_dims` ran in plain Python and `_smatrix_invertible`
+conjugated each entry once; and the (i, j, k) -> N_ij^k triple view that
+`FusionRing.N` used to give.  The differential tests assert that the engine
+matches them.  They are not a second path of the package; nothing in `src/`
+imports them."""
 
-from setcat.errors import InternalFault
+import numpy as np
+
+from setcat.cyclo import Cyclo
+from setcat.errors import InputError, InternalFault
 from setcat.fusion import FusionRing, pair_label
 from setcat.relprod import _act
+
+_FP_TOL = 1e-12
+_FP_MAX_ITER = 20000
+
+
+def triples(ring) -> dict:
+    """{(i, j, k): N_ij^k} over the nonzero entries, in row order and, within
+    a row, in output order: the order of the split digests' fusion tables."""
+    return {(i, j, k): n for (i, j), row in ring.rows() for k, n in row.items()}
 
 
 def triple_product(R1, R2):
@@ -17,16 +33,63 @@ def triple_product(R1, R2):
     dual = {pair_label(a, b): pair_label(R1.dual[a], R2.dual[b])
             for a in R1.labels for b in R2.labels}
     fusion = {}
-    for (i, j, k), n1 in R1.N.items():
-        for (a, b, c), n2 in R2.N.items():
+    for (i, j, k), n1 in triples(R1).items():
+        for (a, b, c), n2 in triples(R2).items():
             fusion[(pair_label(i, a), pair_label(j, b), pair_label(k, c))] = n1 * n2
     return FusionRing(labels, dual, fusion)
 
 
-def dense_orbit_fusion(P, H, orbits, of_orbit):
+def dense_fp_dims(ring) -> list[float]:
+    """`FusionRing.fp_dims` as numpy power iteration on the dense matrix."""
+    self = ring
+    n = self.rank()
+    T = np.zeros((n, n))
+    for (i, j, k), mult in triples(self).items():
+        T[self.index[j], self.index[k]] += mult
+    v = np.ones(n)
+    for _ in range(_FP_MAX_ITER):
+        w = T @ v
+        norm = np.max(np.abs(w))
+        if norm == 0:
+            raise InputError("fp_dims: fusion matrix is nilpotent; ring invalid")
+        w /= norm
+        if np.max(np.abs(w - v)) < _FP_TOL:
+            v = w
+            break
+        v = w
+    else:
+        raise InputError("fp_dims: power iteration did not converge; ring invalid")
+    u = self.index[self.unit]
+    if v[u] <= 0:
+        raise InputError("fp_dims: Perron vector is not positive; ring invalid")
+    d = v / v[u]
+    if np.any(d <= 0):
+        raise InputError("fp_dims: nonpositive dimension; ring invalid")
+    return [float(x) for x in d]
+
+
+def dense_smatrix_invertible(P) -> bool:
+    """`Premodular._smatrix_invertible` with a conjugation per product."""
+    self = P
+    # S * conj(S)^T = (global dim) * Id holds exactly iff nondegenerate
+    d2 = self.global_dim()
+    for i in self.labels:
+        for j in self.labels:
+            acc = Cyclo.zero()
+            for k in self.labels:
+                acc = acc + self.s_entry(i, k) * self.s_entry(j, k).conjugate()
+            want = d2 if i == j else Cyclo.zero()
+            if acc != want:
+                return False
+    return True
+
+
+def dense_orbit_fusion(P, orbits, of_orbit):
     """Scan every orbit triple and |H| for each one, with margins as sums
     of `FusionRing.n` lookups; same signature and result as
-    `relprod._orbit_fusion` (the margin dicts hold every triple, zeros too)."""
+    `relprod._orbit_fusion` (the margin dicts hold every triple, zeros too).
+    H is the unit's orbit, which comes first."""
+    H = orbits[0].members
     child_count = {o.representative: len(o.stabilizer) for o in orbits}
     orbit_by_rep = {o.representative: o for o in orbits}
 

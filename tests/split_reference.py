@@ -17,6 +17,8 @@ from setcat.cyclo import Cyclo
 from setcat.errors import InputError, InternalFault
 from setcat.relprod import _build_result
 
+from .dense_reference import dense_smatrix_invertible
+
 _SEARCH_NODE_BUDGET = 200_000
 _MAX_SURVIVORS = 64
 
@@ -137,7 +139,7 @@ def dense_candidate_ok(labels, n_dict, dims, twists) -> bool:
     except (InternalFault, InputError):
         return False
     # Verlinde consistency whenever the candidate S-matrix is invertible
-    if cand._smatrix_invertible():
+    if dense_smatrix_invertible(cand):
         if cand.muger_center() != [cand.unit]:
             return False
         return dense_verlinde_holds(cand, labels)
@@ -155,7 +157,7 @@ def sparse_candidate_ok(labels, n_dict, dims, twists) -> bool:
     if cand.validate():
         return False
     S = cand.s_entry
-    return not cand._smatrix_invertible() or cand.muger_center() == [cand.unit] and all(
+    return not dense_smatrix_invertible(cand) or cand.muger_center() == [cand.unit] and all(
         S(i, l) * S(j, l) == dims[l] * sum((S(k, l) * m for k, m in ring.fuse(i, j).items()),
                                            Cyclo.zero())
         for a, i in enumerate(labels) for j in labels[a:] for l in labels)

@@ -1,9 +1,15 @@
 import math
+import subprocess
+import sys
 
 import pytest
 
+from setcat.catalog import catalog
 from setcat.errors import InputError
 from setcat.fusion import FusionRing, pair_label
+
+from .dense_reference import dense_fp_dims, triples
+from .test_invariants import su2_level
 
 
 def toric_ring() -> FusionRing:
@@ -52,7 +58,7 @@ def test_ising_ring_valid():
 
 def test_broken_duality_reported():
     ring = toric_ring()
-    bad = dict(ring.N)
+    bad = triples(ring)
     del bad[("e", "e", "1")]
     broken = FusionRing(ring.labels, ring.dual, bad)
     report = broken.validate()
@@ -87,6 +93,20 @@ def test_fp_dims_satisfy_dimension_equation():
                 assert d[i] * d[j] == pytest.approx(rhs, abs=1e-8)
 
 
+def test_fp_dims_match_the_numpy_power_iteration():
+    rings = [e.category.ring for e in catalog().values()]
+    rings += [A.product(B) for A in rings for B in rings]
+    rings += [su2_level(k).ring for k in range(1, 17)]
+    for ring in rings:
+        assert ring.fp_dims() == pytest.approx(dense_fp_dims(ring), rel=0, abs=1e-12)
+
+
+def test_import_loads_no_numpy():
+    code = "import sys, setcat; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
+
+
 def test_product_of_valid_rings_is_valid():
     prod = toric_ring().product(toric_ring())
     assert prod.rank() == 16
@@ -98,7 +118,7 @@ def test_product_with_trivial_ring_relabels():
     ring = toric_ring()
     prod = vec.product(ring)
     assert prod.labels == [pair_label("1", x) for x in ring.labels]
-    for (i, j, k), n in ring.N.items():
+    for (i, j, k), n in triples(ring).items():
         assert prod.n(pair_label("1", i), pair_label("1", j), pair_label("1", k)) == n
 
 

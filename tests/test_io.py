@@ -12,6 +12,8 @@ from setcat.io import (file_kind, loads, parse_category, parse_embedding,
 from setcat.pointed import MetricGroup
 from setcat.premodular import Premodular
 
+from .dense_reference import triples
+
 
 def test_category_roundtrip_all_fixtures():
     for entry in catalog().values():
@@ -22,7 +24,7 @@ def test_category_roundtrip_all_fixtures():
         for x in back.labels:
             assert back.dim(x) == entry.category.dim(x)
             assert back.twist(x) == entry.category.twist(x)
-        assert back.ring.N == entry.category.ring.N
+        assert triples(back.ring) == triples(entry.category.ring)
 
 
 def test_embedding_roundtrip_all_fixtures():

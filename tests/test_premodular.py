@@ -14,6 +14,7 @@ from setcat.premodular import Premodular
 from setcat.randomized import random_conserving_pair
 from setcat.relprod import condense_by_invertible_bosons, relative_centralizer
 
+from .dense_reference import dense_smatrix_invertible
 from .test_acceptance import ORACLE_COUNT, ORACLE_SEED, STACKING_SET, UNIT_LAW_INSTANCES
 from .test_invariants import su2_level
 from .test_pointed import oracle_draws
@@ -314,7 +315,7 @@ def test_s_entry_and_fingerprint_match_the_balancing_reference():
     s_row_of: dict = {}
     for P in small + pointed:
         want = {(i, j): balancing_reference(P, i, j) for i in P.labels for j in P.labels}
-        assert P.smatrix() == want, P.name
+        assert {(i, j): P.s_entry(i, j) for i in P.labels for j in P.labels} == want, P.name
         for x, fp in label_fingerprints(P).items():
             s_row = sorted(want[(x, j)].sort_key() for j in P.labels)
             assert s_row_of.setdefault(fp, s_row) == s_row, (P.name, x)
@@ -326,11 +327,12 @@ DENSE_RANK = 17  # every SU(2)_k here; the dense r^3 test takes a second at rank
 
 
 def s_decision(P):
-    """P's (Verlinde holds, S invertible), compared with the dense test up to
-    rank DENSE_RANK and, via is_nondegenerate, with the Mueger center."""
+    """P's (Verlinde holds, S invertible), compared with the dense test and
+    its rank^3 reference up to rank DENSE_RANK and, via is_nondegenerate, with
+    the Mueger center."""
     verlinde, invertible = P._s_invertibility
     if P.ring.rank() <= DENSE_RANK:
-        assert invertible == P._smatrix_invertible(), P.name
+        assert invertible == P._smatrix_invertible() == dense_smatrix_invertible(P), P.name
     assert P.is_nondegenerate() == (P.muger_center() == [P.unit]) == invertible, P.name
     return verlinde, invertible
 

@@ -31,6 +31,7 @@ from setcat.pointed import MetricGroup, element_label
 from setcat.premodular import Premodular
 
 from . import split_reference
+from .dense_reference import dense_smatrix_invertible, triples
 from .test_invariants import su2_level
 
 Z2 = [pair_label("1", "1"), pair_label("psi", "psi")]
@@ -108,7 +109,7 @@ def assert_least_relabelling(res):
     """The reported assignment is the least, in sorted-items order, of all its
     relabellings of children within orbits: the reference's dedupe keeps it."""
     of_orbit = {rep: res.result_labels_of_orbit(rep) for rep in res.splittings}
-    items = list(res.result.ring.N.items())
+    items = list(triples(res.result.ring).items())
     assert [list(d.items()) for d in split_reference._dedupe_by_child_permutation(
         [dict(items)], of_orbit, res.splittings)] == [items]
 
@@ -188,7 +189,7 @@ def test_distinct_classes_raise_the_reference_flags(monkeypatch):
                     m.setattr(module, "_candidate_ok", ring_only)
                 m.setattr(relprod, "_resolve_split_fusion", solve)
                 res = relprod.condense_by_invertible_bosons(P, bosons)
-            outcomes.append((res.ambiguity_flags, list(res.result.ring.N.items())))
+            outcomes.append((res.ambiguity_flags, list(triples(res.result.ring).items())))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0][0] == "2 fusion assignments survive all constraints"
 
@@ -199,10 +200,8 @@ def permuted_rows(P, sigma):
     has conjugate dual rows and a trivial Mueger center, so the candidate
     passes every check before Verlinde; Verlinde holds iff sigma preserves
     fusion."""
-    smat = P.smatrix()
     Q = Premodular(P.ring, P.dims, P.twists, name=P.name)
-    Q._s = {(i, j): smat[(sigma[i], j)] for i in P.labels for j in P.labels}
-    Q._s_full = True
+    Q._s = {(i, j): P.s_entry(sigma[i], j) for i in P.labels for j in P.labels}
     return Q
 
 
@@ -227,12 +226,12 @@ def permuted_cases():
 def test_sparse_verlinde_matches_dense(monkeypatch):
     for P, image, automorphism in permuted_cases():
         Q = permuted_rows(P, dict(zip(P.labels, image)))
-        assert Q.validate() == [] and Q._smatrix_invertible()
+        assert Q.validate() == [] and dense_smatrix_invertible(Q)
         assert Q.muger_center() == [Q.unit]
         with monkeypatch.context() as m:
             for module in (relprod, split_reference):
                 m.setattr(module, "_build_result", lambda *a, **k: (Q.ring, Q))
-            args = (P.labels, dict(P.ring.N), P.dims, P.twists)
+            args = (P.labels, triples(P.ring), P.dims, P.twists)
             assert relprod._candidate_ok(*args) is automorphism
             assert split_reference.dense_candidate_ok(*args) is automorphism
 
@@ -247,7 +246,7 @@ def benchmark_split_inputs():
 
 
 # per input: the number of ambiguity flags and the sha256 of the JSON text of
-# [ambiguity_flags, list(result.ring.N.items())], recorded when the lex-leader
+# [ambiguity_flags, list(triples(result.ring).items())], recorded when the lex-leader
 # comparison still walked the positions in sorted order
 FROZEN_REPORTS = {
     "candidate_ok": [
@@ -279,7 +278,7 @@ def test_split_reports_match_the_frozen_digests(check, monkeypatch):
     for P, bosons in benchmark_split_inputs():
         res = relprod.condense_by_invertible_bosons(P, bosons)
         text = json.dumps([res.ambiguity_flags,
-                           [[list(t), v] for t, v in res.result.ring.N.items()]])
+                           [[list(t), v] for t, v in triples(res.result.ring).items()]])
         reports.append((len(res.ambiguity_flags), hashlib.sha256(text.encode()).hexdigest()))
     assert reports == FROZEN_REPORTS[check]
 
@@ -343,7 +342,7 @@ def test_candidate_verdicts_match_the_check_they_replace(monkeypatch):
         with monkeypatch.context() as m:
             for module in (relprod, split_reference):
                 m.setattr(module, "_build_result", lambda *a, **k: (Q.ring, Q))
-            args = (P.labels, dict(P.ring.N), P.dims, P.twists)
+            args = (P.labels, triples(P.ring), P.dims, P.twists)
             assert relprod._candidate_ok(*args) is split_reference.sparse_candidate_ok(*args)
     # the characters decide every candidate that gets past validation here,
     # except the permuted S rows that break Verlinde, which the dense test does
