@@ -1,7 +1,8 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 A value is stored at its conductor n, the smallest cyclotomic field
-containing it (never congruent to 2 mod 4), as rational coordinates over the
+containing it (never congruent to 2 mod 4), as integer coordinates c_e over
+one denominator d > 0 with gcd(d, c_e) = 1: the value sum c_e/d * z^e over the
 basis B_n.  For each prime power p^a || n let u_p = (n/p^a)^-1 mod p^a; then
 z^e = prod_p zeta_(p^a)^(e*u_p), and B_n is the set of z^e, 0 <= e < n, with
 (e*u_p mod p^a) < phi(p^a) for every p | n: the tensor product of the power
@@ -12,12 +13,13 @@ rewritten by the relation 1 + zeta_p + ... + zeta_p^(p-1) = 0 as
 
 which leaves the coordinates of the other primes unchanged, so one sparse
 pass per prime reduces any exponent polynomial (as in Breuer, "Integral
-bases for subfields of cyclotomic fields", AAECC 8, 1997).  In this basis a
-value lies in Q(zeta_(n/p)) exactly when p divides every exponent, and lifting
-to a multiple of n only scales the exponents.  The form is unique, so exact
-equality is a plain comparison of (order, coefficient map), and values can be
-hashed and sorted.  Text is written over the power basis 1, z, ...,
-z^(phi(n)-1) of Q(zeta_n), converted by one long division by Phi_n.
+bases for subfields of cyclotomic fields", AAECC 8, 1997), in integers only.
+In this basis a value lies in Q(zeta_(n/p)) exactly when p divides every
+exponent, and lifting to a multiple of n only scales the exponents.  The form
+is unique, so exact equality is a plain comparison of (order, denominator,
+coefficient map), and values can be hashed and sorted.  Text is written over
+the power basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n), converted by one long
+division by Phi_n.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
+from numbers import Rational
 
 from .errors import InputError, SyntaxInputError
 
@@ -101,13 +104,13 @@ def _basis(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
     return tuple(out)
 
 
-def _canonical(n: int, raw: dict[int, Fraction]) -> dict[int, Fraction]:
+def _canonical(n: int, raw: dict[int, int]) -> dict[int, int]:
     """Rewrite sum c*z^e (any integer exponents e) in the basis B_n."""
     if n == 1:
         c = sum(raw.values())
         return {0: c} if c else {}
     for p, pa, u, phi, step in _basis(n):
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for e, c in raw.items():
             if e * u % pa < phi:
                 e %= n
@@ -120,7 +123,7 @@ def _canonical(n: int, raw: dict[int, Fraction]) -> dict[int, Fraction]:
     return {e: c for e, c in raw.items() if c}
 
 
-def _lift(coeffs: dict[int, Fraction], n: int, big: int) -> dict[int, Fraction]:
+def _lift(coeffs: dict[int, int], n: int, big: int) -> dict[int, int]:
     """A form canonical at n, rewritten at a multiple big of n (still canonical)."""
     if n == big:
         return coeffs
@@ -128,51 +131,60 @@ def _lift(coeffs: dict[int, Fraction], n: int, big: int) -> dict[int, Fraction]:
     return {e * f: c for e, c in coeffs.items()}
 
 
-def _minimize(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
-    """Rewrite a form canonical at n at the conductor of its value.
-
-    The value lies in Q(zeta_(n/p)) iff p divides every exponent, and
-    dividing the exponents by p keeps the form canonical, so the conductor
-    is n / gcd(n, exponents).
-    """
+def _make(n: int, coeffs: dict[int, int], den: int) -> "Cyclo":
+    """The value sum c/den * z^e of a form canonical at n, with den reduced,
+    at its conductor n / gcd(n, exponents): the value lies in Q(zeta_(n/p))
+    iff p divides every exponent, and dividing them by p keeps the form
+    canonical."""
     if not coeffs:
-        return 1, {}
+        return _ZERO
     g = gcd(n, *coeffs)
-    if g == 1:
-        return n, coeffs
-    return n // g, {e // g: c for e, c in coeffs.items()}
+    if g != 1:
+        n //= g
+        coeffs = {e // g: c for e, c in coeffs.items()}
+    g = gcd(den, *coeffs.values())
+    if g != 1:
+        den //= g
+        coeffs = {e: c // g for e, c in coeffs.items()}
+    return Cyclo(n, coeffs, den)
 
 
-def _power_basis(n: int, coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
+def _power_basis(n: int, coeffs: dict[int, int]) -> dict[int, int]:
     """Coordinates over 1, z, ..., z^(phi(n)-1): one long division by Phi_n."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     if max(coeffs) < deg:
         return coeffs
-    den = lcm(*(c.denominator for c in coeffs.values()))
     rem = [0] * n
     for e, c in coeffs.items():
-        rem[e] = c.numerator * (den // c.denominator)
+        rem[e] = c
     low = [(j, c) for j, c in enumerate(phi[:deg]) if c]
     for i in range(n - 1, deg - 1, -1):
         c = rem[i]
         if c:
             for j, pj in low:
                 rem[i - deg + j] -= c * pj
-    return {e: Fraction(c, den) for e, c in enumerate(rem[:deg]) if c}
+    return {e: c for e, c in enumerate(rem[:deg]) if c}
+
+
+def _rational(q) -> Fraction:
+    """q as a Fraction; a float, string or other non-rational is a TypeError."""
+    if not isinstance(q, Rational):
+        raise TypeError(f"exact rational expected, not {type(q).__name__} {q!r}")
+    return Fraction(q)
 
 
 class Cyclo:
-    """An exact element of some cyclotomic field, in canonical form."""
+    """An exact element of some cyclotomic field: the sum of coeffs[e]/den *
+    zeta_order^e over the basis B_order at its conductor, with integer
+    coefficients, den > 0 and gcd(den, coefficients) = 1."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "den")
 
-    def __init__(self, order: int, coeffs: dict[int, Fraction], _canonical_form: bool = False):
-        if not _canonical_form:
-            coeffs = _canonical(order, {e: Fraction(c) for e, c in coeffs.items()})
-            order, coeffs = _minimize(order, coeffs)
+    def __init__(self, order: int, coeffs: dict[int, int], den: int):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclo values are immutable")
@@ -181,8 +193,8 @@ class Cyclo:
 
     @staticmethod
     def from_rational(q) -> "Cyclo":
-        q = Fraction(q)
-        return Cyclo(1, {0: q} if q else {}, _canonical_form=True)
+        q = _rational(q)
+        return Cyclo(1, {0: q.numerator} if q else {}, q.denominator)
 
     @staticmethod
     def zero() -> "Cyclo":
@@ -203,7 +215,7 @@ class Cyclo:
     def as_fraction(self) -> Fraction:
         if self.order != 1:
             raise InputError(f"value {self} is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.coeffs.get(0, 0), self.den)
 
     def is_real(self) -> bool:
         return self.conjugate() == self
@@ -226,25 +238,24 @@ class Cyclo:
             return self
         if not self.coeffs:
             return other
-        if self.order == 1 and other.order == 1:
-            return Cyclo.from_rational(self.as_fraction() + other.as_fraction())
         big = lcm(self.order, other.order)
         a = _lift(self.coeffs, self.order, big)
         b = _lift(other.coeffs, other.order, big)
-        out = dict(a)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = dict(a) if fa == 1 else {e: c * fa for e, c in a.items()}
         for e, c in b.items():
-            s = out.get(e, 0) + c
+            s = out.get(e, 0) + c * fb
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        n, out = _minimize(big, out)
-        return Cyclo(n, out, _canonical_form=True)
+        return _make(big, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.order, {e: -c for e, c in self.coeffs.items()}, _canonical_form=True)
+        return Cyclo(self.order, {e: -c for e, c in self.coeffs.items()}, self.den)
 
     def __sub__(self, other):
         other = Cyclo._coerce(other)
@@ -252,35 +263,36 @@ class Cyclo:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
+    def __rsub__(self, other):  # NotImplemented from __add__ lets Python name the "-"
+        return (-self).__add__(other)
+
+    def _scaled(self, num: int, den: int) -> "Cyclo":
+        """self * num/den, for integers num and den > 0."""
+        if not num:
+            return _ZERO
+        if num == den:  # values are immutable, so an operand can be shared
+            return self
+        return _make(self.order, {e: c * num for e, c in self.coeffs.items()},
+                     self.den * den)
 
     def __mul__(self, other):
         if isinstance(other, Cyclo):
+            if other.order == 1:
+                return self._scaled(other.coeffs.get(0, 0), other.den)
             if self.order == 1:
-                self, other = other, self.as_fraction()
-            elif other.order == 1:
-                other = other.as_fraction()
-            else:
-                big = lcm(self.order, other.order)
-                a = _lift(self.coeffs, self.order, big)
-                b = _lift(other.coeffs, other.order, big)
-                raw: dict[int, Fraction] = {}
-                for e1, c1 in a.items():
-                    for e2, c2 in b.items():
-                        e = e1 + e2
-                        raw[e] = raw.get(e, 0) + c1 * c2
-                out = _canonical(big, raw)
-                n, out = _minimize(big, out)
-                return Cyclo(n, out, _canonical_form=True)
-        elif not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if not other:
-            return _ZERO
-        if other == 1:  # values are immutable, so an operand can be shared
-            return self
-        return Cyclo(self.order, {e: c * other for e, c in self.coeffs.items()},
-                     _canonical_form=True)
+                return other._scaled(self.coeffs.get(0, 0), self.den)
+            big = lcm(self.order, other.order)
+            a = _lift(self.coeffs, self.order, big)
+            b = _lift(other.coeffs, other.order, big)
+            raw: dict[int, int] = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    raw[e] = raw.get(e, 0) + c1 * c2
+            return _make(big, _canonical(big, raw), self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -299,14 +311,16 @@ class Cyclo:
         return prod * (1 / norm.as_fraction())
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        if not isinstance(other, Cyclo):
+        other = Cyclo._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return Cyclo._coerce(other) * self.inverse()
+        other = Cyclo._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -331,8 +345,9 @@ class Cyclo:
             return self
         if gcd(k, n) != 1:
             raise InputError(f"galois exponent {k} not coprime to order {n}")
+        # an automorphism keeps the conductor and the content of the coordinates
         out = _canonical(n, {e * k: c for e, c in self.coeffs.items()})
-        return Cyclo(n, out, _canonical_form=True)
+        return Cyclo(n, out, self.den)
 
     def conjugate(self) -> "Cyclo":
         if self.order == 1:
@@ -344,13 +359,13 @@ class Cyclo:
     def sign(self) -> int:
         """Exact sign (-1, 0 or 1) of a real value.
 
-        A rational value reads its Fraction.  Otherwise the value, the sum of
-        c * cos(2 pi e / n) over its terms, is bracketed between rational
-        bounds on each cosine, refined until the bracket excludes 0; a real
-        value that is not rational is not 0, so the refinement ends."""
+        A rational value reads its numerator.  Otherwise den times the value,
+        the sum of c * cos(2 pi e / n) over its terms, is bracketed between
+        rational bounds on each cosine, refined until the bracket excludes 0;
+        a real value that is not rational is not 0, so the refinement ends."""
         if self.order == 1:
-            q = self.as_fraction()
-            return (q > 0) - (q < 0)
+            c = self.coeffs.get(0, 0)
+            return (c > 0) - (c < 0)
         if not self.is_real():
             raise InputError(f"value {self} is not real")
         bits = 32
@@ -369,8 +384,8 @@ class Cyclo:
     # -- numeric embedding -------------------------------------------------
 
     def approx(self) -> complex:
-        n = self.order
-        return sum((complex(c) * cmath.exp(2j * cmath.pi * e / n)
+        n, den = self.order, self.den
+        return sum((complex(c / den) * cmath.exp(2j * cmath.pi * e / n)
                     for e, c in self.coeffs.items()), complex(0))
 
     # -- comparisons, hashing, ordering keys -------------------------------
@@ -379,19 +394,19 @@ class Cyclo:
         other = Cyclo._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.den == other.den and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.order, frozenset(self.coeffs.items())))
+        return hash((self.order, self.den, frozenset(self.coeffs.items())))
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def sort_key(self):
-        """Deterministic total-order key (no numeric meaning)."""
-        items = tuple(sorted((e, c.numerator, c.denominator)
-                             for e, c in self.coeffs.items()))
-        return (self.order, items)
+        """Deterministic total-order key (no numeric meaning): the sorted
+        terms (e, numerator, denominator) of the fractions c/den in lowest terms."""
+        items = ((e, c, gcd(c, self.den)) for e, c in self.coeffs.items())
+        return (self.order, tuple(sorted((e, c // g, self.den // g) for e, c, g in items)))
 
     def __str__(self):
         return format_cyclo(self)
@@ -400,8 +415,8 @@ class Cyclo:
         return f"Cyclo({format_cyclo(self)})"
 
 
-_ZERO = Cyclo(1, {}, _canonical_form=True)
-_ONE = Cyclo(1, {0: Fraction(1)}, _canonical_form=True)
+_ZERO = Cyclo(1, {}, 1)
+_ONE = Cyclo(1, {0: 1}, 1)
 
 
 def _dyadic(x: Fraction, bits: int, up: bool) -> Fraction:
@@ -457,20 +472,21 @@ def _cos_bounds(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 
 @lru_cache(maxsize=None)
 def _root(p: int, q: int) -> Cyclo:
-    return Cyclo(q, {p: Fraction(1)})
+    return _make(q, _canonical(q, {p: 1}), 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def root_of_unity(r, q: int | None = None) -> Cyclo:
     """Exact e^(2*pi*i*r) for a rational turn r (or a p, q pair of ints).
 
-    Memoised on the turn as given, so the reduction mod 1 runs once per
-    distinct argument."""
+    Memoised on the turn as given (and its type, so that a float turn equal
+    to a cached rational one is still refused), so the reduction mod 1 runs
+    once per distinct argument."""
     if q is not None:
         if q == 0:
             raise InputError("root_of_unity: zero denominator")
         r = Fraction(r, q)
-    r = turn_mod1(r)
+    r = turn_mod1(_rational(r))
     return _root(r.numerator, r.denominator)
 
 
@@ -585,24 +601,8 @@ def format_cyclo(v: Cyclo) -> str:
     coeffs = _power_basis(v.order, v.coeffs)
     parts = []
     for e in sorted(coeffs):
-        c = coeffs[e]
-        if e == 0:
-            term = str(c) if c > 0 else f"-{-c}"
-        else:
-            base = f"z{v.order}" if e == 1 else f"z{v.order}^{e}"
-            if c == 1:
-                term = base
-            elif c == -1:
-                term = f"-{base}"
-            elif c > 0:
-                term = f"{c}*{base}"
-            else:
-                term = f"-{-c}*{base}"
-        parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        if term.startswith("-"):
-            out += f" - {term[1:]}"
-        else:
-            out += f" + {term}"
-    return out
+        c = Fraction(coeffs[e], v.den)
+        base = f"z{v.order}" if e == 1 else f"z{v.order}^{e}"
+        parts.append(str(c) if e == 0 else base if c == 1 else f"-{base}" if c == -1
+                     else f"{c}*{base}")
+    return " + ".join(parts).replace(" + -", " - ")  # only a term's sign is a "-"

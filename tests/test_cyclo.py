@@ -1,5 +1,6 @@
 import cmath
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -201,27 +202,37 @@ def _product(f: dict[int, Fraction], g: dict[int, Fraction]) -> dict[int, Fracti
 
 def test_arithmetic_matches_sympy():
     rng = random.Random(31337)
+    scalars = random.Random(31338)  # its own stream, so a, b, c, k are drawn as before
     for _ in range(40):
         a, b, c = random_cyclo(rng), random_cyclo(rng), random_cyclo(rng)
         k = rng.choice([j for j in range(1, 2 * a.order + 1) if gcd(j, a.order) == 1])
+        q = Fraction(scalars.randint(-9, 9), scalars.randint(1, 9))
         big = lcm(a.order, b.order)
         fa = _text_terms(format_cyclo(a), big)
         fb = _text_terms(format_cyclo(b), big)
-        sums = dict(fa)
+        sums, diffs = dict(fa), dict(fa)
         for e, x in fb.items():
             sums[e] = sums.get(e, 0) + x
+            diffs[e] = diffs.get(e, 0) - x
         bc = lcm(b.order, c.order)
+        own = _text_terms(format_cyclo(a), a.order)
         cases = [
             (a * b, big, _product(fa, fb)),
             (a + b, big, sums),
-            (a.galois(k), a.order,
-             {e * k: x for e, x in _text_terms(format_cyclo(a), a.order).items()}),
+            (a - b, big, diffs),
+            (a * q, a.order, {e: x * q for e, x in own.items()}),
+            (a.galois(k), a.order, {e * k: x for e, x in own.items()}),
+            (a.conjugate(), a.order, {-e: x for e, x in own.items()}),
             (b * c, bc, _product(_text_terms(format_cyclo(b), bc),
                                  _text_terms(format_cyclo(c), bc))),
         ]
         for result, n, expected in cases:
             got = _text_terms(format_cyclo(result), n)
-            assert _reduced(got, n) == _reduced(expected, n), (a, b, c, k)
+            assert _reduced(got, n) == _reduced(expected, n), (a, b, c, k, q)
+        if not a.is_zero():  # a times its inverse reduces to 1 in sympy
+            inv = _text_terms(format_cyclo(a.inverse()), a.order)
+            assert _reduced(_product(own, inv), a.order) == \
+                _reduced({0: Fraction(1)}, a.order), a
 
 
 # -- parse/format round trip --------------------------------------------------
@@ -319,3 +330,47 @@ def test_sign_beyond_float_precision():
         assert d.sign() == want, (p, q)
         signs.append(want)
     assert signs.count(1) >= 10 and signs.count(-1) >= 10
+
+
+# -- operators with operands of other types ---------------------------------------
+
+
+def test_float_operands_are_refused_under_their_own_operator():
+    v = root_of_unity(Fraction(1, 5))
+    cases = {"+": lambda: 1.5 + v, "-": lambda: 1.5 - v, "*": lambda: 1.5 * v,
+             "/": lambda: 2.0 / v}
+    for op, call in cases.items():
+        with pytest.raises(TypeError, match=rf"for {re.escape(op)}: 'float' and 'Cyclo'"):
+            call()
+    for op, call in {"+": lambda: v + 1.5, "-": lambda: v - 1.5, "*": lambda: v * 1.5,
+                     "/": lambda: v / 2.0}.items():
+        with pytest.raises(TypeError, match=rf"for {re.escape(op)}: 'Cyclo' and 'float'"):
+            call()
+
+
+def test_rational_operands_on_either_side():
+    v = root_of_unity(Fraction(1, 5)) + Fraction(1, 3)
+    assert Fraction(3, 2) - v == -(v - Fraction(3, 2)) == Cyclo.from_rational(Fraction(3, 2)) - v
+    assert 2 / v == v.inverse() * 2 and Fraction(1, 2) / v == v.inverse() / 2
+    assert v / 3 == v * Fraction(1, 3) and v / Fraction(2, 3) == v * Fraction(3, 2)
+
+
+def test_division_by_any_zero_is_an_input_error():
+    v = root_of_unity(Fraction(1, 5))
+    for zero in (0, Fraction(0), Cyclo.zero(), v - v):
+        with pytest.raises(InputError, match="division by zero in cyclotomic field"):
+            v / zero
+    with pytest.raises(InputError, match="division by zero in cyclotomic field"):
+        1 / Cyclo.zero()
+
+
+def test_float_turns_and_rationals_are_refused():
+    root_of_unity(Fraction(1, 2))  # a cached equal rational turn must not let 0.5 in
+    for bad in (0.1, 0.5, "1/2"):
+        with pytest.raises(TypeError, match="exact rational expected"):
+            Cyclo.from_rational(bad)
+        with pytest.raises(TypeError, match="exact rational expected"):
+            root_of_unity(bad)
+    with pytest.raises(TypeError):
+        root_of_unity(0.5, 3)
+    assert Cyclo.from_rational(True) == Cyclo.one()

@@ -1,16 +1,20 @@
 import hashlib
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from setcat import relprod
+from setcat import abelian, relprod
 from setcat.catalog import catalog, get
 from setcat.cyclo import Cyclo, root_of_unity
 from setcat.double import drinfeld_double, rep_abelian
 from setcat.embedding import SymmetryEmbedding
-from setcat.equiv import find_equivalence
+from setcat.equiv import check_bijection, find_equivalence
 from setcat.errors import InputError, InternalFault, LimitExceeded
 from setcat.fusion import pair_label
+from setcat.pointed import MetricGroup, element_label
+from setcat.randomized import random_metric_group
 from setcat.relprod import (
     canonical_algebra,
     condense_by_invertible_bosons,
@@ -324,3 +328,92 @@ def test_ising_pair_unit_law_holds_and_self_stacking_is_inconclusive():
     assert flags[0] == "9 fusion assignments survive all constraints"
     assert (len(flags), hashlib.sha256("\n".join(flags).encode()).hexdigest()) == \
         (89, ISING_PAIR_LHS_FLAGS)
+
+
+# -- pointed stacking oracle ------------------------------------------------------
+
+STACKING_ORACLE_SEED = 20261019
+STACKING_ORACLE_GROUPS = [[2], [3], [4], [2, 2]]
+STACKING_ORACLE_ROUNDS = 6
+
+
+def direct_sum(A: MetricGroup, B: MetricGroup, name: str) -> MetricGroup:
+    """(A + B, q_A + q_B), an element being the coordinates of A then of B."""
+    q = {a + b: A.q[a] + B.q[b] for a in A.elements() for b in B.elements()}
+    return MetricGroup(A.invariant_factors + B.invariant_factors, q, name=name)
+
+
+def double_plus(G: list[int], M: MetricGroup, name: str):
+    """D(G) + M, from the definition q(g, chi, m) = sum g_i chi_i / n_i + q_M(m),
+    and its characters iota(chi) = (0, chi, 0)."""
+    r = len(G)
+    q = {a: sum((F(a[i] * a[r + i], n) for i, n in enumerate(G)), F(0))
+         for a in abelian.iter_elements(G + G)}
+    iota = {chi: (0,) * r + chi + M.zero() for chi in abelian.iter_elements(G)}
+    return direct_sum(MetricGroup(G + G, q), M, name), iota
+
+
+def automorphisms(G: list[int]) -> list[dict]:
+    """Every automorphism of the group G, as a map of its elements."""
+    elems = abelian.iter_elements(G)
+    out = []
+    for perm in permutations(elems[1:]):
+        f = dict(zip(elems, (elems[0],) + perm))
+        if all(f[abelian.add(G, a, b)] == abelian.add(G, f[a], f[b])
+               for a in elems for b in elems):
+            out.append(f)
+    return out
+
+
+def pointed_stacking_oracle(G, C, iota_C, D, iota_D):
+    """C x_E D as (A + B, q_A + q_B) condensed by the anti-diagonal
+    {(iota_C(-e), iota_D(e))}, with the induced embedding e -> [(iota_C(e), 0)]."""
+    E = direct_sum(C, D, "oracle")
+    gens = [iota_C[abelian.neg(G, e)] + iota_D[e] for e in abelian.iter_elements(G)]
+    Q = E.condense(gens)
+    # name each coset of H by its point of the presentation `condense` reads
+    H = E.subgroup(gens)
+    ns, xs = abelian.quotient_basis(E.invariant_factors, E.orthogonal_complement(H), H)
+    coset = {}
+    for t in abelian.iter_elements(ns):
+        x = tuple(sum(c * g[j] for c, g in zip(t, xs)) % n
+                  for j, n in enumerate(E.invariant_factors))
+        coset.update((E.add(x, h), t) for h in H)
+    mapping = {e: element_label(coset[iota_C[e] + D.zero()]) for e in iota_C}
+    return Q.to_premodular(name="oracle"), SymmetryEmbedding(G, "oracle", mapping)
+
+
+def test_pointed_stacking_matches_the_metric_group_oracle():
+    """C = D(G) + M_C and D = D(G) + M_D, stacked over Rep(G), against the
+    metric-group oracle, for G in Z2, Z3, Z4, Z2xZ2: the equivalence with both
+    embeddings (D's twisted by an automorphism of G) and its independent check,
+    the stacking identity, the unit law and conservation.  The products keep
+    rank <= 256."""
+    rng = random.Random(STACKING_ORACLE_SEED)
+    trivial = MetricGroup([], {(): F(0)})
+    ranks = []
+    for G in STACKING_ORACLE_GROUPS * STACKING_ORACLE_ROUNDS:
+        room = 256 // abelian.group_order(G) ** 4  # the most |M_C| * |M_D| may be
+        M_C = random_metric_group(rng, room // 2) if room >= 4 else trivial
+        rest = room // M_C.order()
+        M_D = random_metric_group(rng, rest) if rest >= 2 else trivial
+        C, iota_C = double_plus(G, M_C, "C")
+        D, iota_D = double_plus(G, M_D, "D")
+        alpha = rng.choice(automorphisms(G))  # D's characters, twisted
+        iota_D = {e: iota_D[alpha[e]] for e in iota_D}
+        P_C, P_D = C.to_premodular(name="C"), D.to_premodular(name="D")
+        emb_C = SymmetryEmbedding(G, "C", {e: element_label(a) for e, a in iota_C.items()})
+        emb_D = SymmetryEmbedding(G, "D", {e: element_label(a) for e, a in iota_D.items()})
+        res, emb = relative_tensor_product(P_C, P_D, emb_C, emb_D)
+        oracle, emb_oracle = pointed_stacking_oracle(G, C, iota_C, D, iota_D)
+        case = (G, M_C.invariant_factors, M_C.q, M_D.invariant_factors, M_D.q, alpha)
+        sigma = find_equivalence(res.result, oracle, emb, emb_oracle)
+        assert sigma is not None, case
+        assert check_bijection(res.result, oracle, sigma, emb, emb_oracle), case
+        assert res.conservation["global_dim_conserved"], case
+        assert res.conservation["gauss_conserved"], case
+        assert verify_stacking_identity(P_C, P_D, emb_C, emb_D) is True, case
+        assert verify_unit_law(P_C, emb_C) is True, case
+        assert verify_unit_law(P_D, emb_D) is True, case
+        ranks.append(P_C.ring.rank() * P_D.ring.rank())
+    assert max(ranks) == 256 and min(ranks) < 256, ranks
