@@ -42,8 +42,8 @@ MAX_CONDUCTOR = 10_000
 
 
 def turn_mod1(r) -> Fraction:
-    """Normalize a rational turn into [0, 1)."""
-    return Fraction(r) % 1
+    """Normalize a rational turn into [0, 1); a float or string is a TypeError."""
+    return _rational(r) % 1
 
 
 @lru_cache(maxsize=None)
@@ -486,7 +486,7 @@ def root_of_unity(r, q: int | None = None) -> Cyclo:
         if q == 0:
             raise InputError("root_of_unity: zero denominator")
         r = Fraction(r, q)
-    r = turn_mod1(_rational(r))
+    r = turn_mod1(r)
     return _root(r.numerator, r.denominator)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .errors import InputError
+from .errors import InputError, ValidationInputError
 
 _FP_TOL = 1e-12
 _FP_MAX_ITER = 20000
@@ -13,6 +13,11 @@ _FP_MAX_ITER = 20000
 
 def pair_label(a: str, b: str) -> str:
     return f"({a},{b})"
+
+
+def closure_error(a: str, b: str, c: str) -> ValidationInputError:
+    return ValidationInputError(f"deconfined labels are not closed under fusion: {a} x {b} "
+                                f"contains the confined label {c}")
 
 
 def _lincomb(terms) -> tuple:
@@ -175,15 +180,29 @@ class FusionRing:
 
     # -- products and restriction -------------------------------------------
 
-    def product(self, other: "FusionRing") -> "FusionRing":
-        lab = {a: {b: pair_label(a, b) for b in other.labels} for a in self.labels}
-        dual = {lab[a][b]: lab[self.dual[a]][other.dual[b]]
-                for a in self.labels for b in other.labels}
+    def product(self, other: "FusionRing", keys=None) -> "FusionRing":
+        """The Deligne product on the label pairs (a, b) in order, each row the
+        outer product of one row of each factor.  With keys = (kx, ky), label
+        -> charge maps, only the deconfined pairs, kx[a] == ky[b], and the rows
+        between them; a confined output there is an input error, named at its
+        first entry in the full product's order."""
+        kx, ky = keys or ({}, {})
+        lab = {a: {b: pair_label(a, b) for b in other.labels if ky.get(b) == kx.get(a)}
+               for a in self.labels}
+        dual = {lab[a][b]: lab[self.dual[a]][other.dual[b]] for a in self.labels for b in lab[a]}
+        keyed = defaultdict(list)
+        for (a, b), r2 in other._fuse.items():
+            keyed[ky.get(a), ky.get(b)].append((a, b, r2))
         rows = {}
         for (i, j), r1 in self._fuse.items():
             li, lj, outs = lab[i], lab[j], [(lab[k], n1) for k, n1 in r1.items()]
-            for (a, b), r2 in other._fuse.items():
-                rows[(li[a], lj[b])] = {lk[c]: n1 * n2 for lk, n1 in outs for c, n2 in r2.items()}
+            for a, b, r2 in keyed.get((kx.get(i), kx.get(j)), ()):
+                try:
+                    rows[(li[a], lj[b])] = {lk[c]: n1 * n2 for lk, n1 in outs
+                                            for c, n2 in r2.items()}
+                except KeyError:
+                    x, c = next((x, c) for x in r1 for c in r2 if c not in lab[x])
+                    raise closure_error(li[a], lj[b], pair_label(x, c)) from None
         return _with_rows(list(dual), dual, rows)
 
     def restrict(self, labels: list[str]) -> "FusionRing":

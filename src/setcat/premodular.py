@@ -172,14 +172,17 @@ class Premodular:
 
     # -- constructions -----------------------------------------------------------
 
-    def deligne(self, other: "Premodular") -> "Premodular":
-        """Deligne product: dimensions multiply, twist turns add mod 1.
+    def deligne(self, other: "Premodular", keys=None) -> "Premodular":
+        """Deligne product: dimensions multiply, twist turns add mod 1; with
+        `keys`, only its deconfined pairs (`FusionRing.product`).
 
         Its S-matrix is the Kronecker product S_(a,b),(c,d) = S_ac * S_bd, as
         tests/test_premodular.py asserts."""
-        ring = self.ring.product(other.ring)
+        ring = self.ring.product(other.ring, keys)
+        kx, ky = keys or ({}, {})
         dims, twists = {}, {}
-        for lab, (a, b) in zip(ring.labels, product(self.labels, other.labels)):
+        for lab, (a, b) in zip(ring.labels, ((a, b) for a, b in product(self.labels, other.labels)
+                                             if kx.get(a) == ky.get(b))):
             dims[lab] = self.dims[a] * other.dims[b]
             twists[lab] = self.twists[a] + other.twists[b]
         return Premodular(ring, dims, twists, name=f"{self.name} (x) {other.name}")

@@ -18,7 +18,7 @@ from .double import drinfeld_double
 from .embedding import SymmetryEmbedding, same_symmetry
 from .equiv import find_equivalence
 from .errors import InputError, InternalFault, LimitExceeded, ValidationInputError
-from .fusion import FusionRing, pair_label
+from .fusion import FusionRing, closure_error, pair_label
 from .premodular import Premodular
 
 _SEARCH_NODE_BUDGET = 200_000
@@ -96,9 +96,16 @@ def condense_by_invertible_bosons(P: Premodular, bosons: list[str]) -> Condensat
     stabilizer of size s split into s simples of dimension d/s, with the
     split fusion coefficients found by `_resolve_split_fusion`."""
     H = _boson_group(P, bosons)
-    deconfined = [x for x in P.labels if all(P.centralizes(x, h) for h in H)]
-    transparent = set(deconfined)
-    confined = [x for x in P.labels if x not in transparent]
+    confined = [x for x in P.labels if not all(P.centralizes(x, h) for h in H)]
+    return _condense(P, H, confined, P.global_dim(), P.gauss_sum())
+
+
+def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
+              gauss_in: Cyclo) -> CondensationResult:
+    """Condense H in P, given the confined labels and the input's global
+    dimension and Gauss sum; P may leave out confined labels."""
+    out = set(confined)
+    deconfined = [x for x in P.labels if x not in out]
 
     # For valid P, H acts on the deconfined labels (x is deconfined iff the
     # twist is constant on H.x*), with |orbit| * |stabilizer| = |H|, one dim
@@ -144,8 +151,7 @@ def condense_by_invertible_bosons(P: Premodular, bosons: list[str]) -> Condensat
     ring, result = _build_result(result_labels, n_result, dims, twists,
                                  name=f"{P.name} / H{len(H)}")
 
-    dim_in, dim_out = P.global_dim(), result.global_dim()
-    gauss_in, gauss_out = P.gauss_sum(), result.gauss_sum()
+    dim_out, gauss_out = result.global_dim(), result.gauss_sum()
     conservation = {
         "algebra_size": len(H),
         "global_dim_input": dim_in,
@@ -178,9 +184,7 @@ def _orbit_fusion(P, orbits, of_orbit):
         for c, n in entries.items():
             oz = orbit_of.get(c)
             if oz is None:
-                raise ValidationInputError(
-                    f"deconfined labels are not closed under fusion: {a} x {b} "
-                    f"contains the confined label {c}")
+                raise closure_error(a, b, c)
             key = (ox, oy, oz)
             if a == ox and c == oz:
                 col[key] = col.get(key, 0) + n
@@ -322,8 +326,9 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     def spread(ps, val, full):  # then run the checks that became decidable
         ok = True
         for a, b, c in (live[p] for p in ps):
-            for t in ({(x, y, dual[z]) for s in ((a, b, dual[c]), (dual[a], dual[b], c))
-                       for x, y, z in permutations(s)} if full else {(a, b, c), (b, a, c)}):
+            ts = ((x, y, dual[z]) for s in ((a, b, dual[c]), (dual[a], dual[b], c))
+                  for x, y, z in permutations(s)) if full else ((a, b, c), (b, a, c))
+            for t in dict.fromkeys(ts):  # in insertion order, not the string hash's
                 ok = (put(at[t], val) if t in at else val == 0) and ok
         for what in (checks[i][0] for i in ready if ok):
             if len(what) == 2:
@@ -440,32 +445,44 @@ def canonical_algebra(embC: SymmetryEmbedding, embD: SymmetryEmbedding) -> list[
     return [pair_label(embC.map_neg(e), embD.mapping[e]) for e in embC.elements()]
 
 
+def _charge(P: Premodular, emb: SymmetryEmbedding, x: str) -> tuple[Cyclo, ...]:
+    """x's charge character: the monodromy around x of each symmetry charge."""
+    return tuple(P.monodromy(emb.mapping[e], x) for e in emb.elements())
+
+
 def is_deconfined(C: Premodular, D: Premodular, embC: SymmetryEmbedding,
                   embD: SymmetryEmbedding, x: str, y: str) -> bool:
-    """True iff the two symmetry braidings agree on (x, y): the monodromy of
-    every symmetry charge around x in C equals its monodromy around y in D.
-    Equivalently, (x, y) centralizes the canonical algebra in C x D, so this
-    agrees with the deconfined labels of `relative_tensor_product`."""
+    """True iff x and y carry the same charge character: every symmetry charge
+    has the same monodromy around x in C as around y in D.  That is exactly
+    "(x, y) centralizes the canonical algebra A in C x D": S of the product is
+    the Kronecker product of the factors' S, so (x, y) centralizes the
+    component (-e, e) iff the monodromies of -e around x and of e around y
+    multiply to 1, and that of -e is the inverse of that of e."""
     same_symmetry(embC, embD)
-    return all(
-        C.monodromy(embC.mapping[e], x) == D.monodromy(embD.mapping[e], y)
-        for e in embC.elements())
+    return _charge(C, embC, x) == _charge(D, embD, y)
 
 
 def relative_tensor_product(C: Premodular, D: Premodular,
                             embC: SymmetryEmbedding, embD: SymmetryEmbedding,
                             ) -> tuple[CondensationResult, SymmetryEmbedding]:
     """Relative stacking of C and D over their shared symmetry: condense the
-    canonical algebra in the Deligne product.  Returns the condensation data
-    and the induced symmetry embedding into the result."""
+    canonical algebra A in the Deligne product.  Only the labels that
+    centralize A survive (Kirillov-Ostrik, Adv. Math. 171, 2002), the pairs
+    of equal charge characters (`is_deconfined`), so only those pairs and
+    their rows are built.  Returns the condensation data and the induced
+    symmetry embedding into the result."""
     same_symmetry(embC, embD)
     for emb, cat in ((embC, C), (embD, D)):
         report = emb.validate(cat)
         if report:
             raise InputError(f"invalid embedding into {cat.name}: {report[0]}")
-    prod = C.deligne(D)
-    algebra = canonical_algebra(embC, embD)
-    res = condense_by_invertible_bosons(prod, algebra)
+    charges = {}  # each distinct charge character as a small int
+    keys = tuple({x: charges.setdefault(_charge(P, emb, x), len(charges)) for x in P.labels}
+                 for P, emb in ((C, embC), (D, embD)))
+    prod = C.deligne(D, keys)
+    confined = [pair_label(x, y) for x in C.labels for y in D.labels if keys[0][x] != keys[1][y]]
+    res = _condense(prod, _boson_group(prod, canonical_algebra(embC, embD)), confined,
+                    C.global_dim() * D.global_dim(), C.gauss_sum() * D.gauss_sum())
 
     member_to_result = {m: lab for lab, (rep, _) in res.provenance.items()
                         if res.splittings[rep] == 1 for m in res.orbit_of(rep).members}

@@ -9,6 +9,7 @@ from setcat import abelian
 from setcat.cyclo import Cyclo, root_of_unity
 from setcat.errors import InputError
 from setcat.pointed import MetricGroup, element_label, quadratic_form_from_rule
+from setcat.premodular import Premodular
 from setcat.randomized import (random_conserving_pair, random_isotropic_subgroup,
                                random_metric_group as _random_metric_group)
 
@@ -43,6 +44,25 @@ def test_to_premodular_toric():
     assert sorted(P.twist(x) for x in P.labels) == [F(0), F(0), F(0), F(1, 2)]
     assert P.validate() == []
     assert P.is_nondegenerate()
+
+
+def test_float_turns_are_refused_below_the_parser():
+    """No float becomes a twist or a value of q: each entry point refuses it
+    with the TypeError of `Cyclo.from_rational`, and int and Fraction turns
+    still pass."""
+    P = semion_group().to_premodular()
+    for bad in (0.1, 0.25, "1/4"):
+        with pytest.raises(TypeError, match="exact rational expected"):
+            Premodular(P.ring, P.dims, {P.unit: F(0), P.labels[1]: bad})
+        with pytest.raises(TypeError, match="exact rational expected"):
+            MetricGroup([2], {(0,): F(0), (1,): bad})
+    with pytest.raises(TypeError, match="exact rational expected"):
+        quadratic_form_from_rule([2], {(0, 0): 0.25})
+    assert Premodular(P.ring, P.dims, {P.unit: 0, P.labels[1]: F(5, 4)}).twist(
+        P.labels[1]) == F(1, 4)
+    assert MetricGroup([2], {(0,): 1, (1,): F(-3, 4)}).q == semion_group().q
+    assert quadratic_form_from_rule([2], {(0, 0): F(1, 4)}) == semion_group().q
+    assert quadratic_form_from_rule([2], {(0, 0): 1}) == {(0,): F(0), (1,): F(0)}
 
 
 def test_trivial_group_is_vec():

@@ -15,8 +15,12 @@ search order, under the real candidate check and under `ring_only`."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +285,40 @@ def test_split_reports_match_the_frozen_digests(check, monkeypatch):
                            [[list(t), v] for t, v in triples(res.result.ring).items()]])
         reports.append((len(res.ambiguity_flags), hashlib.sha256(text.encode()).hexdigest()))
     assert reports == FROZEN_REPORTS[check]
+
+
+_COUNT_PRODUCTS = """
+import json
+from setcat import relprod
+from setcat.cyclo import Cyclo
+from tests.test_split_differential import benchmark_split_inputs
+
+inputs, counts, mul = benchmark_split_inputs(), [], Cyclo.__mul__
+
+def counted(a, b):
+    counts[-1] += 1
+    return mul(a, b)
+
+Cyclo.__mul__ = counted
+for P, bosons in inputs:
+    counts.append(0)
+    relprod.condense_by_invertible_bosons(P, bosons)
+print(json.dumps(counts))
+"""
+
+
+def test_split_work_does_not_follow_the_string_hash():
+    """The search runs its checks in an order fixed by the input: two
+    interpreters with different hash seeds make the same number of cyclotomic
+    products on each of the eight split inputs."""
+    root = Path(__file__).resolve().parents[1]
+    runs = [subprocess.run([sys.executable, "-c", _COUNT_PRODUCTS], cwd=root, check=True,
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(root / "src"),
+                                "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1")]
+    assert len(json.loads(runs[0])) == 8
+    assert runs[0] == runs[1]
 
 
 # -- the candidate check against the check it replaced ------------------------
