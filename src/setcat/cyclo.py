@@ -32,12 +32,12 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from numbers import Rational
 
-from .errors import InputError, SyntaxInputError
+from .errors import InputError, LimitExceeded, SyntaxInputError
 
 __all__ = ["Cyclo", "root_of_unity", "parse_cyclo", "format_cyclo", "turn_mod1",
            "MAX_CONDUCTOR"]
 
-# Largest N accepted in a parsed root zN and in a parsed twist denominator.
+# Largest N of a parsed root zN or twist denominator, and of any value's conductor (`_make`).
 MAX_CONDUCTOR = 10_000
 
 
@@ -142,6 +142,9 @@ def _make(n: int, coeffs: dict[int, int], den: int) -> "Cyclo":
     if g != 1:
         n //= g
         coeffs = {e // g: c for e, c in coeffs.items()}
+    if n > MAX_CONDUCTOR:
+        raise LimitExceeded(f"a cyclotomic value reached conductor {n:,}, above the limit "
+                            f"MAX_CONDUCTOR = {MAX_CONDUCTOR:,}")
     g = gcd(den, *coeffs.values())
     if g != 1:
         den //= g

@@ -32,7 +32,9 @@ def _lincomb(terms) -> tuple:
 def _commutative_and_associative(prod) -> bool:
     """Whether a x b = b x a and, on sorted triples a <= b <= c, the products
     (a b) c, (b c) a and (a c) b agree; with commutativity these are all the
-    bracketings of all orderings, at a third of the products of a full scan."""
+    bracketings of all orderings, at a third of the products of a full scan.
+    With the unit rows right, the triples (1, b, c) compare b c with c b: the
+    first clause changes no verdict, it gives wrong unit rows the full scan."""
     r = len(prod)
 
     def times(xy, z):  # (x y) z from x y

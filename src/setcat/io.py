@@ -147,11 +147,9 @@ def parse_category(obj: dict | str) -> Premodular:
 
 def serialize_category(P: Premodular) -> dict:
     for x in P.labels:  # never write a file that parse_category would refuse
-        for what, noun, n in (("dim", "conductor", P.dim(x).order),
-                              ("twist", "denominator", P.twist(x).denominator)):
-            if n > MAX_CONDUCTOR:
-                raise InternalFault(f"cannot write category {P.name!r}: the {what} of {x!r} "
-                                    f"has {noun} {n}, above the conductor limit {MAX_CONDUCTOR}")
+        if (n := P.twist(x).denominator) > MAX_CONDUCTOR:  # no value is above it (cyclo._make)
+            raise InternalFault(f"cannot write category {P.name!r}: the twist of {x!r} "
+                                f"has denominator {n}, above the conductor limit {MAX_CONDUCTOR}")
     fusion_rows = sorted(
         ([i, j, k, n] for (i, j), row in P.ring.rows() for k, n in row.items()),
         key=lambda row: (P.ring.index[row[0]], P.ring.index[row[1]],

@@ -18,7 +18,7 @@ from .double import drinfeld_double
 from .embedding import SymmetryEmbedding, same_symmetry
 from .equiv import find_equivalence
 from .errors import InputError, InternalFault, LimitExceeded, ValidationInputError
-from .fusion import FusionRing, closure_error, pair_label
+from .fusion import _with_rows, closure_error, pair_label
 from .premodular import Premodular
 
 _SEARCH_NODE_BUDGET = 200_000
@@ -129,7 +129,7 @@ def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
     twists = {lab: P.twist(r) for lab, r in rep_of.items()}
     n_result, unknown, margins = _orbit_fusion(P, orbits, of_orbit)
 
-    ambiguity_flags: list[str] = []
+    ambiguity_flags, name = [], f"{P.name} / H{len(H)}"
     if unknown:
         classes = _resolve_split_fusion(
             n_result, unknown, result_labels, rep_of, dims, twists, margins)
@@ -141,15 +141,12 @@ def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
         if len(classes) > 1:
             ambiguity_flags = [f"{len(classes)} fusion assignments survive all constraints"] + [
                 f"undetermined coefficient N[{a},{b}]^{c}" for (a, b, c) in sorted(
-                    {t for cls in classes for t in cls if any(c2.get(t, 0) != cls[t]
-                                                              for c2 in classes)})]
-        n_result = classes[0]
-
-    # valid without a check: a split result is a candidate that passed
-    # _candidate_ok; a forced one, all orbits free, is the orbit quotient of
-    # the fusion-closed deconfined labels of a valid P
-    ring, result = _build_result(result_labels, n_result, dims, twists,
-                                 name=f"{P.name} / H{len(H)}")
+                    {t for cls, _ in classes for t in cls if any(c2.get(t, 0) != cls[t]
+                                                                 for c2, _ in classes)})]
+        result = classes[0][1]  # the candidate that passed _candidate_ok
+        result.name = name
+    else:  # the orbit quotient of the fusion-closed deconfined labels of a valid P
+        result = _build_result(result_labels, n_result, dims, twists, name)
 
     dim_out, gauss_out = result.global_dim(), result.gauss_sum()
     conservation = {
@@ -209,16 +206,19 @@ def _orbit_fusion(P, orbits, of_orbit):
     return n_result, unknown, (row, col, out)
 
 
-def _build_result(labels, n_dict, dims, twists, name):
+def _build_result(labels, n_dict, dims, twists, name="candidate"):
     # N_ab^1 = [b = a*] holds by the split search for children, by P's validity for the rest
-    ring = FusionRing(labels, {a: b for (a, b, c) in n_dict if c == labels[0]}, dict(n_dict))
-    return ring, Premodular(ring, dims, twists, name=name)
+    rows = {}  # n_dict holds nonzero entries only
+    for (a, b, c), v in n_dict.items():
+        rows.setdefault((a, b), {})[c] = v
+    ring = _with_rows(labels, {a: b for (a, b, c) in n_dict if c == labels[0]}, rows)
+    return Premodular(ring, dims, twists, name=name)
 
 
 def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_margins):
     """The assignments of the unknown coefficients that pass `_candidate_ok`,
     one per class up to relabelling children within orbits (its least member
-    in sorted-items order, as a dict in that order), sorted.
+    in sorted-items order, as a dict in that order, and its category), sorted.
 
     Depth-first search on an explicit stack, one commutativity class of live
     unknowns (all three margins nonzero; the rest are 0) per level in sorted
@@ -373,13 +373,14 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
                 return False
         return True
 
-    def least(W):  # the least W o g in live order
-        best = W
-        for g in range(len(maps)):
+    def least(W):  # the least W o g in live order, and g^-1, which renames W's labels to it
+        best, at_best = W, {}
+        for g, m in enumerate(maps):
             x, y = next(((x, y) for x, y in zip(best, (W[image(g, p)] for p in range(n)))
                          if x != y), (0, 0))
-            best = [W[image(g, p)] for p in range(n)] if (y == 0, y) < (x == 0, x) else best
-        return best
+            if (y == 0, y) < (x == 0, x):
+                best, at_best = [W[image(g, p)] for p in range(n)], m
+        return best, {b: a for a, b in at_best.items()}
 
     def assignment(W):  # with the forced entries, as a dict in items order
         return dict(sorted({**forced, **{t: v for t, v in zip(live, W) if v}}.items()))
@@ -421,15 +422,25 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
             raise LimitExceeded(
                 f"splitting enumeration: too many candidates, {len(survivors) + 1} reached "
                 f"against the cap of {_MAX_SURVIVORS}, over {nv} unknown variables")
-    # relabelling keeps the verdict, so only the survivors that pass are relabelled
-    return sorted((assignment(least(W)) for W in survivors
-                   if _candidate_ok(labels, assignment(W), dims, twists)),
-                  key=lambda d: tuple(d.items()))
+    # relabelling keeps the verdict, so only the survivors that pass are relabelled; children
+    # of one orbit share a dim and a twist, so the S-entries and the S decision carry over
+    passed = []
+    for W in survivors:
+        if _candidate_ok(cand := _build_result(labels, assignment(W), dims, twists)):
+            best, rename = least(W)
+            result = _build_result(labels, n_dict := assignment(best), dims, twists)
+            result._s = {(rename.get(i, i), rename.get(j, j)): v for (i, j), v in cand._s.items()}
+            result._s_invertibility = cand._s_invertibility
+            passed.append((n_dict, result))
+    return sorted(passed, key=lambda c: tuple(c[0].items()))
 
 
-def _candidate_ok(labels, n_dict, dims, twists) -> bool:
-    _, cand = _build_result(labels, n_dict, dims, twists, name="candidate")
-    if cand.validate():
+def _candidate_ok(cand: Premodular) -> bool:
+    """What the search leaves open (README, "Condensation engine"): the rule
+    S(i*, j) = conj S(i, j) of `Premodular.validate`, and the S decision."""
+    S, labels = cand.s_entry, cand.labels
+    if any(S(cand.dual(i), j) != S(i, j).conjugate()
+           for a, i in enumerate(labels) for j in labels[a:]):
         return False
     verlinde, invertible = cand._s_invertibility
     return verlinde or not invertible  # a singular S passes whatever Verlinde says

@@ -133,7 +133,7 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
 
 def dense_candidate_ok(labels, n_dict, dims, twists) -> bool:
     try:
-        _, cand = _build_result(labels, n_dict, dims, twists, name="candidate")
+        cand = _build_result(labels, n_dict, dims, twists)
         if cand.validate():
             return False
     except (InternalFault, InputError):
@@ -153,10 +153,10 @@ def sparse_candidate_ok(labels, n_dict, dims, twists) -> bool:
     """The engine's candidate check before the character fast path: the full
     validation, the rank^3 test S conj(S)^T = D^2 Id, the Mueger center, and
     Verlinde as the character identity S_il S_jl = d_l sum_k N_ij^k S_kl."""
-    ring, cand = _build_result(labels, n_dict, dims, twists, name="candidate")
+    cand = _build_result(labels, n_dict, dims, twists)
     if cand.validate():
         return False
-    S = cand.s_entry
+    ring, S = cand.ring, cand.s_entry
     return not dense_smatrix_invertible(cand) or cand.muger_center() == [cand.unit] and all(
         S(i, l) * S(j, l) == dims[l] * sum((S(k, l) * m for k, m in ring.fuse(i, j).items()),
                                            Cyclo.zero())

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setcat.cyclo import Cyclo, format_cyclo, parse_cyclo, root_of_unity
-from setcat.errors import InputError, SyntaxInputError
+from setcat.errors import InputError, LimitExceeded, SyntaxInputError
+from setcat.fusion import FusionRing
+from setcat.premodular import Premodular
 from setcat.randomized import random_cyclo
 
 
@@ -73,6 +75,33 @@ def test_conductor_minimization():
     # a full sum of 5th roots collapses to a rational
     s = sum((root_of_unity(Fraction(k, 5)) for k in range(5)), Cyclo.zero())
     assert s.is_zero()
+
+
+def rank_two(n: int) -> Premodular:
+    """Fusion x x = 1 + n x with both twists 0: it passes validation (it is
+    no braided category for n > 1), and for n^2 + 4 a prime p = 1 mod 4 the
+    dim of x, (n + sqrt(p)) / 2 with sqrt(p) the Gauss sum, has conductor p."""
+    p = n * n + 4
+    root = sum((root_of_unity(Fraction(k, p)) * (1 if pow(k, p // 2, p) == 1 else -1)
+                for k in range(1, p)), Cyclo.zero())
+    ring = FusionRing(["1", "x"], {"1": "1", "x": "x"}, {
+        ("1", "1", "1"): 1, ("1", "x", "x"): 1, ("x", "1", "x"): 1, ("x", "x", "1"): 1,
+        ("x", "x", "x"): n})
+    dims = {"1": Cyclo.one(), "x": (root + n) * Cyclo.from_rational(Fraction(1, 2))}
+    return Premodular(ring, dims, {"1": Fraction(0), "x": Fraction(0)}, name=f"rank_two_{n}")
+
+
+def test_values_above_the_conductor_limit_raise():
+    # the limit holds for every value made, not only for parsed text
+    with pytest.raises(LimitExceeded, match="conductor 99,991, above the limit "
+                                            "MAX_CONDUCTOR = 10,000"):
+        root_of_unity(Fraction(1, 99991))
+    A, B = rank_two(7), rank_two(15)
+    assert A.validate() == B.validate() == []
+    assert (A.dim("x").order, B.dim("x").order) == (53, 229)
+    with pytest.raises(LimitExceeded, match="conductor 12,137, above the limit "
+                                            "MAX_CONDUCTOR = 10,000"):
+        A.deligne(B)  # d_x d_x lies at conductor 53 * 229
 
 
 def test_division_by_zero_rejected():

@@ -5,7 +5,7 @@ import pytest
 
 from setcat.catalog import catalog, get
 from setcat.cyclo import MAX_CONDUCTOR, root_of_unity
-from setcat.errors import InternalFault, SyntaxInputError, ValidationInputError
+from setcat.errors import InternalFault, LimitExceeded, SyntaxInputError, ValidationInputError
 from setcat.io import (file_kind, loads, parse_category, parse_embedding,
                        parse_metric_group, serialize_category,
                        serialize_embedding, serialize_metric_group, to_text)
@@ -66,6 +66,18 @@ def test_float_twist_rejected_as_syntax():
         parse_category(json.dumps(obj))
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("dims", "z99991", f"root z99991 exceeds the conductor limit {MAX_CONDUCTOR}"),
+    ("twists", "1/99991", f"denominator 99991 exceeds the conductor limit {MAX_CONDUCTOR}")])
+def test_parser_refuses_over_limit_values_before_any_value_is_made(field, value, message):
+    # the syntax error of the parser, not the LimitExceeded of the value layer
+    obj = serialize_category(get("toric_code").category)
+    obj[field]["e"] = value
+    with pytest.raises(SyntaxInputError, match=message) as err:
+        parse_category(to_text(obj))
+    assert not isinstance(err.value, LimitExceeded)
+
+
 def test_float_anywhere_rejected():
     with pytest.raises(SyntaxInputError):
         loads('{"name": "x", "value": 0.25}')
@@ -98,14 +110,12 @@ def test_missing_dim_label_reported():
 
 
 def test_serialize_refuses_values_above_the_conductor_limit():
+    # a dim of conductor 11,803 can no longer be made, so only a twist can be
+    # above the limit when a category is written
     toric = get("toric_code").category
-    big = root_of_unity(Fraction(11, 29)) * (
-        root_of_unity(Fraction(6, 11)) + root_of_unity(Fraction(1, 37)))
-    assert big.order == 11_803
-    P = Premodular(toric.ring, dict(toric.dims, e=big), toric.twists, name="big")
-    with pytest.raises(InternalFault, match=f"the dim of 'e' has conductor 11803, "
-                                            f"above the conductor limit {MAX_CONDUCTOR}"):
-        serialize_category(P)
+    with pytest.raises(LimitExceeded, match="conductor 11,803, above the limit MAX_CONDUCTOR"):
+        root_of_unity(Fraction(11, 29)) * (
+            root_of_unity(Fraction(6, 11)) + root_of_unity(Fraction(1, 37)))
     P = Premodular(toric.ring, toric.dims, dict(toric.twists, e=Fraction(1, 11_803)),
                    name="big")
     with pytest.raises(InternalFault, match="the twist of 'e' has denominator 11803"):

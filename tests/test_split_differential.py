@@ -24,11 +24,11 @@ from pathlib import Path
 
 import pytest
 
-from setcat import relprod
+from setcat import premodular, relprod
 from setcat.catalog import get
 from setcat.cyclo import Cyclo
 from setcat.embedding import SymmetryEmbedding
-from setcat.errors import LimitExceeded
+from setcat.errors import InputError, LimitExceeded
 from setcat.equiv import find_equivalence
 from setcat.fusion import pair_label
 from setcat.pointed import MetricGroup, element_label
@@ -150,47 +150,75 @@ def test_split_classes_match_reference(monkeypatch):
         args = solver_arguments(P, bosons, monkeypatch)
         new = relprod._resolve_split_fusion(*args)
         old = split_reference.reference_split_classes(*args)
-        assert [list(d.items()) for d in new] == [list(d.items()) for d in old], P.name
+        assert [list(d.items()) for d, _ in new] == [list(d.items()) for d in old], P.name
         assert len(new) == 1
 
 
-def test_candidate_checks_match_reference(monkeypatch):
-    # every complete assignment the reference enumerates: one per input
-    # passes, the others fail before Verlinde
-    verdicts = []
+def search_precondition(candidate) -> bool:
+    """Whether a candidate, as the reference checks' arguments, meets what
+    the search guarantees its check: `Premodular.validate` reports nothing
+    but, at most, the conjugate-dual rule of S."""
+    try:
+        cand = relprod._build_result(*candidate)
+    except InputError:  # no dual for some label
+        return False
+    return all(msg.startswith("smatrix: dual row") for msg in cand.validate())
 
-    def both(*candidate):
-        verdicts.append((relprod._candidate_ok(*candidate),
-                         split_reference.dense_candidate_ok(*candidate)))
-        return verdicts[-1][1]
+
+def unpacked(cand):
+    """A candidate category as the reference checks' arguments."""
+    return cand.labels, triples(cand.ring), cand.dims, cand.twists
+
+
+def test_candidate_checks_match_reference(monkeypatch):
+    # of the complete assignments the reference enumerates, those that meet
+    # the search's guarantee: one per input passes, and the check agrees with
+    # the dense and the sparse reference on each
+    seen = []
+
+    def record(*candidate):
+        seen.append(candidate)
+        return split_reference.dense_candidate_ok(*candidate)
 
     for P, bosons in split_inputs():
         args = solver_arguments(P, bosons, monkeypatch)
         with monkeypatch.context() as m:
-            m.setattr(split_reference, "_candidate_ok", both)
+            m.setattr(split_reference, "_candidate_ok", record)
             split_reference.reference_split_classes(*args)
-    assert all(new == old for new, old in verdicts)
-    assert sum(old for _, old in verdicts) == len(split_inputs()) < len(verdicts)
+    kept = [c for c in seen if search_precondition(c)]
+    verdicts = [(relprod._candidate_ok(relprod._build_result(*c)),
+                 split_reference.dense_candidate_ok(*c), split_reference.sparse_candidate_ok(*c))
+                for c in kept]
+    assert all(new == dense == sparse for new, dense, sparse in verdicts)
+    assert (len(seen), len(kept), sum(new for new, _, _ in verdicts)) == (104, 10, 6)
 
 
-def ring_only(labels, n_dict, dims, twists):
+def ring_only(cand):
     """A candidate check without the braiding: ring axioms and dimension
     equations.  Under it, two classes of splittings survive where one
     category exists, e.g. Z2 x Z2 and Z4 fusion on ising x ising_rev / Z2."""
-    ring, _ = relprod._build_result(labels, n_dict, dims, twists, name="candidate")
+    ring, labels, dims = cand.ring, cand.labels, cand.dims
     return not ring.validate() and all(sum(
         (dims[k] * n for k, n in ring.fuse(i, j).items()), Cyclo.zero()) == dims[i] * dims[j]
         for i in labels for j in labels)
+
+
+def reference_classes(forced, unknown, labels, rep_of, dims, twists, orbit_margins):
+    """The reference's classes as the engine's solver returns them."""
+    return [(d, relprod._build_result(labels, d, dims, twists)) for d in
+            split_reference.reference_split_classes(
+                forced, unknown, labels, rep_of, dims, twists, orbit_margins)]
 
 
 def test_distinct_classes_raise_the_reference_flags(monkeypatch):
     inputs = split_inputs()
     for P, bosons in (inputs[0], inputs[5]):
         outcomes = []
-        for solve in (relprod._resolve_split_fusion, split_reference.reference_split_classes):
+        for solve in (relprod._resolve_split_fusion, reference_classes):
             with monkeypatch.context() as m:
-                for module in (relprod, split_reference):
-                    m.setattr(module, "_candidate_ok", ring_only)
+                m.setattr(relprod, "_candidate_ok", ring_only)
+                m.setattr(split_reference, "_candidate_ok",
+                          lambda *c: ring_only(relprod._build_result(*c)))
                 m.setattr(relprod, "_resolve_split_fusion", solve)
                 res = relprod.condense_by_invertible_bosons(P, bosons)
             outcomes.append((res.ambiguity_flags, list(triples(res.result.ring).items())))
@@ -232,11 +260,10 @@ def test_sparse_verlinde_matches_dense(monkeypatch):
         Q = permuted_rows(P, dict(zip(P.labels, image)))
         assert Q.validate() == [] and dense_smatrix_invertible(Q)
         assert Q.muger_center() == [Q.unit]
+        assert relprod._candidate_ok(Q) is automorphism
         with monkeypatch.context() as m:
-            for module in (relprod, split_reference):
-                m.setattr(module, "_build_result", lambda *a, **k: (Q.ring, Q))
+            m.setattr(split_reference, "_build_result", lambda *a, **k: Q)
             args = (P.labels, triples(P.ring), P.dims, P.twists)
-            assert relprod._candidate_ok(*args) is automorphism
             assert split_reference.dense_candidate_ok(*args) is automorphism
 
 
@@ -289,7 +316,7 @@ def test_split_reports_match_the_frozen_digests(check, monkeypatch):
 
 _COUNT_PRODUCTS = """
 import json
-from setcat import relprod
+from setcat import premodular, relprod
 from setcat.cyclo import Cyclo
 from tests.test_split_differential import benchmark_split_inputs
 
@@ -328,7 +355,7 @@ def candidates_of(monkeypatch, check, runs):
     """Every candidate the solver hands to `_candidate_ok` (here `check`)."""
     seen = []
     with monkeypatch.context() as m:
-        m.setattr(relprod, "_candidate_ok", lambda *c: seen.append(c) or check(*c))
+        m.setattr(relprod, "_candidate_ok", lambda cand: seen.append(cand) or check(cand))
         for run in runs:
             run()
     return seen
@@ -351,7 +378,9 @@ def corrupted(candidate, count=6):
 def test_candidate_verdicts_match_the_check_they_replace(monkeypatch):
     # every candidate the solver checks on the split inputs (under the real
     # check and under ring_only) and on SU(2)_k x_Z2 SU(2)_k for k = 4, 8,
-    # corruptions of those that pass up to rank 16, and the permuted S rows
+    # corruptions of those that pass up to rank 16, and the permuted S rows:
+    # those of them that meet the search's guarantee (a moved fusion entry
+    # breaks the ring, a changed twist may break the dual twists)
     def condense(P, bosons):
         return lambda: relprod.condense_by_invertible_bosons(P, bosons)
 
@@ -361,11 +390,13 @@ def test_candidate_verdicts_match_the_check_they_replace(monkeypatch):
         return lambda: relprod.verify_stacking_identity(P, P, emb, emb)
 
     runs = [condense(P, bosons) for P, bosons in benchmark_split_inputs()]
-    real = candidates_of(monkeypatch, relprod._candidate_ok, runs + [stack(4), stack(8)])
-    ring = candidates_of(monkeypatch, ring_only, runs)
+    real = [unpacked(c) for c in candidates_of(monkeypatch, relprod._candidate_ok,
+                                               runs + [stack(4), stack(8)])]
+    ring = [unpacked(c) for c in candidates_of(monkeypatch, ring_only, runs)]
     cases = [(c, split_reference.sparse_candidate_ok(*c)) for c in real + ring]
     cases += [(bad, split_reference.sparse_candidate_ok(*bad))
               for c, ok in cases[:len(real)] if ok and len(c[0]) <= 16 for bad in corrupted(c)]
+    all_cases, cases = len(cases), [(c, ok) for c, ok in cases if search_precondition(c)]
     decision, decided = Premodular._s_invertibility.func, []
 
     def counted(cand):  # uncached: _candidate_ok reads it once per candidate
@@ -374,17 +405,17 @@ def test_candidate_verdicts_match_the_check_they_replace(monkeypatch):
 
     monkeypatch.setattr(Premodular, "_s_invertibility", property(counted))
     for c, ok in cases:
-        assert relprod._candidate_ok(*c) is ok
+        assert relprod._candidate_ok(relprod._build_result(*c)) is ok
     for P, image, _ in permuted_cases():
         Q = permuted_rows(P, dict(zip(P.labels, image)))
         with monkeypatch.context() as m:
-            for module in (relprod, split_reference):
-                m.setattr(module, "_build_result", lambda *a, **k: (Q.ring, Q))
+            m.setattr(split_reference, "_build_result", lambda *a, **k: Q)
             args = (P.labels, triples(P.ring), P.dims, P.twists)
-            assert relprod._candidate_ok(*args) is split_reference.sparse_candidate_ok(*args)
-    # the characters decide every candidate that gets past validation here,
-    # except the permuted S rows that break Verlinde, which the dense test does
-    assert (len(real), len(ring), len(cases)) == (18, 14, 143)
+            assert relprod._candidate_ok(Q) is split_reference.sparse_candidate_ok(*args)
+    # the characters decide every candidate that gets past the conjugate-dual
+    # rule here, except the permuted S rows that break Verlinde, which the
+    # dense test does
+    assert (len(real), len(ring), all_cases, len(cases)) == (18, 14, 143, 75)
     assert [[v for v, _ in decided].count(v) for v in (True, False)] == [23, 4]
 
 
@@ -429,16 +460,34 @@ def searched_candidates(monkeypatch, check):
     return candidates_of(monkeypatch, check, runs)
 
 
-def validation_outside_the_s_block(candidate):
-    _, cand = relprod._build_result(*candidate, name="candidate")
-    return [msg for msg in cand.validate() if not msg.startswith("smatrix: dual row")]
-
-
 def test_every_searched_candidate_passes_validation_outside_the_s_block(monkeypatch):
     # the search enforces the ring axioms, the dimension equations, and dims
     # and twists come from the valid parent: of Premodular.validate, only the
     # conjugate-dual rule of S can fail, and it does on some candidates
     seen = searched_candidates(monkeypatch, relprod._candidate_ok)
-    assert [validation_outside_the_s_block(c) for c in seen] == [[]] * len(seen)
-    verdicts = [relprod._candidate_ok(*c) for c in seen]
+    assert all(search_precondition(unpacked(c)) for c in seen)
+    verdicts = [relprod._candidate_ok(relprod._build_result(*unpacked(c))) for c in seen]
     assert (len(seen), verdicts.count(True)) == (63, 39)
+
+
+def test_split_results_take_over_the_candidate_s_state(monkeypatch):
+    # the result is the passing candidate relabelled to its least member:
+    # its S-entries are the candidate's, renamed (the children of two of these
+    # inputs are), equal to fresh ones, and is_nondegenerate computes no
+    # S-entry and no S decision beyond those the candidate check made
+    decisions, generators, results, renamed = [], premodular._generators, [], 0
+    monkeypatch.setattr(premodular, "_generators",
+                        lambda ring: decisions.append(ring) or generators(ring))
+    for P, bosons in benchmark_split_inputs() + carrying_inputs():
+        decisions.clear()
+        seen = candidates_of(monkeypatch, relprod._candidate_ok, [
+            lambda: results.append(relprod.condense_by_invertible_bosons(P, bosons).result)])
+        result, made = results[-1], len(decisions)
+        computed = dict(result._s)
+        assert result.is_nondegenerate() is True
+        assert result._s == computed and len(computed) == result.ring.rank() ** 2
+        assert made == len(decisions) == sum("_s_invertibility" in vars(c) for c in seen)
+        fresh = Premodular(result.ring, result.dims, result.twists)
+        assert computed == {(i, j): fresh.s_entry(i, j) for i, j in computed}, P.name
+        renamed += all(triples(c.ring) != triples(result.ring) for c in seen)
+    assert renamed == 2
