@@ -182,7 +182,7 @@ class Cyclo:
     zeta_order^e over the basis B_order at its conductor, with integer
     coefficients, den > 0 and gcd(den, coefficients) = 1."""
 
-    __slots__ = ("order", "coeffs", "den")
+    __slots__ = ("order", "coeffs", "den", "_hash")  # _hash is set by the first __hash__
 
     def __init__(self, order: int, coeffs: dict[int, int], den: int):
         object.__setattr__(self, "order", order)
@@ -400,7 +400,12 @@ class Cyclo:
         return self.order == other.order and self.den == other.den and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.order, self.den, frozenset(self.coeffs.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.order, self.den, frozenset(self.coeffs.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __bool__(self):
         return bool(self.coeffs)

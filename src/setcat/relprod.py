@@ -9,11 +9,12 @@ from __future__ import annotations
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cache
+from fractions import Fraction
 from itertools import (accumulate, chain, compress, count, groupby, permutations, product,
                        repeat)
+from math import lcm
 
-from .cyclo import Cyclo
+from .cyclo import Cyclo, cyclotomic_polynomial
 from .double import drinfeld_double
 from .embedding import SymmetryEmbedding, same_symmetry
 from .equiv import find_equivalence
@@ -120,6 +121,12 @@ def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
 
     # result skeleton
     child_count = {o.representative: len(o.stabilizer) for o in orbits}
+    for r, s in child_count.items():  # s children of dim d/s need d >= s
+        if s > 1 and (P.dim(r) - s).sign() < 0:
+            raise InputError(
+                f"{P.name}: split orbit(s) {r}: dim {P.dim(r)} is below the stabilizer's order "
+                f"{s}, so {s} children would have dims below 1; the stabilizer carries a "
+                f"nontrivial 2-cocycle, unsupported input")
     of_orbit = {r: [r] if s == 1 else [f"{r}#{k}" for k in range(s)]
                 for r, s in child_count.items()}
     provenance = {lab: (r, k) for r, labs in of_orbit.items() for k, lab in enumerate(labs)}
@@ -136,8 +143,9 @@ def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
         if not classes:
             raise ValidationInputError(
                 f"{P.name}: no fusion assignment of the split orbit(s) "
-                f"{', '.join(r for r, s in child_count.items() if s > 1)} is consistent; "
-                f"the data is not a braided category")
+                f"{', '.join(r for r, s in child_count.items() if s > 1)} is consistent: "
+                f"either the data is not a braided category, or a stabilizer carries a "
+                f"nontrivial 2-cocycle, which the engine does not support")
         if len(classes) > 1:
             ambiguity_flags = [f"{len(classes)} fusion assignments survive all constraints"] + [
                 f"undetermined coefficient N[{a},{b}]^{c}" for (a, b, c) in sorted(
@@ -226,7 +234,8 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     value spreads over N_ab^c = N_(a*)c^b = N_(b*)(a*)^(c*).  Each margin, and
     each row whose open entries share one dim, is a group of fixed sum.
     Checked once decided, on rows kept in place: the group sums, the other
-    rows' dimension equation, associativity once the rows it reads are
+    rows' dimension equation, associativity and the rule S(i*, j) =
+    conj S(i, j) (`_conjugate_dual_rule`) once the rows they read are
     complete, and the lex-leader condition V <= V o g for each relabelling g
     (Crawford et al., KR 1996) in search order and the value order
     1 < 2 < ... < 0, on the positions g moves from the first not known to
@@ -254,28 +263,41 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         row[(a, b)][c] = None
     # and packed[b][a]: row (a, b) as one integer, N_ab^c in the bits from shift[c] on,
     # wide enough that no sum an associativity check forms carries into the next
-    width = (len(labels) * max(1, *forced.values(), *rem) ** 2).bit_length()
+    top = max(1, *forced.values(), *rem)  # no coefficient exceeds a margin
+    width = (len(labels) * top ** 2).bit_length()
     shift = {c: width * i for i, c in enumerate(labels)}
     packed = {b: dict.fromkeys(labels, 0) for b in labels}
     for (a, b, c), v in forced.items():
         packed[b][a] += v << shift[c]
-    rid, V, inverse = {r: i for i, r in enumerate(rows)}, [None] * n, cache(Cyclo.inverse)
+    rid, V = {r: i for i, r in enumerate(rows)}, [None] * n
     cell = [(row[(a, b)], c, packed[b], a, shift[c]) for a, b, c in live]
-    for (a, b), ps in rows.items():
-        ds = {dims[live[p][2]] for p in ps}
-        if len(ds) > 1:  # mixed dims: the row's dimension equation waits for the row
+    sums = {}  # the open entries' sum (None: mixed dims) by the orbits of the row's inputs,
+    for (a, b), ps in rows.items():  # which fix its forced entries and open outputs
+        if (key := (rep_of[a], rep_of[b])) not in sums:
+            ds, sums[key] = {dims[live[p][2]] for p in ps}, None
+            if len(ds) == 1:
+                k = _ratio(dims[a] * dims[b] - sum(
+                    (dims[c] * v for c, v in row[(a, b)].items() if v), Cyclo.zero()), ds.pop())
+                sums[key] = int(k) if k is not None and k.denominator == 1 else -1
+        if sums[key] is None:  # mixed dims: the row's dimension equation waits for the row
             checks.append([(a, b), (rid[(a, b)],)])
             continue
-        k = (dims[a] * dims[b] - sum((dims[c] * v for c, v in row[(a, b)].items() if v),
-                                     Cyclo.zero())) * inverse(ds.pop())
-        rem.append(int(k.as_fraction()) if k.is_rational() and
-                   k.as_fraction().denominator == 1 else -1)
+        rem.append(sums[key])
         for p in ps:
             grp[p].append(len(rem) - 1)
     for i, x in enumerate(labels[1:], 1):  # (x y) z = x (y z), x <= z, waits for its rows
-        for z, y in product(labels[i:], labels[1:]):
-            reads = {(x, y), (y, z), *((m, z) for m in row[x, y]), *((x, m) for m in row[y, z])}
-            checks.append([(x, y, z), tuple({rid[r] for r in reads if r in rid})])
+        for z, y in product(labels[i:], labels[1:]):  # (it holds for P on forced rows alone)
+            if rs := tuple({rid[r] for r in chain(((x, y), (y, z)), zip(row[x, y], repeat(z)),
+                                                  zip(repeat(x), row[y, z])) if r in rid}):
+                checks.append([(x, y, z), rs])
+    # S(i*, j) = conj S(i, j) for j >= i, one check per i2 that may be i*: it waits for the
+    # rows (i, j), (i2, j) and (i, i2) and is vacuous unless N_(i i2)^1 = 1
+    s_rule, s_checks = _conjugate_dual_rule(labels, dims, twists, top), len(checks)
+    for a, i in enumerate(labels):
+        duals = [y for y in labels if unit in row.get((i, y), ())]
+        for j, i2 in product(labels[a:], duals):
+            reads = ((i, j), (i2, j), (i, i2))
+            checks.append([(i, i2, j), tuple({rid[r] for r in reads if r in rid})])
     watch, wait = defaultdict(list), [len(rs) for _, rs in checks]
     for i, (_, rs) in enumerate(checks):
         for r in rs:
@@ -301,7 +323,8 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
              for key in moving}  # key -> the indices s of the order[s] it moves, then a stop
     moved = {key: array("i", [next(scan)]) for key, scan in scans.items()}  # found so far
     images = [[] for _ in maps]  # i -> order[s] relabelled by maps[g], s the i-th index g moves
-    dual, trail, ready = {a: b for (a, b, c) in forced if c == unit}, [], []
+    dual, trail = {a: b for (a, b, c) in forced if c == unit}, []
+    ready = [k for k in range(s_checks, len(checks)) if not wait[k]]  # S checks, forced rows
 
     def move(p, val, s):  # s = 1 sets V[p] to val, s = -1 clears it
         entries, c, col, a, at_c = cell[p]
@@ -330,15 +353,21 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
                   for x, y, z in permutations(s)) if full else ((a, b, c), (b, a, c))
             for t in dict.fromkeys(ts):  # in insertion order, not the string hash's
                 ok = (put(at[t], val) if t in at else val == 0) and ok
-        for what in (checks[i][0] for i in ready if ok):
-            if len(what) == 2:
+        for k in ready:
+            if not ok:
+                break
+            what = checks[k][0]
+            if k >= s_checks:
+                i, i2, j = what  # the S rule, once N_(i i2)^1 = 1 says i2 = i*
+                ok = row[(i, i2)][unit] != 1 or s_rule(i, i2, j, row[(i, j)], row[(i2, j)])
+            elif len(what) == 2:
                 ok = sum((dims[c] * v for c, v in row[what].items() if v),
                          Cyclo.zero()) == dims[what[0]] * dims[what[1]]
-                continue
-            x, y, z = what  # (x y) z and x (y z), the latter as (y z) x
-            by_z, by_x = packed[z], packed[x]
-            ok = (sum(v * by_z[m] for m, v in row[(x, y)].items() if v) ==
-                  sum(v * by_x[m] for m, v in row[(y, z)].items() if v))
+            else:
+                x, y, z = what  # (x y) z and x (y z), the latter as (y z) x
+                by_z, by_x = packed[z], packed[x]
+                ok = (sum(v * by_z[m] for m, v in row[(x, y)].items() if v) ==
+                      sum(v * by_x[m] for m, v in row[(y, z)].items() if v))
         ready.clear()
         return ok
 
@@ -426,22 +455,64 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     # of one orbit share a dim and a twist, so the S-entries and the S decision carry over
     passed = []
     for W in survivors:
-        if _candidate_ok(cand := _build_result(labels, assignment(W), dims, twists)):
+        if _candidate_ok(cand := _build_result(labels, n_dict := assignment(W), dims, twists)):
             best, rename = least(W)
-            result = _build_result(labels, n_dict := assignment(best), dims, twists)
-            result._s = {(rename.get(i, i), rename.get(j, j)): v for (i, j), v in cand._s.items()}
-            result._s_invertibility = cand._s_invertibility
+            result = cand
+            if rename:  # W is not its least member
+                result = _build_result(labels, n_dict := assignment(best), dims, twists)
+                result._s = {(rename.get(i, i), rename.get(j, j)): v
+                             for (i, j), v in cand._s.items()}
+                result._s_invertibility = cand._s_invertibility
             passed.append((n_dict, result))
     return sorted(passed, key=lambda c: tuple(c[0].items()))
 
 
+def _conjugate_dual_rule(labels, dims, twists, bound):
+    """The rule S(i2, j) = conj S(i, j) for i2 = i* on a candidate's rows
+    (i, j) and (i2, j), as a function of i, i2, j and the two rows, with
+    coefficients at most `bound`.  By the balancing formula (`s_entry`) it
+    says sum_k N_ij^k theta_k d_k = z^t conj(sum_k N_(i2)j^k theta_k d_k) with
+    z^t = theta_i theta_i2 theta_j^2, z = zeta_n for one conductor n.
+
+    No value is made: den * sum_e c_e z^e (den clears every denominator) is
+    the integer sum_e c_e 2^(w e), its image under Z[z] -> Z/M, z -> 2^w,
+    M = Phi_n(2^w).  The kernel is the ideal (2^w - z), so a nonzero x in it
+    has |norm(x)| >= |norm(2^w - z)| = M >= (2^w - 1)^phi(n); every conjugate
+    of x is at most the absolute sum of its coefficients, so x = 0 once that
+    sum is below 2^w - 1, as w makes it for any difference the rule forms."""
+    n = lcm(*(r.denominator for r in twists.values()), *(d.order for d in dims.values()))
+    den = lcm(*(d.den for d in dims.values()))
+    turn = {x: r.numerator * (n // r.denominator) for x, r in twists.items()}  # theta = z^turn
+    terms = {x: [(e * (n // d.order) + turn[x], c * (den // d.den)) for e, c in d.coeffs.items()]
+             for x, d in dims.items()}  # den theta_x d_x = sum c z^e
+    w = (2 * len(labels) * bound * max(sum(abs(c) for _, c in ts) for ts in terms.values())
+         ).bit_length() + 1
+    mod = sum(c << w * e for e, c in enumerate(cyclotomic_polynomial(n)))
+    theta_d = {x: sum(c << w * (e % n) for e, c in ts) for x, ts in terms.items()}
+    conj_theta_d = {x: sum(c << w * (-e % n) for e, c in ts) for x, ts in terms.items()}
+
+    def rule(i, i2, j, n_ij, n_i2j):
+        t = w * ((turn[i] + turn[i2] + 2 * turn[j]) % n)
+        return not (sum(v * theta_d[k] for k, v in n_ij.items() if v) -
+                    (sum(v * conj_theta_d[k] for k, v in n_i2j.items() if v) << t)) % mod
+    return rule
+
+
+def _ratio(x: Cyclo, d: Cyclo) -> Fraction | None:
+    """x / d if it is rational, else None, for d != 0: a nonzero rational
+    multiple of d has d's conductor, and its coordinates are d's scaled."""
+    if not x:
+        return Fraction(0)
+    if x.order != d.order:
+        return None
+    e, c = next(iter(d.coeffs.items()))
+    q = Fraction(x.coeffs.get(e, 0) * d.den, x.den * c)
+    return q if d * q == x else None
+
+
 def _candidate_ok(cand: Premodular) -> bool:
-    """What the search leaves open (README, "Condensation engine"): the rule
-    S(i*, j) = conj S(i, j) of `Premodular.validate`, and the S decision."""
-    S, labels = cand.s_entry, cand.labels
-    if any(S(cand.dual(i), j) != S(i, j).conjugate()
-           for a, i in enumerate(labels) for j in labels[a:]):
-        return False
+    """What the search leaves open (README, "Condensation engine"): the S
+    decision; the candidate passes `Premodular.validate`."""
     verlinde, invertible = cand._s_invertibility
     return verlinde or not invertible  # a singular S passes whatever Verlinde says
 

@@ -362,6 +362,21 @@ def test_split_without_consistent_fusion_exit_2(capsys, tmp_path):
     assert "ising_untwisted" in err and "split orbit(s) sigma" in err
 
 
+def test_split_orbit_with_a_2_cocycle_exit_2(capsys, fixture_dir, tmp_path):
+    # (ising x ising_rev) x ising validates; its Z2 x Z2 of bosons fixes the dim-2 sqrt(2)
+    # label ((sigma,sigma),sigma), which cannot split into 4 children of dim sqrt(2)/2
+    ii = str(tmp_path / "ii.json")
+    assert run(capsys, ["product", str(fixture_dir / "ising.json"),
+                        str(fixture_dir / "ising_rev.json"), "--out", ii])[0] == 0
+    iii = str(tmp_path / "iii.json")
+    assert run(capsys, ["product", ii, str(fixture_dir / "ising.json"), "--out", iii])[0] == 0
+    assert run(capsys, ["validate", iii])[0] == 0
+    err = assert_input_error(capsys, ["condense", iii, "--bosons",
+                                      "((1,1),1),((1,psi),psi),((psi,1),psi),((psi,psi),1)"])
+    assert "split orbit(s) ((sigma,sigma),sigma): dim 2*z8 - 2*z8^3" in err
+    assert "stabilizer's order 4" in err and "nontrivial 2-cocycle" in err
+
+
 
 def test_validated_but_inconsistent_data_exit_2(capsys, tmp_path):
     # pointed Z2^3, all labels self-dual, twist 1/2 on (1,1,1) only: the file

@@ -187,6 +187,23 @@ def test_hash_consistency():
     assert len({a, b}) == 1
 
 
+def test_equal_values_built_differently_hash_equal():
+    # sqrt(2) four ways, and a rational reached through a cyclotomic product; the
+    # hash is kept after the first call, so it is read before and after every use
+    z8 = root_of_unity(Fraction(1, 8))
+    sqrt2 = [z8 + z8.conjugate(), parse_cyclo("z8 - z8^3"), 2 * (z8 + z8 ** 7).inverse(),
+             (z8 + z8 ** 7) * (z8 + z8 ** 7) * (z8 + z8 ** 7) / 2]
+    halves = [Cyclo.from_rational(Fraction(1, 2)), root_of_unity(Fraction(1, 6)) *
+              root_of_unity(Fraction(5, 6)) - Cyclo.from_rational(Fraction(1, 2))]
+    for values in (sqrt2, halves):
+        first = [hash(v) for v in values]
+        assert all(v == values[0] for v in values)
+        assert len(set(first)) == 1 and [hash(v) for v in values] == first
+        assert len({*values, *(parse_cyclo(str(v)) for v in values)}) == 1
+    assert hash(sqrt2[0]) == hash((sqrt2[0].order, sqrt2[0].den,
+                                   frozenset(sqrt2[0].coeffs.items())))
+
+
 # -- independent cross-check against sympy -----------------------------------
 
 _X = sympy.Symbol("x")

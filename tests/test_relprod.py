@@ -11,7 +11,7 @@ from setcat.cyclo import Cyclo, root_of_unity
 from setcat.double import drinfeld_double, rep_abelian
 from setcat.embedding import SymmetryEmbedding
 from setcat.equiv import check_bijection, find_equivalence
-from setcat.errors import InputError, InternalFault, LimitExceeded
+from setcat.errors import InputError, InternalFault, LimitExceeded, ValidationInputError
 from setcat.fusion import pair_label
 from setcat.pointed import MetricGroup, element_label
 from setcat.randomized import random_metric_group
@@ -26,7 +26,7 @@ from setcat.relprod import (
 )
 
 from .test_invariants import su2_level
-from .test_split_differential import assert_least_relabelling, ising_squared
+from .test_split_differential import assert_least_relabelling, ising_squared, rep_d8
 
 F = Fraction
 
@@ -278,6 +278,36 @@ def test_split_candidate_cap_message_names_the_numbers(monkeypatch):
                                             r"the cap of 0, over \d+ unknown variables") as fault:
         condense_by_invertible_bosons(prod, [pair_label("1", "1"), pair_label("psi", "psi")])
     assert isinstance(fault.value, LimitExceeded)
+
+
+def test_split_orbit_below_its_stabilizer_order_is_unsupported_input():
+    # (ising x ising_rev) x ising is valid data, and its Z2 x Z2 of bosons fixes
+    # ((sigma,sigma),sigma), of dim 2 sqrt(2): 4 children would have dim sqrt(2)/2;
+    # the stabilizer acts with a nontrivial 2-cocycle, which the engine does not model
+    ising = get("ising").category
+    P = ising.deligne(get("ising_rev").category).deligne(ising)
+    assert P.validate() == []
+    bosons = [pair_label(pair_label(a, b), c) for a, b, c in
+              [("1", "1", "1"), ("1", "psi", "psi"), ("psi", "1", "psi"), ("psi", "psi", "1")]]
+    with pytest.raises(InputError) as error:
+        condense_by_invertible_bosons(P, bosons)
+    assert type(error.value) is InputError
+    assert str(error.value) == (
+        "ising (x) ising_rev (x) ising: split orbit(s) ((sigma,sigma),sigma): dim "
+        "2*z8 - 2*z8^3 is below the stabilizer's order 4, so 4 children would have dims "
+        "below 1; the stabilizer carries a nontrivial 2-cocycle, unsupported input")
+
+
+def test_split_without_a_consistent_assignment_names_both_causes():
+    # the Rep(D8) fusion ring with twists 1/2 on b and c and 1/16 on m validates; the
+    # dim-2 fixed point m of {1, a} has room for 2 children, yet no assignment is consistent
+    P = rep_d8((0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 16)))
+    assert P.validate() == []
+    with pytest.raises(ValidationInputError, match=(
+            r"^rep_d8: no fusion assignment of the split orbit\(s\) m is consistent: either "
+            r"the data is not a braided category, or a stabilizer carries a nontrivial "
+            r"2-cocycle, which the engine does not support$")):
+        condense_by_invertible_bosons(P, ["1", "a"])
 
 
 def test_split_ising_squared_is_toric_squared():

@@ -19,18 +19,18 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations, product
 from pathlib import Path
 
 import pytest
 
 from setcat import premodular, relprod
 from setcat.catalog import get
-from setcat.cyclo import Cyclo
+from setcat.cyclo import Cyclo, root_of_unity
 from setcat.embedding import SymmetryEmbedding
 from setcat.errors import LimitExceeded
 from setcat.equiv import find_equivalence
-from setcat.fusion import pair_label
+from setcat.fusion import FusionRing, pair_label
 from setcat.pointed import MetricGroup, element_label
 from setcat.premodular import Premodular
 
@@ -75,9 +75,10 @@ def test_su2_d_series_quotient(k, rank):
     assert result.is_nondegenerate()
 
 
-def test_ising_squared_takes_2617_nodes(monkeypatch):
+def test_ising_squared_takes_1634_nodes(monkeypatch):
     # the nodes the search needs, to the node: a change in where a check prunes shows here
-    for budget, enough in ((2_617, True), (2_616, False)):
+    # (2,617 while the rule S(i*, j) = conj S(i, j) waited for complete candidates)
+    for budget, enough in ((1_634, True), (1_633, False)):
         monkeypatch.setattr(relprod, "_SEARCH_NODE_BUDGET", budget)
         try:
             relprod.condense_by_invertible_bosons(*ising_squared())
@@ -156,10 +157,8 @@ def test_split_classes_match_reference(monkeypatch):
 
 def search_precondition(candidate) -> bool:
     """Whether a candidate, as the reference checks' arguments, meets what
-    the search guarantees its check: `Premodular.validate` reports nothing
-    but, at most, the conjugate-dual rule of S."""
-    return all(msg.startswith("smatrix: dual row")
-               for msg in relprod._build_result(*candidate).validate())
+    the search guarantees its check: it passes `Premodular.validate`."""
+    return relprod._build_result(*candidate).validate() == []
 
 
 def unpacked(cand):
@@ -187,13 +186,14 @@ def test_candidate_checks_match_reference(monkeypatch):
                  split_reference.dense_candidate_ok(*c), split_reference.sparse_candidate_ok(*c))
                 for c in kept]
     assert all(new == dense == sparse for new, dense, sparse in verdicts)
-    assert (len(seen), len(kept), sum(new for new, _, _ in verdicts)) == (104, 10, 6)
+    assert (len(seen), len(kept), sum(new for new, _, _ in verdicts)) == (104, 6, 6)
 
 
 def ring_only(cand):
     """A candidate check without the braiding: ring axioms and dimension
-    equations.  Under it, two classes of splittings survive where one
-    category exists, e.g. Z2 x Z2 and Z4 fusion on ising x ising_rev / Z2."""
+    equations.  The search itself applies one braiding rule, S(i*, j) =
+    conj S(i, j), which alone tells Z2 x Z2 from Z4 fusion on ising x
+    ising_rev / Z2."""
     ring, labels, dims = cand.ring, cand.labels, cand.dims
     return not ring.validate() and all(sum(
         (dims[k] * n for k, n in ring.fuse(i, j).items()), Cyclo.zero()) == dims[i] * dims[j]
@@ -207,20 +207,49 @@ def reference_classes(forced, unknown, labels, rep_of, dims, twists, orbit_margi
                 forced, unknown, labels, rep_of, dims, twists, orbit_margins)]
 
 
+def conjugate_dual_rule(cand) -> bool:
+    """S(i*, j) = conj S(i, j) for j at or after i, in Cyclo arithmetic."""
+    S, labels = cand.s_entry, cand.labels
+    return all(S(cand.dual(i), j) == S(i, j).conjugate()
+               for a, i in enumerate(labels) for j in labels[a:])
+
+
+def rep_d8(twists=(0, 0, 0, 0, 0)):
+    """The fusion ring of Rep(D8) (and of Rep(Q8)): 1, a, b, c of dim 1 and
+    m of dim 2, m m = 1 + a + b + c; all twists 0 by default, a symmetric
+    category.  Condensing {1, a} splits m into two dim-1 children whose
+    fusion is Z4 or Z2 x Z2; the ring, which permutes a, b and c freely,
+    cannot tell which, so two classes survive every check."""
+    labels, fusion = ["1", "a", "b", "c", "m"], {}
+    for x in labels[:4]:
+        fusion.update(dict.fromkeys([("1", x, x), (x, "1", x), (x, x, "1"), (x, "m", "m"),
+                                     ("m", x, "m"), ("m", "m", x)], 1))
+    for x, y, z in permutations("abc"):
+        fusion[(x, y, z)] = 1
+    ring = FusionRing(labels, {x: x for x in labels}, fusion)
+    dims = {**dict.fromkeys(labels[:4], Cyclo.one()), "m": Cyclo.from_rational(2)}
+    return Premodular(ring, dims, dict(zip(labels, map(Fraction, twists))), name="rep_d8")
+
+
 def test_distinct_classes_raise_the_reference_flags(monkeypatch):
+    # the reference checks its complete candidates with the rule the search applies
+    # as it goes; the first two inputs kept two classes under ring_only before the
+    # search applied it and keep one now, Rep(D8) / {1, a} keeps two under any check
     inputs = split_inputs()
-    for P, bosons in (inputs[0], inputs[5]):
+    for P, bosons in (inputs[0], inputs[5], (rep_d8(), ["1", "a"])):
         outcomes = []
         for solve in (relprod._resolve_split_fusion, reference_classes):
             with monkeypatch.context() as m:
                 m.setattr(relprod, "_candidate_ok", ring_only)
-                m.setattr(split_reference, "_candidate_ok",
-                          lambda *c: ring_only(relprod._build_result(*c)))
+                m.setattr(split_reference, "_candidate_ok", lambda *c: ring_only(
+                    cand := relprod._build_result(*c)) and conjugate_dual_rule(cand))
                 m.setattr(relprod, "_resolve_split_fusion", solve)
                 res = relprod.condense_by_invertible_bosons(P, bosons)
             outcomes.append((res.ambiguity_flags, list(triples(res.result.ring).items())))
         assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0][0] == "2 fusion assignments survive all constraints"
+    assert outcomes[0][0][0] == "2 fusion assignments survive all constraints"
+    assert relprod.condense_by_invertible_bosons(rep_d8(), ["1", "a"]).ambiguity_flags == \
+        outcomes[0][0]
 
 
 def permuted_rows(P, sigma):
@@ -274,28 +303,21 @@ def benchmark_split_inputs():
 
 
 # per input: the number of ambiguity flags and the sha256 of the JSON text of
-# [ambiguity_flags, list(triples(result.ring).items())], recorded when the lex-leader
-# comparison still walked the positions in sorted order
-FROZEN_REPORTS = {
-    "candidate_ok": [
-        (0, "c7f29dff2c6ffc8b882ca014be757b2bcfb7985d8eef9ea51a53d379cceab998"),
-        (0, "0444fa51fec266d720401837375570b6d0195de025a6a1a624d03dc2a8a23f7f"),
-        (0, "51c3a029ab3b1037058bd4c94bf5e58cc88ff9530fa20452c159febc8fa5dd76"),
-        (0, "c4cc9a9a98180c37b5df508aa39c12116296f4cb06796724c2088f0205c6ac8e"),
-        (0, "ed4712d7d426639c661f655ab1f6c800243e1542710acaaa3b1f4dd06ffe55f4"),
-        (0, "af39c573f16ec68cefb9ade95bc0f62055312cfae3e17899c6796f39606e0bbb"),
-        (0, "c584c7e7dec0636150e220d53bacce53d84576e08207becc03a485443b8742a6"),
-        (0, "f0448ab90e695c7a6d54113d38987f2629e146fb267c5025e9d27ae5be8e891e")],
-    "ring_only": [
-        (9, "133f4c47f4ec5c02fabf05b1f3371d078888ca5963b3fa6a5df0f01b3f5dd086"),
-        (9, "133f4c47f4ec5c02fabf05b1f3371d078888ca5963b3fa6a5df0f01b3f5dd086"),
-        (0, "51c3a029ab3b1037058bd4c94bf5e58cc88ff9530fa20452c159febc8fa5dd76"),
-        (0, "c4cc9a9a98180c37b5df508aa39c12116296f4cb06796724c2088f0205c6ac8e"),
-        (0, "ed4712d7d426639c661f655ab1f6c800243e1542710acaaa3b1f4dd06ffe55f4"),
-        (0, "af39c573f16ec68cefb9ade95bc0f62055312cfae3e17899c6796f39606e0bbb"),
-        (41, "5abc1ebf87debd90fdc79cbcc322cd0ad6f5c0982bdbd77084142e3852967af1"),
-        (257, "eb3b5c0e9369bf5b7051abbf2e26c72612085441a865596d63db3aba68c778cf")],
-}
+# [ambiguity_flags, list(triples(result.ring).items())], recorded under the real check
+# when the lex-leader comparison still walked the positions in sorted order; under
+# ring_only recorded once the search applied the rule S(i*, j) = conj S(i, j), which
+# leaves each input the one class of the real check (9, 9, 41 and 257 flags before, on
+# the first two and the last two inputs)
+_REAL_CHECK_REPORTS = [
+    (0, "c7f29dff2c6ffc8b882ca014be757b2bcfb7985d8eef9ea51a53d379cceab998"),
+    (0, "0444fa51fec266d720401837375570b6d0195de025a6a1a624d03dc2a8a23f7f"),
+    (0, "51c3a029ab3b1037058bd4c94bf5e58cc88ff9530fa20452c159febc8fa5dd76"),
+    (0, "c4cc9a9a98180c37b5df508aa39c12116296f4cb06796724c2088f0205c6ac8e"),
+    (0, "ed4712d7d426639c661f655ab1f6c800243e1542710acaaa3b1f4dd06ffe55f4"),
+    (0, "af39c573f16ec68cefb9ade95bc0f62055312cfae3e17899c6796f39606e0bbb"),
+    (0, "c584c7e7dec0636150e220d53bacce53d84576e08207becc03a485443b8742a6"),
+    (0, "f0448ab90e695c7a6d54113d38987f2629e146fb267c5025e9d27ae5be8e891e")]
+FROZEN_REPORTS = {"candidate_ok": _REAL_CHECK_REPORTS, "ring_only": _REAL_CHECK_REPORTS}
 
 
 @pytest.mark.parametrize("check", sorted(FROZEN_REPORTS))
@@ -314,7 +336,7 @@ def test_split_reports_match_the_frozen_digests(check, monkeypatch):
 _COUNT_PRODUCTS = """
 import json
 from setcat import relprod
-from setcat.cyclo import Cyclo
+from setcat.cyclo import Cyclo, root_of_unity
 from tests.test_split_differential import benchmark_split_inputs
 
 inputs, counts, mul = benchmark_split_inputs(), [], Cyclo.__mul__
@@ -360,7 +382,7 @@ def candidates_of(monkeypatch, check, runs):
 
 def corrupted(candidate, count=6):
     """The candidate with one fusion entry moved to another output, or with
-    one twist changed: `count` of each."""
+    one twist changed by a quarter or by a half turn: `count` of each."""
     labels, n_dict, dims, twists = candidate
     unit = labels[0]
     moved = ((t, c) for t in n_dict if unit not in t
@@ -368,16 +390,17 @@ def corrupted(candidate, count=6):
     for (a, b, c), c2 in islice(moved, count):
         n = {t: v for t, v in n_dict.items() if t != (a, b, c)}
         yield labels, {**n, (a, b, c2): n_dict[(a, b, c)]}, dims, twists
-    for x in labels[1:count + 1]:
-        yield labels, n_dict, dims, {**twists, x: twists[x] + Fraction(1, 4)}
+    for x, turn in product(labels[1:count + 1], (Fraction(1, 4), Fraction(1, 2))):
+        yield labels, n_dict, dims, {**twists, x: twists[x] + turn}
 
 
 def test_candidate_verdicts_match_the_check_they_replace(monkeypatch):
     # every candidate the solver checks on the split inputs (under the real
-    # check and under ring_only) and on SU(2)_k x_Z2 SU(2)_k for k = 4, 8,
-    # corruptions of those that pass up to rank 16, and the permuted S rows:
-    # those of them that meet the search's guarantee (a moved fusion entry
-    # breaks the ring, a changed twist may break the dual twists)
+    # check and under ring_only), on SU(2)_k x_Z2 SU(2)_k for k = 4, 8 and on
+    # the carrying inputs, corruptions of those that pass up to rank 16, and
+    # the permuted S rows: those of them that meet the search's guarantee (a
+    # moved fusion entry breaks the ring, a quarter turn the dual twists or
+    # the conjugate-dual rule; some half turns keep both)
     def condense(P, bosons):
         return lambda: relprod.condense_by_invertible_bosons(P, bosons)
 
@@ -387,8 +410,8 @@ def test_candidate_verdicts_match_the_check_they_replace(monkeypatch):
         return lambda: relprod.verify_stacking_identity(P, P, emb, emb)
 
     runs = [condense(P, bosons) for P, bosons in benchmark_split_inputs()]
-    real = [unpacked(c) for c in candidates_of(monkeypatch, relprod._candidate_ok,
-                                               runs + [stack(4), stack(8)])]
+    real = [unpacked(c) for c in candidates_of(monkeypatch, relprod._candidate_ok, runs + [
+        stack(4), stack(8)] + [condense(P, bosons) for P, bosons in carrying_inputs()])]
     ring = [unpacked(c) for c in candidates_of(monkeypatch, ring_only, runs)]
     cases = [(c, split_reference.sparse_candidate_ok(*c)) for c in real + ring]
     cases += [(bad, split_reference.sparse_candidate_ok(*bad))
@@ -409,11 +432,10 @@ def test_candidate_verdicts_match_the_check_they_replace(monkeypatch):
             m.setattr(split_reference, "_build_result", lambda *a, **k: Q)
             args = (P.labels, triples(P.ring), P.dims, P.twists)
             assert relprod._candidate_ok(Q) is split_reference.sparse_candidate_ok(*args)
-    # the characters decide every candidate that gets past the conjugate-dual
-    # rule here, except the permuted S rows that break Verlinde, which the
-    # dense test does
-    assert (len(real), len(ring), all_cases, len(cases)) == (18, 14, 143, 75)
-    assert [[v for v, _ in decided].count(v) for v in (True, False)] == [23, 4]
+    # the characters decide every candidate here, except the permuted S rows
+    # that break Verlinde, which the dense test does
+    assert (len(real), len(ring), all_cases, len(cases)) == (17, 8, 257, 34)
+    assert [[v for v, _ in decided].count(v) for v in (True, False)] == [31, 10]
 
 
 # -- what the search guarantees its candidate check ----------------------------
@@ -457,14 +479,15 @@ def searched_candidates(monkeypatch):
     return candidates_of(monkeypatch, relprod._candidate_ok, runs)
 
 
-def test_every_searched_candidate_passes_validation_outside_the_s_block(monkeypatch):
-    # the search enforces the ring axioms, the dimension equations, and dims
-    # and twists come from the valid parent: of Premodular.validate, only the
-    # conjugate-dual rule of S can fail, and it does on some candidates
+def test_every_searched_candidate_passes_validation(monkeypatch):
+    # the search enforces the ring axioms, the dimension equations and the
+    # conjugate-dual rule of S, and dims and twists come from the valid parent:
+    # every candidate passes Premodular.validate (before the search enforced
+    # the rule, 63 were checked and 24 of them failed it)
     seen = searched_candidates(monkeypatch)
-    assert all(search_precondition(unpacked(c)) for c in seen)
+    assert all(relprod._build_result(*unpacked(c)).validate() == [] for c in seen)
     verdicts = [relprod._candidate_ok(relprod._build_result(*unpacked(c))) for c in seen]
-    assert (len(seen), verdicts.count(True)) == (63, 39)
+    assert (len(seen), verdicts.count(True)) == (39, 39)
 
 
 def test_split_results_take_over_the_candidate_s_state(monkeypatch):
@@ -488,3 +511,42 @@ def test_split_results_take_over_the_candidate_s_state(monkeypatch):
         assert computed == {(i, j): fresh.s_entry(i, j) for i, j in computed}, P.name
         renamed += all(triples(c.ring) != triples(result.ring) for c in seen)
     assert renamed == 2
+
+
+def balanced_rule(dims, twists, i, i2, j, n_ij, n_i2j) -> bool:
+    """S(i2, j) = conj S(i, j) for i2 = i*, each side by the balancing formula
+    S(x, y) = sum_k N_(x*)y^k theta_k / (theta_x theta_y) d_k in Cyclo arithmetic."""
+    def s(x, y, row):
+        return sum((root_of_unity(twists[k] - twists[x] - twists[y]) * dims[k] * n
+                    for k, n in row.items() if n), Cyclo.zero())
+    return s(i2, j, n_ij) == s(i, j, n_i2j).conjugate()
+
+
+def test_packed_conjugate_dual_rule_matches_cyclo_arithmetic(monkeypatch):
+    # every firing of the search's rule on the split inputs, the carrying inputs
+    # and SU(2)_k x_Z2 SU(2)_k for k = 4, 8, against the rule in Cyclo arithmetic
+    firings, make = [], relprod._conjugate_dual_rule
+
+    def recording(labels, dims, twists, bound):
+        rule = make(labels, dims, twists, bound)
+
+        def check(i, i2, j, n_ij, n_i2j):
+            firings[-1].append((rule(i, i2, j, n_ij, n_i2j),
+                                balanced_rule(dims, twists, i, i2, j, n_ij, n_i2j)))
+            return firings[-1][-1][0]
+        return check
+
+    monkeypatch.setattr(relprod, "_conjugate_dual_rule", recording)
+    for P, bosons in benchmark_split_inputs() + carrying_inputs():
+        firings.append([])
+        relprod.condense_by_invertible_bosons(P, bosons)
+    for k in (4, 8):
+        P = su2_level(k)
+        emb = SymmetryEmbedding([2], P.name, {(0,): P.unit, (1,): str(k)})
+        firings.append([])
+        relprod.verify_stacking_identity(P, P, emb, emb)
+    assert all(packed == cyclo for run in firings for packed, cyclo in run)
+    # (firings, failing firings) per run: 37 fail on (ising x ising_rev)^2 / Z2xZ2
+    assert [(len(run), sum(not packed for packed, _ in run)) for run in firings] == [
+        (12, 1), (11, 1), (7, 1), (16, 0), (28, 1), (39, 0), (49, 1), (536, 37),
+        (103, 7), (240, 13), (323, 1), (45, 3), (164, 5), (81, 0), (458, 0)]
