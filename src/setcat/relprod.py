@@ -285,8 +285,8 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         rem.append(sums[key])
         for p in ps:
             grp[p].append(len(rem) - 1)
-    for i, x in enumerate(labels[1:], 1):  # (x y) z = x (y z), x <= z, waits for its rows
-        for z, y in product(labels[i:], labels[1:]):  # (it holds for P on forced rows alone)
+    for i, x in enumerate(labels[1:], 1):  # (x y) z = x (y z), x <= z, waits for its rows;
+        for z, y in product(labels[i:], labels[1:]):  # on forced rows alone it holds for P
             if rs := tuple({rid[r] for r in chain(((x, y), (y, z)), zip(row[x, y], repeat(z)),
                                                   zip(repeat(x), row[y, z])) if r in rid}):
                 checks.append([(x, y, z), rs])
