@@ -9,7 +9,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cache
 from itertools import (accumulate, chain, compress, count, groupby, permutations, product,
                        repeat)
 from math import lcm
@@ -125,8 +125,9 @@ def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
         if s > 1 and (P.dim(r) - s).sign() < 0:
             raise InputError(
                 f"{P.name}: split orbit(s) {r}: dim {P.dim(r)} is below the stabilizer's order "
-                f"{s}, so {s} children would have dims below 1; the stabilizer carries a "
-                f"nontrivial 2-cocycle, unsupported input")
+                f"{s}, so {s} children would have dims below 1: either the data is not a "
+                f"braided category, or the stabilizer carries a nontrivial 2-cocycle; "
+                f"unsupported input")
     of_orbit = {r: [r] if s == 1 else [f"{r}#{k}" for k in range(s)]
                 for r, s in child_count.items()}
     provenance = {lab: (r, k) for r, labs in of_orbit.items() for k, lab in enumerate(labs)}
@@ -269,16 +270,17 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     packed = {b: dict.fromkeys(labels, 0) for b in labels}
     for (a, b, c), v in forced.items():
         packed[b][a] += v << shift[c]
-    rid, V = {r: i for i, r in enumerate(rows)}, [None] * n
+    rid, V, inverse = {r: i for i, r in enumerate(rows)}, [None] * n, cache(Cyclo.inverse)
     cell = [(row[(a, b)], c, packed[b], a, shift[c]) for a, b, c in live]
     sums = {}  # the open entries' sum (None: mixed dims) by the orbits of the row's inputs,
     for (a, b), ps in rows.items():  # which fix its forced entries and open outputs
         if (key := (rep_of[a], rep_of[b])) not in sums:
             ds, sums[key] = {dims[live[p][2]] for p in ps}, None
             if len(ds) == 1:
-                k = _ratio(dims[a] * dims[b] - sum(
-                    (dims[c] * v for c, v in row[(a, b)].items() if v), Cyclo.zero()), ds.pop())
-                sums[key] = int(k) if k is not None and k.denominator == 1 else -1
+                k = (dims[a] * dims[b] - sum((dims[c] * v for c, v in row[(a, b)].items() if v),
+                                             Cyclo.zero())) * inverse(ds.pop())
+                sums[key] = (int(k.as_fraction()) if k.is_rational() and
+                             k.as_fraction().denominator == 1 else -1)
         if sums[key] is None:  # mixed dims: the row's dimension equation waits for the row
             checks.append([(a, b), (rid[(a, b)],)])
             continue
@@ -455,14 +457,11 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     # of one orbit share a dim and a twist, so the S-entries and the S decision carry over
     passed = []
     for W in survivors:
-        if _candidate_ok(cand := _build_result(labels, n_dict := assignment(W), dims, twists)):
+        if _candidate_ok(cand := _build_result(labels, assignment(W), dims, twists)):
             best, rename = least(W)
-            result = cand
-            if rename:  # W is not its least member
-                result = _build_result(labels, n_dict := assignment(best), dims, twists)
-                result._s = {(rename.get(i, i), rename.get(j, j)): v
-                             for (i, j), v in cand._s.items()}
-                result._s_invertibility = cand._s_invertibility
+            result = _build_result(labels, n_dict := assignment(best), dims, twists)
+            result._s = {(rename.get(i, i), rename.get(j, j)): v for (i, j), v in cand._s.items()}
+            result._s_invertibility = cand._s_invertibility
             passed.append((n_dict, result))
     return sorted(passed, key=lambda c: tuple(c[0].items()))
 
@@ -496,18 +495,6 @@ def _conjugate_dual_rule(labels, dims, twists, bound):
         return not (sum(v * theta_d[k] for k, v in n_ij.items() if v) -
                     (sum(v * conj_theta_d[k] for k, v in n_i2j.items() if v) << t)) % mod
     return rule
-
-
-def _ratio(x: Cyclo, d: Cyclo) -> Fraction | None:
-    """x / d if it is rational, else None, for d != 0: a nonzero rational
-    multiple of d has d's conductor, and its coordinates are d's scaled."""
-    if not x:
-        return Fraction(0)
-    if x.order != d.order:
-        return None
-    e, c = next(iter(d.coeffs.items()))
-    q = Fraction(x.coeffs.get(e, 0) * d.den, x.den * c)
-    return q if d * q == x else None
 
 
 def _candidate_ok(cand: Premodular) -> bool:

@@ -17,7 +17,7 @@ from setcat.cyclo import MAX_CONDUCTOR
 from setcat.io import serialize_category, serialize_metric_group, to_text
 from setcat.pointed import MetricGroup
 
-from .test_split_differential import ising_squared
+from .test_split_differential import ising_squared, rep_d8
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +352,8 @@ def test_split_node_budget_exit_3(capsys, tmp_path, monkeypatch):
 
 def test_split_without_consistent_fusion_exit_2(capsys, tmp_path):
     # the Ising fusion ring with every twist 0 validates, yet no braiding
-    # exists, and the fixed point sigma of {1, psi} has no consistent splitting
+    # exists, and the fixed point sigma of {1, psi} has no consistent splitting:
+    # its dim sqrt(2) is below 2, so the engine refuses it before the search
     ising = serialize_category(get("ising").category)
     ising.update(name="ising_untwisted", twists=dict.fromkeys(ising["twists"], "0"))
     path = tmp_path / "ising0.json"
@@ -360,6 +361,20 @@ def test_split_without_consistent_fusion_exit_2(capsys, tmp_path):
     assert run(capsys, ["validate", str(path)])[0] == 0
     err = assert_input_error(capsys, ["condense", str(path), "--bosons", "1,psi"])
     assert "ising_untwisted" in err and "split orbit(s) sigma" in err
+    assert "either the data is not a braided category, or the stabilizer carries" in err
+
+
+def test_split_search_without_consistent_fusion_exit_2(capsys, tmp_path):
+    # the Rep(D8) fusion ring with twists 1/2 on b and c and 1/16 on m validates, and
+    # the dim-2 fixed point m of {1, a} has room for 2 children; the search itself
+    # finds no consistent assignment
+    path = tmp_path / "rep_d8.json"
+    path.write_text(to_text(serialize_category(
+        rep_d8((0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 16))))))
+    assert run(capsys, ["validate", str(path)])[0] == 0
+    err = assert_input_error(capsys, ["condense", str(path), "--bosons", "1,a"])
+    assert "rep_d8: no fusion assignment of the split orbit(s) m is consistent: either the " \
+        "data is not a braided category, or a stabilizer carries a nontrivial 2-cocycle" in err
 
 
 def test_split_orbit_with_a_2_cocycle_exit_2(capsys, fixture_dir, tmp_path):

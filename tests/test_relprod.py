@@ -283,7 +283,8 @@ def test_split_candidate_cap_message_names_the_numbers(monkeypatch):
 def test_split_orbit_below_its_stabilizer_order_is_unsupported_input():
     # (ising x ising_rev) x ising is valid data, and its Z2 x Z2 of bosons fixes
     # ((sigma,sigma),sigma), of dim 2 sqrt(2): 4 children would have dim sqrt(2)/2;
-    # the stabilizer acts with a nontrivial 2-cocycle, which the engine does not model
+    # the stabilizer acts with a nontrivial 2-cocycle, which the engine does not model,
+    # and the message names it next to the other cause, data with no braiding
     ising = get("ising").category
     P = ising.deligne(get("ising_rev").category).deligne(ising)
     assert P.validate() == []
@@ -295,7 +296,8 @@ def test_split_orbit_below_its_stabilizer_order_is_unsupported_input():
     assert str(error.value) == (
         "ising (x) ising_rev (x) ising: split orbit(s) ((sigma,sigma),sigma): dim "
         "2*z8 - 2*z8^3 is below the stabilizer's order 4, so 4 children would have dims "
-        "below 1; the stabilizer carries a nontrivial 2-cocycle, unsupported input")
+        "below 1: either the data is not a braided category, or the stabilizer carries a "
+        "nontrivial 2-cocycle; unsupported input")
 
 
 def test_split_without_a_consistent_assignment_names_both_causes():
