@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from itertools import product as _iproduct
 from math import prod
+from numbers import Integral
 
 from .errors import InputError
 
@@ -24,11 +25,23 @@ def zero(factors: list[int]) -> Element:
     return tuple(0 for _ in factors)
 
 
+def _is_int(x) -> bool:  # a float or a bool is refused, not truncated
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def check_factors(factors) -> list[int]:
+    """The invariant factors as a list of ints, each at least 1."""
+    for n in factors:
+        if not _is_int(n) or n < 1:
+            raise InputError(f"invariant factor {n!r} is not a positive integer")
+    return [int(n) for n in factors]
+
+
 def check_element(factors: list[int], a) -> Element:
-    a = tuple(int(x) for x in a)
-    if len(a) != len(factors) or any(not (0 <= x < n) for x, n in zip(a, factors)):
+    a = tuple(a)
+    if len(a) != len(factors) or not all(_is_int(x) and 0 <= x < n for x, n in zip(a, factors)):
         raise InputError(f"element {a} is not in the group with factors {factors}")
-    return a
+    return tuple(map(int, a))
 
 
 def add(factors: list[int], a: Element, b: Element) -> Element:

@@ -402,8 +402,9 @@ class Cyclo:
     def __hash__(self):
         try:
             return self._hash
-        except AttributeError:
-            h = hash((self.order, self.den, frozenset(self.coeffs.items())))
+        except AttributeError:  # a rational value hashes as the Fraction it equals
+            h = hash(self.as_fraction() if self.order == 1 else
+                     (self.order, self.den, frozenset(self.coeffs.items())))
             object.__setattr__(self, "_hash", h)
             return h
 

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from . import abelian
 from .embedding import SymmetryEmbedding
-from .errors import InputError
 from .pointed import MetricGroup, element_label
 from .premodular import Premodular
 
@@ -23,9 +22,7 @@ def drinfeld_double(factors: list[int]) -> tuple[Premodular, SymmetryEmbedding]:
     Realized as the metric group G + G-hat with q(g, chi) = sum g_i chi_i / n_i.
     The canonical embedding sends chi to (0, chi).
     """
-    factors = [int(n) for n in factors]
-    if any(n < 1 for n in factors):
-        raise InputError("invariant factors must be positive")
+    factors = abelian.check_factors(factors)
     r = len(factors)
     layout = factors + factors  # first half G, second half the characters
     order = sorted(range(2 * r), key=lambda i: (layout[i], i))
@@ -56,9 +53,7 @@ def drinfeld_double(factors: list[int]) -> tuple[Premodular, SymmetryEmbedding]:
 
 def rep_abelian(factors: list[int]) -> tuple[Premodular, SymmetryEmbedding]:
     """Rep(G) for abelian G: the character group with the zero form."""
-    factors = [int(n) for n in factors]
-    if any(n < 1 for n in factors):
-        raise InputError("invariant factors must be positive")
+    factors = abelian.check_factors(factors)
     name = f"rep_{_group_name(factors)}"
     q = {a: Fraction(0) for a in abelian.iter_elements(factors)}
     metric = MetricGroup(list(factors), q, name=name)

@@ -24,9 +24,7 @@ class SymmetryEmbedding:
     mapping: dict[Element, str]
 
     def __post_init__(self):
-        self.group = [int(n) for n in self.group]
-        if any(n < 1 for n in self.group):
-            raise InputError("invariant factors must be positive")
+        self.group = abelian.check_factors(self.group)
         elems = abelian.iter_elements(self.group)
         for e in elems:
             if e not in self.mapping:

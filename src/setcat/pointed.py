@@ -29,9 +29,7 @@ class MetricGroup:
     name: str = "metric"
 
     def __post_init__(self):
-        self.invariant_factors = [int(n) for n in self.invariant_factors]
-        if any(n < 1 for n in self.invariant_factors):
-            raise InputError("invariant factors must be positive")
+        self.invariant_factors = abelian.check_factors(self.invariant_factors)
         elems = self.elements()
         for a in elems:
             if a not in self.q:
@@ -139,7 +137,7 @@ class MetricGroup:
 
     # -- categorification --------------------------------------------------------
 
-    def to_premodular(self, name: str = "", check_smatrix: bool = True) -> Premodular:
+    def to_premodular(self, name: str = "", check_smatrix: bool = False) -> Premodular:
         elems = self.elements()
         lab = {a: element_label(a) for a in elems}
         labels = list(lab.values())
@@ -156,15 +154,11 @@ class MetricGroup:
         P = Premodular(ring, {x: one for x in labels},
                        {lab[a]: self.q[a] for a in elems},
                        name=name or self.name)
-        if check_smatrix:
-            # the balancing formula pairs i* with j, so the pointed S-matrix
-            # realizes B(a, -b), the conjugate of the pairing
-            for a in elems:
-                for b in elems:
-                    if P.s_entry(lab[a], lab[b]) != root_of_unity(self.bilinear(a, self.neg(b))):
-                        raise InternalFault(
-                            f"pointed S-matrix differs from the pairing at "
-                            f"({lab[a]},{lab[b]})")
+        if check_smatrix:  # the balancing formula pairs i* with j: S realizes B(a, -b)
+            for a, b in product(elems, elems):
+                if P.s_entry(lab[a], lab[b]) != root_of_unity(self.bilinear(a, self.neg(b))):
+                    raise InternalFault(
+                        f"pointed S-matrix differs from the pairing at ({lab[a]},{lab[b]})")
         return P
 
 

@@ -81,10 +81,9 @@ def pointed_oracle_trial(rng: random.Random, max_order: int = 64) -> dict:
     """One engine-vs-oracle comparison; returns the exact bookkeeping."""
     M, H = random_conserving_pair(rng, max_order)
     oracle = M.condense([g for g in H if g != M.zero()])
-    P = M.to_premodular(check_smatrix=False)
+    P = M.to_premodular()
     res = condense_by_invertible_bosons(P, [element_label(h) for h in H])
-    sigma = find_equivalence(res.result,
-                             oracle.to_premodular(check_smatrix=False))
+    sigma = find_equivalence(res.result, oracle.to_premodular())
     return {
         "group": list(M.invariant_factors),
         "subgroup_size": len(H),

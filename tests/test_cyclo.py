@@ -187,6 +187,15 @@ def test_hash_consistency():
     assert len({a, b}) == 1
 
 
+def test_rational_values_hash_as_the_rationals_they_equal():
+    # Cyclo.one() == 1, so 1 must find Cyclo.one() in a set or a dict
+    for q in (0, 1, -3, Fraction(1, 2), Fraction(-7, 12)):
+        v = Cyclo.from_rational(q)
+        assert v == q and hash(v) == hash(q) and q in {v} and v in {q}, q
+    assert 1 in {Cyclo.one()} and {Cyclo.one(): "one"}[1] == "one"
+    assert Fraction(1, 2) in {parse_cyclo("z6 + z6^5 - 1/2")}  # a rational reached through z6
+
+
 def test_equal_values_built_differently_hash_equal():
     # sqrt(2) four ways, and a rational reached through a cyclotomic product; the
     # hash is kept after the first call, so it is read before and after every use

@@ -10,6 +10,13 @@ run time, asserted on the inputs where the engine used to check them:
   `assert_condensation_invariants`);
 - both formulations of deconfinement agree with each other and with the
   condensation (once checked for every label pair by `relative_tensor_product`);
+- the facts a relative stacking once re-derived (`assert_stacking_facts`): the
+  canonical algebra is a transparent group of invertible bosons inside the
+  product, each (e, 1) lies in a free orbit with (1, e), that orbit is the
+  image of e, and the induced embedding validates; and in a centralizer
+  stack the symmetry is central and no label is confined;
+- a pointed S-matrix is the conjugate pairing B(a, -b) (once checked by every
+  `MetricGroup.to_premodular`);
 - an isotropic subgroup H lies in H_perp, and q is constant on each coset
   x + H of H_perp (once checked inside `MetricGroup.condense`). Both follow
   from B(x, y) = q(x + y) - q(x) - q(y) for any table q that vanishes on H,
@@ -34,12 +41,13 @@ import pytest
 from setcat import abelian
 from setcat.catalog import catalog, get
 from setcat.cyclo import Cyclo
-from setcat.double import drinfeld_double
+from setcat.double import drinfeld_double, rep_abelian
 from setcat.embedding import SymmetryEmbedding
 from setcat.errors import InputError
 from setcat.fusion import pair_label
 from setcat.pointed import MetricGroup, element_label
-from setcat.relprod import is_deconfined, relative_centralizer, relative_tensor_product
+from setcat.relprod import (_boson_group, canonical_algebra, is_deconfined,
+                            relative_centralizer, relative_tensor_product)
 
 from .test_acceptance import STACKING_SET, UNIT_LAW_INSTANCES
 from .test_pointed import oracle_draws
@@ -79,10 +87,27 @@ def assert_condensation_invariants(P, res):
     assert_derived_invariants(res.result)
 
 
+def assert_stacking_facts(C, D, embC, embD, H, res, emb):
+    """What `relative_tensor_product` takes from its validated embeddings: A
+    passes `_boson_group` in C x D (dims 1, twists 0, fusion as the group,
+    mutual centrality by the Kronecker S) as the H it condensed, inside the
+    deconfined labels; (e, 1) and (1, e) lie in one free orbit, which is the
+    image of e; and the induced embedding validates."""
+    assert H == res.algebra and set(H) <= set(res.deconfined), (C.name, D.name)
+    orbit = {m: o for o in res.orbits for m in o.members}
+    for e in embC.elements():
+        o = orbit[pair_label(embC.mapping[e], D.unit)]
+        assert pair_label(C.unit, embD.mapping[e]) in o.members, (C.name, D.name, e)
+        assert len(o.stabilizer) == 1 and emb.mapping[e] == o.representative, (C.name, e)
+    assert emb.validate(res.result) == [], (C.name, D.name)
+
+
 def assert_deconfinement(C, D, embC, embD):
     """Stack C and D; the monodromy test, the centralizer of the canonical
-    algebra and the condensation's deconfined labels must agree."""
-    res, _ = relative_tensor_product(C, D, embC, embD)
+    algebra and the condensation's deconfined labels must agree, and the
+    stacking facts hold."""
+    H = _boson_group(C.deligne(D), canonical_algebra(embC, embD))  # even where stacking fails
+    res, emb = relative_tensor_product(C, D, embC, embD)
     deconfined = set(res.deconfined)
     for x in C.labels:
         for y in D.labels:
@@ -91,6 +116,7 @@ def assert_deconfinement(C, D, embC, embD):
                 for e in embC.elements())
             assert is_deconfined(C, D, embC, embD, x, y) == against_algebra \
                 == (pair_label(x, y) in deconfined), (C.name, D.name, x, y)
+    assert_stacking_facts(C, D, embC, embD, H, res, emb)
     return res
 
 
@@ -116,7 +142,33 @@ def test_deconfinement_stacking(left, right):
                             for name, key in (left, right)]
     assert_deconfinement(C, D, embC, embD)
     Cp, Dp = relative_centralizer(C, embC), relative_centralizer(D, embD)
-    assert_deconfinement(Cp, Dp, embC.restrict_to(Cp), embD.restrict_to(Dp))
+    embCp, embDp = embC.restrict_to(Cp), embD.restrict_to(Dp)
+    # every label of Cp centralizes E, and E lies in Cp: E is central there
+    assert embCp.is_central(Cp) and embDp.is_central(Dp)
+    assert assert_deconfinement(Cp, Dp, embCp, embDp).confined == []
+
+
+def test_pointed_smatrix_is_the_conjugate_pairing(monkeypatch):
+    """S_ab = exp(2 pi i B(a, -b)) on every metric group the suite builds: the
+    catalog's 7 pointed entries and 3 doubles, Z(G) and Rep(G) for each G the
+    suite uses, and the 200 oracle draws with their quotients H_perp / H."""
+    checked = []
+    to_premodular = MetricGroup.to_premodular
+
+    def checking(M, name="", check_smatrix=False):
+        checked.append(M.invariant_factors)
+        return to_premodular(M, name, check_smatrix=True)
+
+    monkeypatch.setattr(MetricGroup, "to_premodular", checking)
+    catalog.__wrapped__()
+    for G in ([], [2], [3], [4], [2, 2]):
+        drinfeld_double(G)
+        rep_abelian(G)
+    assert len(checked) == 7 + 3 + 2 * 5
+    for M, H in oracle_draws():
+        M.to_premodular()
+        M.condense([h for h in H if h != M.zero()]).to_premodular()
+    assert len(checked) == 20 + 2 * 200
 
 
 def assert_coset_identities(M, H):

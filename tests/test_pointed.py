@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import cache
 from math import prod
@@ -7,6 +8,8 @@ import pytest
 
 from setcat import abelian
 from setcat.cyclo import Cyclo, root_of_unity
+from setcat.double import drinfeld_double, rep_abelian
+from setcat.embedding import SymmetryEmbedding
 from setcat.errors import InputError
 from setcat.pointed import MetricGroup, element_label, quadratic_form_from_rule
 from setcat.premodular import Premodular
@@ -212,3 +215,19 @@ def test_quotient_basis_on_toric_cases():
     M2 = MetricGroup([2, 2, 2, 2], q, name="toric+toric")
     assert assert_quotient_basis(M2, M2.subgroup([(1, 0, 1, 0)])) == [2, 2]
     assert assert_quotient_basis(M2, M2.subgroup([(1, 0, 1, 0), (0, 1, 0, 1)])) == []
+
+
+def test_group_data_that_is_not_a_positive_integer_is_refused_not_truncated():
+    # refused, not truncated: int() would make [2.7] double_2 and [True, 2] double_1x2
+    builders = [(lambda: drinfeld_double([2.7]), 2.7), (lambda: drinfeld_double([True, 2]), True),
+                (lambda: rep_abelian([2, 0]), 0),
+                (lambda: MetricGroup([2.9], {(0,): F(0), (1,): F(0)}), 2.9),
+                (lambda: SymmetryEmbedding([2.0], "rep_z2", {(0,): "1", (1,): "e"}), 2.0)]
+    for build, value in builders:
+        with pytest.raises(InputError, match=re.escape(f"invariant factor {value!r} is not")):
+            build()
+    M = toric_group()
+    for bad in [(1.0, 0), (True, 0), (0, 2), (0,)]:
+        with pytest.raises(InputError, match=re.escape(f"element {bad} is not in the group")):
+            M.orthogonal_complement([bad])
+    assert M.subgroup([(1, 0)]) == [(0, 0), (1, 0)] and drinfeld_double([2])[0].name == "double_2"
