@@ -23,10 +23,22 @@ def label_fingerprints(P: Premodular) -> dict[str, Fingerprint]:
     for (i, j), row in P.ring.rows():  # row (x*, j) for x = i*
         x = P.dual(i)
         t = turn[x] + turn[j]
-        bal[x].append(tuple(sorted([((turn[k] - t) % den, keys[k], n)
-                                    for k, n in row.items()])))
+        if len(row) == 1:  # every row of a pointed category; one term is sorted
+            [(k, n)] = row.items()
+            bal[x].append((((turn[k] - t) % den, keys[k], n),))
+        else:
+            bal[x].append(tuple(sorted([((turn[k] - t) % den, keys[k], n)
+                                        for k, n in row.items()])))
     return {x: (keys[x], turn[x], den, tuple(sorted(bal[x])),
                 tuple(sorted(P.ring.fuse(x, x).values()))) for x in P.labels}
+
+
+def _classes(fps: dict[str, Fingerprint]) -> dict[Fingerprint, list[str]]:
+    """The labels grouped by fingerprint, each group in label order."""
+    out: dict[Fingerprint, list[str]] = {}
+    for x, fp in fps.items():
+        out.setdefault(fp, []).append(x)
+    return out
 
 
 def canonical_fingerprint(P: Premodular) -> tuple[Fingerprint, ...]:
@@ -90,20 +102,17 @@ def find_equivalence(P1: Premodular, P2: Premodular,
             if pins.get(a, b) != b:
                 return None
             pins[a] = b
-    fps1 = label_fingerprints(P1)
-    fps2 = label_fingerprints(P2)
-    if sorted(fps1.values()) != sorted(fps2.values()):
-        return None
-
+    # one hash per label: equal ranks and equal class sizes make equal multisets
+    pool_of = _classes(label_fingerprints(P2))
     pools: dict[str, list[str]] = {}
-    for x, fp in fps1.items():
-        if x in pins:
-            cand = [pins[x]] if fps2[pins[x]] == fp else []
-        else:
-            cand = [u for u in P2.labels if fps2[u] == fp]
-        if not cand:
+    for fp, xs in _classes(label_fingerprints(P1)).items():
+        pool = pool_of.get(fp, [])
+        if len(pool) != len(xs):
             return None
-        pools[x] = cand
+        for x in xs:
+            if x in pins and pins[x] not in pool:
+                return None
+            pools[x] = [pins[x]] if x in pins else pool
 
     t_in1: dict[str, list[tuple[str, str, int]]] = {x: [] for x in P1.labels}
     for (i, j), row in P1.ring.rows():  # k -> the entries (i, j, N_ij^k) into k

@@ -9,6 +9,7 @@ import re
 from fractions import Fraction
 from math import prod
 
+from .abelian import check_factors
 from .cyclo import MAX_CONDUCTOR, format_cyclo, parse_cyclo, parse_int
 from .embedding import SymmetryEmbedding
 from .errors import InternalFault, SyntaxInputError, ValidationInputError
@@ -173,12 +174,10 @@ def parse_embedding(obj: dict | str, category: Premodular | None = None) -> Symm
     for key in ("group", "target", "map"):
         if key not in obj:
             raise SyntaxInputError(f"embedding file misses field {key!r}")
-    _check_types(obj, {"target": (str, "a string"),
+    _check_types(obj, {"group": (list, "a list of positive integers"),
+                       "target": (str, "a string"),
                        "map": (dict, "a map element -> label")})
-    group = obj["group"]
-    if not isinstance(group, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in group):
-        raise SyntaxInputError("group must be a list of positive integers")
+    group = check_factors(obj["group"])
     if prod(group) != len(obj["map"]):  # before anything enumerates the group
         raise SyntaxInputError(f"map has {len(obj['map'])} entries, "
                                f"but the group has order {prod(group)}")
@@ -214,12 +213,10 @@ def parse_metric_group(obj: dict | str) -> MetricGroup:
     if isinstance(obj, str):
         obj = loads(obj)
     _check_types(obj, {"name": (str, "a string"),
+                       "invariant_factors": (list, "a list of positive integers"),
                        "q": (dict, "a map element -> turn"),
                        "q_poly": (dict, "a map index pair -> turn")})
-    factors = obj["invariant_factors"]
-    if not isinstance(factors, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in factors):
-        raise SyntaxInputError("invariant_factors must be a list of positive integers")
+    factors = check_factors(obj["invariant_factors"])  # before q_poly enumerates the group
     if "q" in obj:
         q = {}
         for key, val in obj["q"].items():

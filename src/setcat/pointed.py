@@ -80,8 +80,8 @@ class MetricGroup:
         triples, not |A|^3."""
         elems = self.elements()
         at = {a: i for i, a in enumerate(elems)}
-        den = lcm(*(r.denominator for r in self.q.values()))
-        q = [self.q[a].numerator * (den // self.q[a].denominator) for a in elems]
+        den, Q = self._integer_form()
+        q = [Q[a] for a in elems]
         sums = [[at[self.add(a, b)] for b in elems] for a in elems]  # indices of a + b
         B = [[(q[k] - qa - qb) % den for k, qb in zip(row, q)]
              for row, qa in zip(sums, q)]  # B(a, b) in turns of 1/den
@@ -91,15 +91,24 @@ class MetricGroup:
                     if (x + y - z) % den:
                         yield a, b, c
 
+    def _integer_form(self) -> tuple[int, dict[Element, int]]:
+        """den, the lcm of q's denominators, and Q = q * den in integers, so
+        that B(a, b) = 0 iff (Q[a + b] - Q[a] - Q[b]) % den == 0."""
+        den = lcm(*(r.denominator for r in self.q.values()))
+        return den, {a: r.numerator * (den // r.denominator) for a, r in self.q.items()}
+
+    def _perp(self, sub: list[Element]):
+        """The elements a, in order, with B(a, h) = 0 for every h in sub."""
+        den, Q = self._integer_form()
+        for a in self.elements():
+            if all((Q[self.add(a, h)] - Q[a] - Q[h]) % den == 0 for h in sub):
+                yield a
+
     def is_perfect_pairing(self) -> bool:
         """B nondegenerate: only 0 pairs trivially with everything."""
-        elems = self.elements()
-        for a in elems:
-            if a == self.zero():
-                continue
-            if all(self.bilinear(a, b) == 0 for b in elems):
-                return False
-        return True
+        radical = self._perp(self.elements())
+        next(radical)  # 0
+        return next(radical, None) is None
 
     # -- subgroups -----------------------------------------------------------
 
@@ -107,9 +116,8 @@ class MetricGroup:
         return abelian.subgroup_closure(self.invariant_factors, gens)
 
     def orthogonal_complement(self, subgroup: list[Element]) -> list[Element]:
-        sub = [abelian.check_element(self.invariant_factors, h) for h in subgroup]
-        return [a for a in self.elements()
-                if all(self.bilinear(a, h) == 0 for h in sub)]
+        return list(self._perp([abelian.check_element(self.invariant_factors, h)
+                                for h in subgroup]))
 
     def is_isotropic(self, subgroup: list[Element]) -> bool:
         sub = [abelian.check_element(self.invariant_factors, h) for h in subgroup]

@@ -45,9 +45,6 @@ class CondensationResult:
     ambiguity_flags: list[str]
     conservation: dict[str, object] = field(default_factory=dict)
 
-    def result_labels_of_orbit(self, rep: str) -> list[str]:
-        return [lab for lab, (r, _) in self.provenance.items() if r == rep]
-
 
 def _boson_group(P: Premodular, bosons: list[str]) -> list[str]:
     """The boson labels in label order, checked to form a transparent group of
@@ -200,7 +197,9 @@ def _orbit_fusion(P, orbits, of_orbit):
         r_m, c_m, o_m = row.get(key, 0), col.get(key, 0), out.get(key, 0)
         if cx * r_m != cy * c_m or cy * c_m != cz * o_m:
             raise InternalFault("inconsistent fusion margins at orbits ({},{},{})".format(*key))
-        if (cx > 1) + (cy > 1) + (cz > 1) < 2:  # all free: N(X, Y, Z) = c_m
+        if cx == cy == cz == 1:  # all free: N(X, Y, Z) = c_m
+            n_result[key] = c_m
+        elif (cx > 1) + (cy > 1) + (cz > 1) < 2:  # one split slot: its margin
             val = r_m if cx > 1 else o_m if cz > 1 else c_m
             n_result.update(dict.fromkeys(product(of_orbit[x], of_orbit[y], of_orbit[z]), val))
     # every triple with two or more split slots is left to the enumeration

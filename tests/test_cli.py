@@ -481,3 +481,9 @@ def test_fuzzed_input_files_exit_2(fixture_dir, source, argv, data):
         code = main(argv + [str(path)])
     assert code == 2, err.getvalue()
     assert err.getvalue().startswith("input error") and "Traceback" not in err.getvalue()
+
+
+def test_metric_group_factor_zero_exit_2(capsys, tmp_path):
+    obj = {"name": "z2 x z0", "invariant_factors": [2, 0], "q_poly": {"0,0": "1/4"}}
+    err = assert_input_error(capsys, ["validate", write_json(tmp_path, obj)])
+    assert "invariant factor 0 is not a positive integer" in err

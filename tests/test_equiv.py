@@ -289,3 +289,23 @@ def test_turn_denominator_separates_equal_turns():
     assert (fp[1:3], fq[1:3]) == ((3, 5), (3, 10)) and fp[:2] + fp[3:] == fq[:2] + fq[3:]
     assert find_equivalence(P, Q) is None
 
+
+def test_fingerprint_classes_are_compared_by_size_and_pooled_in_p2_order(monkeypatch):
+    """With label_fingerprints replaced: classes with the same fingerprints
+    but other sizes give None before any fusion row is read; one class for
+    all labels gives the first bijection in P2's label order, not in the
+    order of label names."""
+    from setcat import equiv
+    T = get("toric_code").category
+    R = T.relabel({"1": "1", "e": "z", "m": "y", "f": "x"}, "renamed")
+    fake = {id(T): dict(zip(T.labels, "abbc")), id(R): dict(zip(R.labels, "abcc"))}
+    monkeypatch.setattr(equiv, "label_fingerprints", lambda P: fake[id(P)])
+
+    def no_rows(*args):
+        raise AssertionError("the search read a fusion row")
+
+    with monkeypatch.context() as m:
+        m.setattr(FusionRing, "fuse", no_rows)
+        assert find_equivalence(T, R) is None
+    fake = {id(T): dict.fromkeys(T.labels, "a"), id(R): dict.fromkeys(R.labels, "a")}
+    assert find_equivalence(T, R) == {"1": "1", "e": "z", "m": "y", "f": "x"}

@@ -231,3 +231,33 @@ def test_group_data_that_is_not_a_positive_integer_is_refused_not_truncated():
         with pytest.raises(InputError, match=re.escape(f"element {bad} is not in the group")):
             M.orthogonal_complement([bad])
     assert M.subgroup([(1, 0)]) == [(0, 0), (1, 0)] and drinfeld_double([2])[0].name == "double_2"
+
+
+def test_integer_pairing_matches_the_fraction_pairing(monkeypatch):
+    """orthogonal_complement and is_perfect_pairing decide B(a, b) = 0 in the
+    integer form q * den; a reference reads `bilinear`, in Fractions, on the
+    oracle draws, on every metric group the catalog builds (each with its
+    cyclic subgroups) and on forms on Z24 whose turns mix denominators."""
+    from setcat import catalog
+
+    def perp(M, H):
+        return [a for a in M.elements() if all(M.bilinear(a, h) == 0 for h in H)]
+
+    built = []
+    to_premodular = MetricGroup.to_premodular
+    monkeypatch.setattr(MetricGroup, "to_premodular",
+                        lambda M, *args, **kw: built.append(M) or to_premodular(M, *args, **kw))
+    catalog.catalog.__wrapped__()
+    assert len(built) >= 10
+    mixed = [MetricGroup([24], {(x,): F((x % 8) ** 2, c8) + F(c3 * (x % 3) ** 2, 3)
+                                for x in range(24)})
+             for c8 in (8, 16) for c3 in (0, 1, 2)]
+    assert all(M.validate() == [] for M in mixed)
+    assert {r.denominator for M in mixed for r in M.q.values()} >= {3, 8, 16, 24, 48}
+    cases = [*oracle_draws(), *((M, M.subgroup([g])) for M in built + mixed for g in M.elements())]
+    for M, H in cases:
+        assert M.orthogonal_complement(H) == perp(M, H)
+    groups = {id(M): M for M, _ in cases}.values()
+    perfect = [M.is_perfect_pairing() for M in groups]
+    assert perfect == [perp(M, M.elements()) == [M.zero()] for M in groups]
+    assert True in perfect and False in perfect

@@ -108,7 +108,7 @@ def test_ising_times_reverse_condenses_to_toric():
     # the fixed point (sigma, sigma) splits into two invertible children
     rep = pair_label("sigma", "sigma")
     assert res.splittings[rep] == 2
-    for lab in res.result_labels_of_orbit(rep):
+    for lab in [lab for lab, (r, _) in res.provenance.items() if r == rep]:
         assert res.result.dim(lab) == Cyclo.one()
         assert res.result.twist(lab) == 0
     assert find_equivalence(res.result, get("toric_code").category) is not None

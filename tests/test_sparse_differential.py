@@ -58,8 +58,9 @@ def assert_same_condensation(P, bosons, monkeypatch):
     if isinstance(new, tuple):
         return
     assert_condensation_invariants(P, new)
-    of_orbit = {o.representative: new.result_labels_of_orbit(o.representative)
-                for o in new.orbits}
+    of_orbit = {}
+    for lab, (rep, _) in new.provenance.items():
+        of_orbit.setdefault(rep, []).append(lab)
     args = (P, new.orbits, of_orbit)
     forced, unknown, margins = relprod._orbit_fusion(*args)
     d_forced, d_unknown, d_margins = dense_orbit_fusion(*args)

@@ -113,7 +113,9 @@ def test_unit_law_through_the_boson_j_equals_k(k):
 def assert_least_relabelling(res):
     """The reported assignment is the least, in sorted-items order, of all its
     relabellings of children within orbits: the reference's dedupe keeps it."""
-    of_orbit = {rep: res.result_labels_of_orbit(rep) for rep in res.splittings}
+    of_orbit = {}
+    for lab, (rep, _) in res.provenance.items():
+        of_orbit.setdefault(rep, []).append(lab)
     items = list(triples(res.result.ring).items())
     assert [list(d.items()) for d in split_reference._dedupe_by_child_permutation(
         [dict(items)], of_orbit, res.splittings)] == [items]
