@@ -79,11 +79,6 @@ class SymmetryEmbedding:
                     bad.append(f"image is not transparent internally at ({e1},{e2})")
         return bad
 
-    def is_central(self, category: Premodular) -> bool:
-        """True iff the image lands in the Mueger center (category over E)."""
-        center = set(category.muger_center())
-        return all(self.mapping[e] in center for e in self.elements())
-
     def restrict_to(self, category: Premodular) -> "SymmetryEmbedding":
         """Same mapping retargeted at a subcategory containing the image."""
         for e in self.elements():

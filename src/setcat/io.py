@@ -212,6 +212,8 @@ def serialize_embedding(emb: SymmetryEmbedding) -> dict:
 def parse_metric_group(obj: dict | str) -> MetricGroup:
     if isinstance(obj, str):
         obj = loads(obj)
+    if "invariant_factors" not in obj:
+        raise SyntaxInputError("metric group file misses field 'invariant_factors'")
     _check_types(obj, {"name": (str, "a string"),
                        "invariant_factors": (list, "a list of positive integers"),
                        "q": (dict, "a map element -> turn"),

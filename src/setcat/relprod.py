@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import (accumulate, chain, compress, count, groupby, permutations, product,
                        repeat)
-from math import lcm
+from math import factorial, lcm, prod
 
 from .cyclo import Cyclo, cyclotomic_polynomial
 from .double import drinfeld_double
@@ -169,7 +169,9 @@ def _orbit_fusion(P, orbits, of_orbit):
     coefficients of the quotient in orbit order, the triples left unknown, and
     the margins per orbit triple (X, Y, Z), i.e. N summed over the orbit of X
     (row), Y (column) or Z (output) with the other two at representatives.
-    A confined label in the product of two deconfined ones is an input error."""
+    Unknown are the triples with two or more split slots whose three margins
+    are nonzero; the rest are 0.  A confined label in the product of two
+    deconfined ones is an input error."""
     pos = {o.representative: i for i, o in enumerate(orbits)}
     orbit_of = {m: o.representative for o in orbits for m in o.members}
     size = {o.representative: len(o.stabilizer) for o in orbits}
@@ -202,8 +204,8 @@ def _orbit_fusion(P, orbits, of_orbit):
         elif (cx > 1) + (cy > 1) + (cz > 1) < 2:  # one split slot: its margin
             val = r_m if cx > 1 else o_m if cz > 1 else c_m
             n_result.update(dict.fromkeys(product(of_orbit[x], of_orbit[y], of_orbit[z]), val))
-    # every triple with two or more split slots is left to the enumeration
     unknown = [t for key in product(pos, repeat=3) if sum(size[x] > 1 for x in key) >= 2
+               and key in row and key in col and key in out
                for t in product(*(of_orbit[x] for x in key))] if max(size.values()) > 1 else []
     return n_result, unknown, (row, col, out)
 
@@ -230,12 +232,15 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     Checked once decided, on rows kept in place: the group sums, the other
     rows' dimension equation, associativity and the rule S(i*, j) =
     conj S(i, j) (`_conjugate_dual_rule`) once the rows they read are
-    complete, and the lex-leader condition V <= V o g for each relabelling g
-    (Crawford et al., KR 1996) in search order and the value order
-    1 < 2 < ... < 0, on the positions g moves from the first not known to
+    complete.  Symmetry breaking: the dual involution is drawn from its
+    classes under relabelling, each as its least member in search order and
+    the value order 1 < 0 (`_dual_classes`), so any relabelling g that moves
+    it gives V < V o g.  The lex-leader condition V <= V o g (Crawford et
+    al., KR 1996) is then checked only for the relabellings that fix it, its
+    centralizer (Puget, CP 2003), in the value order 1 < 2 < ... < 0 on the
+    positions past the dual levels that g moves, from the first not known to
     agree (Frisch et al., CP 2002), each comparison waiting for the level of
-    the later position it reads: one dual involution per class outlives the
-    level that decides it, and one survivor, the class's least member in
+    the later position it reads: one survivor per class, its least member in
     search order, outlives the search.  Each survivor that passes is then
     relabelled to its least member in live (sorted-items) order."""
     unit, gid, rem, grp = labels[0], {}, [], {}  # sum groups: the sum each still needs
@@ -310,14 +315,26 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     split = [ch for ch in (list(g) for _, g in groupby(labels, rep_of.get)) if len(ch) > 1]
     maps = [m for m in (dict(zip(sum(split, []), sum(pm, ())))
                         for pm in product(*map(permutations, split))) if m != dict(zip(m, m))]
+    blocks, at_split = {}, {x: i for i, ch in enumerate(split) for x in ch}
+    for cl in classes[:n_dual]:  # (i, j) -> the dual levels pairing split[i] with split[j]
+        blocks.setdefault(tuple(sorted(at_split[x] for x in live[cl[0]][:2])), []).append(cl[0])
+    blocks = [(ps, [(tuple(int(sigma[live[p][0]] == live[p][1]) for p in ps), gs)
+                    for sigma, gs in _dual_classes(split, *key)])
+              for key, ps in blocks.items()]  # per class its least member's values on them
+    block_at = {p: (ps, cls, j) for ps, cls in blocks for j, p in enumerate(ps)}
+
+    def agreeing(ps, cls, j):  # the block's classes whose least member is V on ps[:j]
+        return [c for c in cls if all(V[p] == x for p, x in zip(ps[:j], c[0]))]
+
     bit = {x: 1 << i for i, x in enumerate(sum(split, []))}
     mask = [bit.get(a, 0) | bit.get(b, 0) | bit.get(c, 0)
-            for a, b, c in map(live.__getitem__, order)]
+            for a, b, c in map(live.__getitem__, order[start[n_dual]:])]
     moving = [sum(bit[a] for a, b in m.items() if a != b) for m in maps]  # the labels g moves
-    scans = {key: chain(compress(count(), map(key.__and__, mask)), repeat(len(order) + 1))
-             for key in moving}  # key -> the indices s of the order[s] it moves, then a stop
+    # key -> the indices s past the dual levels of the order[s] it moves, then a stop
+    scans = {key: chain(compress(count(start[n_dual]), map(key.__and__, mask)),
+                        repeat(len(order) + 1)) for key in moving}
     moved = {key: array("i", [next(scan)]) for key, scan in scans.items()}  # found so far
-    images = [[] for _ in maps]  # i -> order[s] relabelled by maps[g], s the i-th index g moves
+    images = [[] for _ in maps]  # i -> order[s] relabelled by maps[g], s the i-th of those
     dual, trail = {a: b for (a, b, c) in forced if c == unit}, []
     ready = [k for k in range(s_checks, len(checks)) if not wait[k]]  # S checks, forced rows
 
@@ -412,8 +429,7 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     # the unit rows: N_1x^y = N_x1^y = [x = y]
     ok = all(put(p, int(b == c if a == unit else a == c))
              for p, (a, b, c) in enumerate(live) if unit in (a, b))
-    stack = [[0, None, [], len(trail)]] if ok and spread([], 0, False) and lex(
-        [(g, 0) for g in range(len(maps))], [], 0) else []
+    stack = [[0, None, [], len(trail)]] if ok and spread([], 0, False) else []
     survivors, nodes = [], 0
     while stack:  # frames: level, values left to try, lex-log, trail length
         v, vals, log, mark = frame = stack[-1]
@@ -422,7 +438,10 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
             move(p, V[p], -1)
         while log:
             agenda[log.pop()].pop()
-        if vals is None:
+        if vals is None and v < n_dual:  # the values its block's least involutions take
+            ps, cls, j = block_at[classes[v][0]]
+            frame[1] = vals = sorted({c[0][j] for c in agreeing(ps, cls, j)})
+        elif vals is None:
             frame[1] = vals = list(range(min(rem[g] for p in classes[v] for g in grp[p]) + 1))
         if not vals:
             stack.pop()
@@ -436,8 +455,13 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         nxt = next((w for w in range(v + 1, nv) if V[classes[w][0]] is None), nv)
         if not all(lex(agenda[w], log, nxt) for w in range(v, nxt)):
             continue
-        if v < n_dual <= nxt:  # the dual involution is decided
+        if v < n_dual <= nxt:  # the dual involution is decided: compare with its centralizer
             dual.update(live[p][:2] for cl in classes[:n_dual] for p in cl if V[p])
+            gs = [0]
+            for ps, cls in blocks:
+                gs = [g + h for g in gs for h in agreeing(ps, cls, len(ps))[0][1]]
+            if not lex([(g - 1, 0) for g in gs if g], log, nxt):
+                continue
         if nxt < nv:
             stack.append([nxt, None, [], len(trail)])
         elif len(survivors) < _MAX_SURVIVORS:
@@ -457,6 +481,34 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
             result._s_invertibility = cand._s_invertibility
             passed.append((n_dict, result))
     return sorted(passed, key=lambda c: tuple(c[0].items()))
+
+
+def _dual_classes(split, i, j):
+    """The classes under relabelling of the dual involutions pairing the
+    children split[i] of an orbit with split[j] of its dual (i == j: self-dual),
+    each as its least member sigma in the order 1 < 0 of N_ab^1 = [sigma(a) = b]
+    over the sorted pairs a <= b, and the relabellings that fix sigma as indices
+    g in product(*map(permutations, split)), 0 the identity.  A self-dual orbit
+    of k children has a class per number t of 2-cycles: sigma fixes the first
+    k - 2t children and swaps the rest in consecutive pairs.  A dual pair has
+    one class, xs[k] <-> ys[k], fixed by the relabellings that move both alike."""
+    xs, ys = sorted(split[i]), sorted(split[j])
+    if i != j:
+        found = [(dict(zip(xs + ys, ys + xs)), [dict(zip(xs + ys, [*pm, *map(
+            dict(zip(xs, ys)).get, pm)])) for pm in permutations(xs)])]
+    else:
+        found = []
+        for f in range(len(xs), -1, -2):  # f fixed points
+            cycles = [xs[k:k + 2] for k in range(f, len(xs), 2)]
+            found.append((dict(zip(xs, xs[:f] + [y for c in cycles for y in c[::-1]])), [
+                dict(zip(xs, [*fixed, *(y for c, s in zip(cs, signs) for y in c[::s])]))
+                for fixed in permutations(xs[:f]) for cs in permutations(cycles)
+                for signs in product((1, -1), repeat=len(cycles))]))
+    radix = [factorial(len(ch)) for ch in split]  # g is mixed radix over split
+    rank = {k: {pm: r * prod(radix[k + 1:]) for r, pm in enumerate(permutations(split[k]))}
+            for k in {i, j}}
+    return [(sigma, [sum(rank[k][tuple(map(m.get, split[k]))] for k in rank) for m in ms])
+            for sigma, ms in found]
 
 
 def _conjugate_dual_rule(labels, dims, twists, bound):

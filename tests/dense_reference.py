@@ -87,8 +87,9 @@ def dense_smatrix_invertible(P) -> bool:
 def dense_orbit_fusion(P, orbits, of_orbit):
     """Scan every orbit triple and |H| for each one, with margins as sums
     of `FusionRing.n` lookups; same signature and result as
-    `relprod._orbit_fusion` (the margin dicts hold every triple, zeros too).
-    H is the unit's orbit, which comes first."""
+    `relprod._orbit_fusion`, but the margin dicts hold every triple, zeros
+    too, and every triple with two or more split slots is unknown, dead ones
+    (a margin of 0) too.  H is the unit's orbit, which comes first."""
     H = orbits[0].members
     child_count = {o.representative: len(o.stabilizer) for o in orbits}
     orbit_by_rep = {o.representative: o for o in orbits}

@@ -3,6 +3,7 @@ from fractions import Fraction
 from setcat.double import drinfeld_double, rep_abelian
 from setcat.embedding import SymmetryEmbedding
 
+from .test_invariants import is_central
 from .test_premodular import ising, rep_z2, toric
 
 
@@ -25,10 +26,10 @@ def test_invalid_embedding_ising_psi():
 
 def test_is_central():
     emb = SymmetryEmbedding([2], "toric", {(0,): "1", (1,): "e"})
-    assert not emb.is_central(toric())
+    assert not is_central(emb, toric())
     emb2 = SymmetryEmbedding([2], "rep_z2", {(0,): "1", (1,): "e"})
     assert emb2.validate(rep_z2()) == []
-    assert emb2.is_central(rep_z2())
+    assert is_central(emb2, rep_z2())
 
 
 def test_embedding_image_is_symmetric_subcategory():
@@ -91,7 +92,7 @@ def test_rep_abelian_symmetric():
     assert C.ring.rank() == 4
     assert C.muger_center() == C.labels
     assert emb.validate(C) == []
-    assert emb.is_central(C)
+    assert is_central(emb, C)
 
 
 def test_double_centralizer_of_image_is_rep():

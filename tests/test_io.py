@@ -100,6 +100,11 @@ def test_file_kind_detection():
         file_kind({"bogus": 1})
 
 
+def test_metric_group_without_invariant_factors_names_the_field():
+    with pytest.raises(SyntaxInputError, match="misses field 'invariant_factors'"):
+        parse_metric_group({"name": "x", "q": {}})
+
+
 def test_missing_dim_label_reported():
     entry = catalog()["toric_code"]
     obj = serialize_category(entry.category)

@@ -65,7 +65,11 @@ def assert_same_condensation(P, bosons, monkeypatch):
     forced, unknown, margins = relprod._orbit_fusion(*args)
     d_forced, d_unknown, d_margins = dense_orbit_fusion(*args)
     assert list(forced.items()) == list(d_forced.items())
-    assert unknown == d_unknown
+    # the dense reference leaves every triple with two split slots unknown; the
+    # sparse scan only those whose three margins are nonzero (the rest are 0)
+    rep_of = {lab: rep for lab, (rep, _) in new.provenance.items()}
+    assert unknown == [t for t in d_unknown
+                       if all(m[tuple(map(rep_of.get, t))] for m in d_margins)]
     for sparse, dense in zip(margins, d_margins):
         assert sparse == {t: v for t, v in dense.items() if v}
     assert new.result.ring.validate() == dense_validate(new.result.ring)

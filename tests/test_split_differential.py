@@ -75,10 +75,11 @@ def test_su2_d_series_quotient(k, rank):
     assert result.is_nondegenerate()
 
 
-def test_ising_squared_takes_1634_nodes(monkeypatch):
+def test_ising_squared_takes_1300_nodes(monkeypatch):
     # the nodes the search needs, to the node: a change in where a check prunes shows here
-    # (2,617 while the rule S(i*, j) = conj S(i, j) waited for complete candidates)
-    for budget, enough in ((1_634, True), (1_633, False)):
+    # (2,617 while the rule S(i*, j) = conj S(i, j) waited for complete candidates; 1,634
+    # while the lex-leader compared every relabelling on the dual levels)
+    for budget, enough in ((1_300, True), (1_299, False)):
         monkeypatch.setattr(relprod, "_SEARCH_NODE_BUDGET", budget)
         try:
             relprod.condense_by_invertible_bosons(*ising_squared())
@@ -108,6 +109,44 @@ def test_unit_law_through_the_boson_j_equals_k(k):
     emb = SymmetryEmbedding([2], C.name, {(0,): "0", (1,): str(k)})
     assert emb.validate(C) == []
     assert relprod.verify_unit_law(C, emb) is True
+
+
+@pytest.mark.parametrize("sizes,i,j", [((3, 2), 1, 1), ((3, 2), 0, 0), ((2, 4, 2), 1, 1),
+                                        ((5, 2), 0, 0), ((2, 3, 2), 0, 2), ((3, 2, 3), 0, 2)])
+def test_dual_classes_match_brute_force(sizes, i, j):
+    # self-dual orbits of 2 to 5 children and dual pairs of 2 and 3, which no catalog input
+    # has: every involution (matching) of the block, grouped under the relabellings of its
+    # children; one sigma per class, the class's least member over the block's dual levels
+    # in the value order 1 < 0, and as its centralizer the indices into the product of the
+    # orbits' permutations of exactly the relabellings of the block that fix it
+    split = [[f"o{n}#{k}" for k in range(size)] for n, size in enumerate(sizes)]
+    xs, ys = split[i], split[j]
+    maps = [dict(zip(sum(split, []), sum(pm, ()))) for pm in product(*map(permutations, split))]
+    block = [g for g, m in enumerate(maps) if all(m[x] == x for x in m if x not in xs + ys)]
+    levels = sorted({(min(a, b), max(a, b)) for a in xs for b in ys})
+
+    def relabelled(sigma, m):  # the involution of V o g: N_ab^1 there is N_(m a)(m b)^1 in V
+        back = {y: x for x, y in m.items()}
+        return {a: back[sigma[m[a]]] for a in sigma}
+
+    def order_key(sigma):  # its values on the dual levels, 1 before 0
+        return [sigma[a] != b for a, b in levels]
+
+    if i == j:
+        involutions = [s for s in (dict(zip(xs, pm)) for pm in permutations(xs))
+                       if all(s[s[x]] == x for x in xs)]
+    else:
+        involutions = [{**dict(zip(xs, pm)), **dict(zip(pm, xs))} for pm in permutations(ys)]
+    classes = {frozenset(tuple(sorted(relabelled(s, maps[g]).items())) for g in block)
+               for s in involutions}
+    found = relprod._dual_classes(split, i, j)
+    assert len(found) == len(classes) == (len(xs) // 2 + 1 if i == j else 1)
+    seen = []
+    for sigma, gs in found:
+        seen.append(next(c for c in classes if tuple(sorted(sigma.items())) in c))
+        assert min(map(dict, seen[-1]), key=order_key) == sigma
+        assert sorted(gs) == [g for g in block if relabelled(sigma, maps[g]) == sigma]
+    assert len(set(seen)) == len(found)
 
 
 def assert_least_relabelling(res):
