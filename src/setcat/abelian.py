@@ -78,8 +78,9 @@ def quotient_basis(factors: list[int], sup: list[Element],
     among those whose order modulo sub is also n (so <x> meets K only
     inside sub), until K = sup. Such an x exists and K/sub stays a direct
     summand, because a cyclic subgroup of maximal order is a direct summand.
+    K + <x> is the union of the n cosets K + m x, m < n.
     """
-    def order_mod(x: Element, K: set[Element]) -> int:
+    def order_mod(x: Element, K: set[Element]) -> int:  # the first n with n x in K
         n, y = 1, x
         while y not in K:
             n, y = n + 1, add(factors, y, x)
@@ -94,7 +95,10 @@ def quotient_basis(factors: list[int], sup: list[Element],
             m = order_mod(y, K)
             if m > n and m == order_mod(y, sub_set):
                 n, x = m, y
-        K = set(subgroup_closure(factors, [*K, x]))
+        coset = list(K)
+        for _ in range(n - 1):
+            coset = [add(factors, k, x) for k in coset]
+            K.update(coset)
         ns.append(n)
         xs.append(x)
     return ns[::-1], xs[::-1]

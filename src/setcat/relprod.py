@@ -18,7 +18,7 @@ from .cyclo import Cyclo, cyclotomic_polynomial
 from .double import drinfeld_double
 from .embedding import SymmetryEmbedding, same_symmetry
 from .equiv import find_equivalence
-from .errors import InputError, InternalFault, LimitExceeded, ValidationInputError
+from .errors import InputError, LimitExceeded, ValidationInputError
 from .fusion import _with_rows, closure_error, pair_label
 from .premodular import Premodular
 
@@ -103,11 +103,12 @@ def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
     # twist is constant on H.x*), with |orbit| * |stabilizer| = |H|, one dim
     # and one twist per orbit, and the unit's orbit first.
     orbits: list[Orbit] = []
-    placed: set[str] = set()
-    for x in (x for x in deconfined if x not in placed):
-        members = sorted({_act(P, h, x) for h in H}, key=P.ring.index.__getitem__)
-        placed.update(members)
-        orbits.append(Orbit(members[0], members, [h for h in H if _act(P, h, x) == x]))
+    rep: dict[str, str] = {}  # deconfined label -> its orbit's representative
+    for x in (x for x in deconfined if x not in rep):
+        images = [_act(P, h, x) for h in H]
+        members = sorted(set(images), key=P.ring.index.__getitem__)
+        rep.update(dict.fromkeys(members, members[0]))
+        orbits.append(Orbit(members[0], members, [h for h, y in zip(H, images) if y == x]))
     orbits.sort(key=lambda o: P.ring.index[o.representative])
 
     # result skeleton
@@ -126,12 +127,13 @@ def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
     dims = {lab: P.dim(r) if child_count[r] == 1 else P.dim(r) / child_count[r]
             for lab, r in rep_of.items()}
     twists = {lab: P.twist(r) for lab, r in rep_of.items()}
-    n_result, unknown, margins = _orbit_fusion(P, orbits, of_orbit)
+    forced, unknown, margins = _orbit_fusion(P, rep, of_orbit)
 
     ambiguity_flags, name = [], f"{P.name} / H{len(H)}"
     if unknown:
         classes = _resolve_split_fusion(
-            n_result, unknown, result_labels, rep_of, dims, twists, margins)
+            {(a, b, c): v for (a, b), row in forced.items() for c, v in row.items()},
+            unknown, result_labels, rep_of, dims, twists, margins)
         if not classes:
             raise ValidationInputError(
                 f"{P.name}: no fusion assignment of the split orbit(s) "
@@ -145,8 +147,9 @@ def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
                                                                  for c2, _ in classes)})]
         result = classes[0][1]  # the candidate that passed _candidate_ok
         result.name = name
-    else:  # the orbit quotient of the fusion-closed deconfined labels of a valid P
-        result = _build_result(result_labels, n_result, dims, twists, name)
+    else:  # every orbit is free: the forced rows are the quotient's, X* the orbit of x*
+        dual = {r: rep[P.dual(r)] for r in result_labels}
+        result = Premodular(_with_rows(result_labels, dual, forced), dims, twists, name=name)
 
     dim_out, gauss_out = result.global_dim(), result.gauss_sum()
     conservation = {
@@ -164,50 +167,59 @@ def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
         ambiguity_flags=ambiguity_flags, conservation=conservation)
 
 
-def _orbit_fusion(P, orbits, of_orbit):
-    """From the nonzero entries of P among deconfined labels: the forced
-    coefficients of the quotient in orbit order, the triples left unknown, and
-    the margins per orbit triple (X, Y, Z), i.e. N summed over the orbit of X
-    (row), Y (column) or Z (output) with the other two at representatives.
-    Unknown are the triples with two or more split slots whose three margins
-    are nonzero; the rest are 0.  A confined label in the product of two
-    deconfined ones is an input error."""
-    pos = {o.representative: i for i, o in enumerate(orbits)}
-    orbit_of = {m: o.representative for o in orbits for m in o.members}
-    size = {o.representative: len(o.stabilizer) for o in orbits}
-    row, col, out = {}, {}, {}
-    for (a, b), entries in P.ring.rows():  # no margin reads a row with a confined input
-        ox, oy = orbit_of.get(a), orbit_of.get(b)
-        if ox is None or oy is None:
-            continue
-        for c, n in entries.items():
-            oz = orbit_of.get(c)
-            if oz is None:
-                raise closure_error(a, b, c)
-            key = (ox, oy, oz)
-            if a == ox and c == oz:
-                col[key] = col.get(key, 0) + n
-            if b == oy and c == oz:
-                row[key] = row.get(key, 0) + n
-            if a == ox and b == oy:
-                out[key] = out.get(key, 0) + n
-    n_result: dict[tuple[str, str, str], int] = {}
-    for key in sorted(row.keys() | col.keys() | out.keys(),
-                      key=lambda t: (pos[t[0]], pos[t[1]], pos[t[2]])):
-        x, y, z = key
-        cx, cy, cz = size[x], size[y], size[z]
-        r_m, c_m, o_m = row.get(key, 0), col.get(key, 0), out.get(key, 0)
-        if cx * r_m != cy * c_m or cy * c_m != cz * o_m:
-            raise InternalFault("inconsistent fusion margins at orbits ({},{},{})".format(*key))
-        if cx == cy == cz == 1:  # all free: N(X, Y, Z) = c_m
-            n_result[key] = c_m
-        elif (cx > 1) + (cy > 1) + (cz > 1) < 2:  # one split slot: its margin
-            val = r_m if cx > 1 else o_m if cz > 1 else c_m
-            n_result.update(dict.fromkeys(product(of_orbit[x], of_orbit[y], of_orbit[z]), val))
-    unknown = [t for key in product(pos, repeat=3) if sum(size[x] > 1 for x in key) >= 2
-               and key in row and key in col and key in out
-               for t in product(*(of_orbit[x] for x in key))] if max(size.values()) > 1 else []
-    return n_result, unknown, (row, col, out)
+def _orbit_fusion(P, rep, of_orbit):
+    """The quotient's forced rows {(a, b): {c: N_ab^c}} in orbit order, the
+    triples left unknown, and the margins of the orbit triples (X, Y, Z) with
+    two or more split slots: N summed over the orbit of X (row), Y (column) or
+    Z (output) with the other two at representatives.  `rep` maps each
+    deconfined label to its orbit's representative, `of_orbit` each
+    representative to its result labels, in orbit order.
+
+    Only the representative rows (x, y) are read, each output summed by its
+    orbit: that sum o is the output margin, and for valid P, with |stabilizer|
+    c_X, the others follow from c_X row = c_Y column = c_Z o, as N_(hx)y^z =
+    N_xy^(h* z) = N_x(hy)^z.  A triple with no split slot has the coefficient
+    o (Kirillov-Ostrik, Adv. Math. 171, 2002), one with one split slot that
+    slot's margin at every child; one with two or more is unknown if o > 0
+    (the rest are 0).  A confined label in the product of two deconfined ones
+    is an input error, named at its first entry in P's row order."""
+    if len(rep) < P.ring.rank():  # walk every row between deconfined labels
+        for (a, b), entries in P.ring.rows():
+            if a in rep and b in rep and not entries.keys() <= rep.keys():
+                raise closure_error(a, b, next(c for c in entries if c not in rep))
+    pos = {r: i for i, r in enumerate(of_orbit)}
+    size = {r: len(labs) for r, labs in of_orbit.items()}
+    fuse, free = P.ring.fuse, max(size.values()) == 1
+    forced, unknown, margins = {}, [], ({}, {}, {})
+    for x in pos:
+        cx = size[x]
+        for y in pos:
+            entries = fuse(x, y)
+            if len(entries) == 1:  # N_xy^c alone: the quotient may keep P's row
+                (c, o), = entries.items()
+                summed = entries if rep[c] == c else {rep[c]: o}
+            else:
+                by_orbit = Counter()
+                for c, n in entries.items():
+                    by_orbit[rep[c]] += n
+                summed = {z: by_orbit[z] for z in sorted(by_orbit, key=pos.__getitem__)}
+            if free:
+                forced[x, y] = summed
+                continue
+            cy = size[y]
+            for z, o in summed.items():
+                cz = size[z]
+                if cx == cy == cz == 1:
+                    forced.setdefault((x, y), {})[z] = o
+                elif (cx > 1) + (cy > 1) + (cz > 1) < 2:  # one split slot: its margin
+                    val = o // cx if cx > 1 else o // cy if cy > 1 else o
+                    for ab in product(of_orbit[x], of_orbit[y]):
+                        forced.setdefault(ab, {}).update(dict.fromkeys(of_orbit[z], val))
+                else:
+                    for m, v in zip(margins, (cz * o // cx, cz * o // cy, o)):
+                        m[x, y, z] = v
+                    unknown += product(of_orbit[x], of_orbit[y], of_orbit[z])
+    return forced, unknown, margins
 
 
 def _build_result(labels, n_dict, dims, twists, name="candidate"):
@@ -576,6 +588,12 @@ def is_deconfined(C: Premodular, D: Premodular, embC: SymmetryEmbedding,
     return _charge(C, embC, x) == _charge(D, embD, y)
 
 
+def _check_embedding(emb: SymmetryEmbedding, cat: Premodular) -> None:
+    report = emb.validate(cat)
+    if report:
+        raise InputError(f"invalid embedding into {cat.name}: {report[0]}")
+
+
 def relative_tensor_product(C: Premodular, D: Premodular,
                             embC: SymmetryEmbedding, embD: SymmetryEmbedding,
                             ) -> tuple[CondensationResult, SymmetryEmbedding]:
@@ -587,9 +605,13 @@ def relative_tensor_product(C: Premodular, D: Premodular,
     symmetry embedding into the result."""
     same_symmetry(embC, embD)
     for emb, cat in ((embC, C), (embD, D)):
-        report = emb.validate(cat)
-        if report:
-            raise InputError(f"invalid embedding into {cat.name}: {report[0]}")
+        _check_embedding(emb, cat)
+    return _relative_tensor_product(C, D, embC, embD)
+
+
+def _relative_tensor_product(C, D, embC, embD):
+    """`relative_tensor_product` of embeddings with one symmetry group that
+    are validated or built by the engine."""
     charges = {}  # each distinct charge character as a small int
     keys = tuple({x: charges.setdefault(_charge(P, emb, x), len(charges)) for x in P.labels}
                  for P, emb in ((C, embC), (D, embD)))
@@ -608,11 +630,12 @@ def relative_tensor_product(C: Premodular, D: Premodular,
 
 def relative_centralizer(C: Premodular, embC: SymmetryEmbedding) -> Premodular:
     """Centralizer of the symmetry image, as a premodular subcategory."""
-    report = embC.validate(C)
-    if report:
-        raise InputError(f"invalid embedding into {C.name}: {report[0]}")
-    labels = C.centralizer(embC.image())
-    return C.restrict(labels, name=f"cent_E({C.name})")
+    _check_embedding(embC, C)
+    return _relative_centralizer(C, embC)
+
+
+def _relative_centralizer(C, embC):
+    return C.restrict(C.centralizer(embC.image()), name=f"cent_E({C.name})")
 
 
 def verify_unit_law(C: Premodular, embC: SymmetryEmbedding) -> bool | None:
@@ -621,7 +644,8 @@ def verify_unit_law(C: Premodular, embC: SymmetryEmbedding) -> bool | None:
     None means the condensation was ambiguous (inconclusive verdict).
     """
     Z, embZ = drinfeld_double(embC.group)
-    res, emb_ind = relative_tensor_product(Z, C, embZ, embC)
+    _check_embedding(embC, C)  # embZ is built valid, on embC's group
+    res, emb_ind = _relative_tensor_product(Z, C, embZ, embC)
     if res.ambiguity_flags:
         return None
     return find_equivalence(res.result, C, emb_ind, embC) is not None
@@ -631,15 +655,18 @@ def verify_stacking_identity(C: Premodular, D: Premodular,
                              embC: SymmetryEmbedding, embD: SymmetryEmbedding,
                              ) -> bool | None:
     """Check (cent_E C) x_E (cent_E D) = cent_E (C stack_E D) as categories
-    with symmetry.  None means some condensation was ambiguous."""
+    with symmetry.  None means some condensation was ambiguous.  Each input
+    embedding is validated once; their restrictions to the centralizers, which
+    hold their images, stay valid, and the induced embedding is built valid."""
     Cp = relative_centralizer(C, embC)
     Dp = relative_centralizer(D, embD)
     embCp = embC.restrict_to(Cp)
     embDp = embD.restrict_to(Dp)
+    same_symmetry(embC, embD)
     # E is central in Cp and Dp, so lhs confines no label (README, "not re-checked")
-    lhs, lhs_emb = relative_tensor_product(Cp, Dp, embCp, embDp)
-    rhs, rhs_emb = relative_tensor_product(C, D, embC, embD)
-    Rp = relative_centralizer(rhs.result, rhs_emb)
+    lhs, lhs_emb = _relative_tensor_product(Cp, Dp, embCp, embDp)
+    rhs, rhs_emb = _relative_tensor_product(C, D, embC, embD)
+    Rp = _relative_centralizer(rhs.result, rhs_emb)
     rhs_emb_p = rhs_emb.restrict_to(Rp)
     if lhs.ambiguity_flags or rhs.ambiguity_flags:
         return None

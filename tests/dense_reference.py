@@ -1,19 +1,19 @@
 """Test-only references: the dense orbit-triple scan of the condensation
 engine, the label-keyed `FusionRing.validate` and the triple-wise
-`FusionRing.product`, as they were before the first two became sparse and
-integer-indexed and the product was built row by row; the numpy
-Frobenius-Perron dims and the rank^3 S-invertibility test, as they were
-before `FusionRing.fp_dims` ran in plain Python and `_smatrix_invertible`
-conjugated each entry once; and the (i, j, k) -> N_ij^k triple view that
-`FusionRing.N` used to give.  The differential tests assert that the engine
-matches them.  They are not a second path of the package; nothing in `src/`
-imports them."""
+`FusionRing.product`, as they were before the engine read only the
+representative rows, the validation became sparse and integer-indexed and
+the product was built row by row; the numpy Frobenius-Perron dims and the
+rank^3 S-invertibility test, as they were before `FusionRing.fp_dims` ran in
+plain Python and `_smatrix_invertible` conjugated each entry once; and the
+(i, j, k) -> N_ij^k triple view that `FusionRing.N` used to give.  The
+differential tests assert that the engine matches them.  They are not a
+second path of the package; nothing in `src/` imports them."""
 
 import numpy as np
 
 from setcat.cyclo import Cyclo
 from setcat.errors import InputError, InternalFault
-from setcat.fusion import FusionRing, pair_label
+from setcat.fusion import FusionRing, closure_error, pair_label
 from setcat.relprod import _act
 
 _FP_TOL = 1e-12
@@ -84,32 +84,39 @@ def dense_smatrix_invertible(P) -> bool:
     return True
 
 
-def dense_orbit_fusion(P, orbits, of_orbit):
-    """Scan every orbit triple and |H| for each one, with margins as sums
-    of `FusionRing.n` lookups; same signature and result as
-    `relprod._orbit_fusion`, but the margin dicts hold every triple, zeros
-    too, and every triple with two or more split slots is unknown, dead ones
-    (a margin of 0) too.  H is the unit's orbit, which comes first."""
-    H = orbits[0].members
-    child_count = {o.representative: len(o.stabilizer) for o in orbits}
-    orbit_by_rep = {o.representative: o for o in orbits}
+def dense_orbit_fusion(P, rep, of_orbit):
+    """Walk every row between deconfined labels for the closure error, then
+    scan every orbit triple and |H| for each one, with margins as sums of
+    `FusionRing.n` lookups and checked against each other; the arguments of
+    `relprod._orbit_fusion`, but the forced coefficients as triples in
+    orbit-triple order, the margin dicts hold every triple, zeros too, and
+    every triple with two or more split slots is unknown, dead ones (a margin
+    of 0) too.  H is the unit's orbit."""
+    for (a, b), row in P.ring.rows():
+        if a in rep and b in rep:
+            for c in row:
+                if c not in rep:
+                    raise closure_error(a, b, c)
+    members = {r: [m for m in rep if rep[m] == r] for r in of_orbit}
+    H = members[P.unit]
+    child_count = {r: len(labs) for r, labs in of_orbit.items()}
 
     def parent_n(a, b, c):
         return P.ring.n(a, b, c)
 
     def margin_row(ox, oy, oz):
-        return sum(parent_n(u, oy, oz) for u in orbit_by_rep[ox].members)
+        return sum(parent_n(u, oy, oz) for u in members[ox])
 
     def margin_col(ox, oy, oz):
-        return sum(parent_n(ox, v, oz) for v in orbit_by_rep[oy].members)
+        return sum(parent_n(ox, v, oz) for v in members[oy])
 
     def margin_out(ox, oy, oz):
-        return sum(parent_n(ox, oy, w) for w in orbit_by_rep[oz].members)
+        return sum(parent_n(ox, oy, w) for w in members[oz])
 
     n_result = {}
     unknown = []
     row, col, out = {}, {}, {}
-    reps = [o.representative for o in orbits]
+    reps = list(of_orbit)
     for ox in reps:
         for oy in reps:
             for oz in reps:

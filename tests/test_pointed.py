@@ -189,9 +189,34 @@ def assert_quotient_basis(M, H):
     return ns
 
 
+def closure_quotient_basis(factors, sup, sub):
+    """`abelian.quotient_basis` as it was before K + <x> was built from the
+    cosets K + m x: by the closure of K and x."""
+    def order_mod(x, K):
+        n, y = 1, x
+        while y not in K:
+            n, y = n + 1, abelian.add(factors, y, x)
+        return n
+
+    sub_set, K = set(sub), set(sub)
+    ns, xs = [], []
+    while len(K) < len(sup):
+        n, x = 1, None
+        for y in sup:
+            m = order_mod(y, K)
+            if m > n and m == order_mod(y, sub_set):
+                n, x = m, y
+        K = set(abelian.subgroup_closure(factors, [*K, x]))
+        ns.append(n)
+        xs.append(x)
+    return ns[::-1], xs[::-1]
+
+
 def test_quotient_basis_on_oracle_draws():
     for M, H in oracle_draws():
         assert_quotient_basis(M, H)
+        args = (M.invariant_factors, M.orthogonal_complement(H), H)
+        assert abelian.quotient_basis(*args) == closure_quotient_basis(*args)
 
 
 def test_quotient_basis_on_nonconserving_subgroups():

@@ -177,6 +177,32 @@ def test_stacking_identity_with_double():
         d2.embeddings["canonical"], toric.embeddings["e"]) is True
 
 
+def test_each_input_embedding_is_validated_once_per_call(monkeypatch):
+    toric, d4 = get("toric_code"), get("double_4")
+    C, e, m = toric.category, toric.embeddings["e"], toric.embeddings["m"]
+    fermion = SymmetryEmbedding([2], C.name, {(0,): "1", (1,): "f"})
+    z4 = d4.embeddings["canonical"]
+    expected = "invalid embedding into toric_code: image of (1,) is not bosonic: theta[f] != 1"
+    for call in (lambda: relative_tensor_product(C, C, e, fermion),
+                 lambda: relative_centralizer(C, fermion), lambda: verify_unit_law(C, fermion),
+                 lambda: verify_stacking_identity(C, C, fermion, e),
+                 lambda: verify_stacking_identity(C, C, e, fermion)):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == expected
+    with pytest.raises(InputError, match=r"different symmetry groups: \[2\] vs \[4\]"):
+        verify_stacking_identity(C, d4.category, e, z4)
+    seen = []
+    validate = SymmetryEmbedding.validate
+    monkeypatch.setattr(SymmetryEmbedding, "validate",
+                        lambda emb, cat: seen.append((emb, cat.name)) or validate(emb, cat))
+    assert verify_stacking_identity(C, C, e, m) is True
+    assert seen == [(e, C.name), (m, C.name)]
+    seen.clear()
+    assert verify_unit_law(C, m) is True
+    assert seen == [(m, C.name)]
+
+
 def test_relprod_unit_instance_equals_engine_on_doubles():
     # stacking the double with rep(G) itself: Z(E) x_E E = E
     rz2 = get("rep_z2")

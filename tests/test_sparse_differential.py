@@ -1,10 +1,12 @@
-"""Differential tests: the sparse, integer-indexed condensation scan,
+"""Differential tests: the condensation's representative-row quotient,
 `FusionRing.validate` and the row-built `FusionRing.product` against the
 dense references in `dense_reference.py`, and the rows `restrict` keeps
 against a checked rebuild, on the catalog, the Deligne products of the
 stacking identities, the first 17 pointed-oracle inputs, split inputs
-1-4 and seeded corruptions of catalog rings. Every condensation that succeeds
-here also passes `test_invariants.assert_condensation_invariants`."""
+1-4, seeded corruptions of catalog rings and, for the closure error,
+seeded corruptions of the free condensations' rows. Every condensation
+that succeeds here also passes
+`test_invariants.assert_condensation_invariants`."""
 
 import random
 from collections import Counter
@@ -12,10 +14,11 @@ from collections import Counter
 from setcat import fusion, relprod
 from setcat.catalog import catalog, get
 from setcat.double import drinfeld_double
-from setcat.errors import SetcatError
+from setcat.errors import SetcatError, ValidationInputError
 from setcat.fusion import FusionRing, pair_label
 from setcat.io import serialize_category
 from setcat.pointed import element_label
+from setcat.premodular import Premodular
 from setcat.randomized import random_conserving_pair
 
 from .dense_reference import dense_orbit_fusion, dense_validate, triple_product, triples
@@ -34,45 +37,74 @@ def _outcome(P, bosons):
         return (type(exc), str(exc))
 
 
-def _fields(res):
-    if isinstance(res, tuple):
-        return res
-    ring = res.result.ring
+def _ring_fields(Q):
+    ring = Q.ring
     return {
-        "result": serialize_category(res.result),
+        "result": serialize_category(Q),
         "fusion_order": list(triples(ring).items()),
-        "report": res.result.validate(),
+        "dual": list(ring.dual.items()),
+        "report": Q.validate(),
         "ring_report": ring.validate(),
-        **{name: getattr(res, name) for name in (
-            "algebra", "deconfined", "confined", "orbits", "splittings",
-            "provenance", "ambiguity_flags", "conservation")},
     }
 
 
+def _fields(res):
+    if isinstance(res, tuple):
+        return res
+    return {**_ring_fields(res.result), **{name: getattr(res, name) for name in (
+        "algebra", "deconfined", "confined", "orbits", "splittings",
+        "provenance", "ambiguity_flags", "conservation")}}
+
+
+def _rows(forced):
+    """Forced coefficients as the rows {(a, b): {c: N}} in first-seen order."""
+    rows = {}
+    for (a, b, c), n in forced.items():
+        rows.setdefault((a, b), {})[c] = n
+    return rows
+
+
 def assert_same_condensation(P, bosons, monkeypatch):
-    new = _outcome(P, bosons)
+    """The engine against `dense_orbit_fusion`: the whole condensation, its
+    error text included; a free quotient against the dense triples through
+    `_build_result`; and `_orbit_fusion`'s forced rows, unknowns and margins,
+    which it builds only for orbit triples with two or more split slots."""
+    new, seen = _outcome(P, bosons), []
+
+    def dense(*args):
+        seen.append(dense_orbit_fusion(*args))
+        forced, unknown, margins = seen[-1]
+        return _rows(forced), unknown, margins
+
     with monkeypatch.context() as m:
-        m.setattr(relprod, "_orbit_fusion", dense_orbit_fusion)
+        m.setattr(relprod, "_orbit_fusion", dense)
         old = _outcome(P, bosons)
     assert _fields(new) == _fields(old)
     if isinstance(new, tuple):
-        return
+        return new
     assert_condensation_invariants(P, new)
-    of_orbit = {}
-    for lab, (rep, _) in new.provenance.items():
-        of_orbit.setdefault(rep, []).append(lab)
-    args = (P, new.orbits, of_orbit)
-    forced, unknown, margins = relprod._orbit_fusion(*args)
-    d_forced, d_unknown, d_margins = dense_orbit_fusion(*args)
-    assert list(forced.items()) == list(d_forced.items())
-    # the dense reference leaves every triple with two split slots unknown; the
-    # sparse scan only those whose three margins are nonzero (the rest are 0)
+    (d_forced, d_unknown, d_margins), = seen
+    Q, split = new.result, new.splittings
+    if max(split.values()) == 1:
+        built = relprod._build_result(Q.labels, d_forced, Q.dims, Q.twists, Q.name)
+        assert _ring_fields(Q) == _ring_fields(built)
     rep_of = {lab: rep for lab, (rep, _) in new.provenance.items()}
+    of_orbit = {}
+    for lab, rep in rep_of.items():
+        of_orbit.setdefault(rep, []).append(lab)
+    rep = {m: o.representative for o in new.orbits for m in o.members}
+    forced, unknown, margins = relprod._orbit_fusion(P, rep, of_orbit)
+    assert [(k, list(r.items())) for k, r in forced.items()] == [
+        (k, list(r.items())) for k, r in _rows(d_forced).items()]
+    # the dense reference leaves every triple with two split slots unknown; the
+    # engine only those whose three margins are nonzero (the rest are 0)
     assert unknown == [t for t in d_unknown
                        if all(m[tuple(map(rep_of.get, t))] for m in d_margins)]
-    for sparse, dense in zip(margins, d_margins):
-        assert sparse == {t: v for t, v in dense.items() if v}
+    for built_margins, dense in zip(margins, d_margins):
+        assert built_margins == {t: v for t, v in dense.items()
+                                 if v and sum(split[x] > 1 for x in t) >= 2}
     assert new.result.ring.validate() == dense_validate(new.result.ring)
+    return new
 
 
 def test_condensation_matches_dense_on_catalog(monkeypatch):
@@ -166,6 +198,42 @@ def test_condensation_matches_dense_on_split_inputs(monkeypatch):
                       (su2_4, ["0", "4"]), (su2_8, ["0", "8"])]:
         assert P.ring.validate() == dense_validate(P.ring)
         assert_same_condensation(P, bosons, monkeypatch)
+
+
+def closure_corruptions(P, res, rng, count):
+    """Copies of P, each with one row (a, b) between labels outside H that
+    the condensation `res` of P keeps sent to a confined label c, or given c
+    besides its outputs, and the closure error that row raises: valid P has
+    no other such row."""
+    outside = [x for x in res.deconfined if x not in res.algebra]
+    rows, rep = dict(P.ring.rows()), {m: o.representative for o in res.orbits for m in o.members}
+    for _ in range(count):
+        a, b, c = rng.choice(outside), rng.choice(outside), rng.choice(res.confined)
+        broken = {**rows, (a, b): {c: 1} if rng.random() < 0.5 else {**rows[a, b], c: 1}}
+        ring = FusionRing(P.labels, P.ring.dual, {(i, j, k): n for (i, j), row in broken.items()
+                                                  for k, n in row.items()})
+        yield (Premodular(ring, P.dims, P.twists, name=P.name), str(fusion.closure_error(a, b, c)),
+               rep[a] == a and rep[b] == b)
+
+
+def test_closure_errors_match_dense_on_corruptions(monkeypatch):
+    """On the free condensations with confined labels among the catalog's
+    embeddings and the oracle inputs, each corrupted row is named as the walk
+    over every row names it, representative or not."""
+    inputs = [(e.category, emb.image()) for e in catalog().values()
+              for emb in e.embeddings.values()]
+    inputs += [(M.to_premodular(check_smatrix=False), [element_label(h) for h in H])
+               for M, H in oracle_inputs()]
+    rng, named = random.Random(6), Counter()
+    for P, bosons in inputs:
+        res = relprod.condense_by_invertible_bosons(P, bosons)
+        if (not res.confined or len(res.deconfined) == len(res.algebra)
+                or max(res.splittings.values()) > 1):
+            continue
+        for Q, text, representative in closure_corruptions(P, res, rng, 8):
+            assert assert_same_condensation(Q, bosons, monkeypatch) == (ValidationInputError, text)
+            named[representative] += 1
+    assert min(named[True], named[False]) >= 5, named
 
 
 def test_validate_matches_dense_on_catalog():

@@ -103,6 +103,30 @@ def test_ising_ising_rev_fib_is_toric_fib():
     assert find_equivalence(result, get("toric_code").category.deligne(fib))
 
 
+@pytest.mark.parametrize("third,nodes,pairs", [
+    ("z3", 69, [(1, 2)]), ("double_3", 507, [(1, 2), (3, 6), (4, 8), (5, 7)])])
+def test_mutually_dual_split_orbits(monkeypatch, third, nodes, pairs):
+    # ising x ising_rev x T / Z2: ((sigma, sigma), t) splits for every label t of T, and its
+    # orbit is dual to that of t*, so the search draws the involutions of dual pairs of split
+    # orbits (T = Z3 with q = x^2/3: one pair; T = D(Z3): four); the result is toric_code x T
+    T = metric_cyclic(3, 3) if third == "z3" else get(third).category
+    P = get("ising").category.deligne(get("ising_rev").category).deligne(T)
+    bosons = [pair_label(h, T.unit) for h in Z2]
+    blocks, dual_classes = [], relprod._dual_classes
+    monkeypatch.setattr(relprod, "_dual_classes",
+                        lambda split, i, j: blocks.append((i, j)) or dual_classes(split, i, j))
+    assert find_equivalence(condensed(P, bosons), get("toric_code").category.deligne(T))
+    assert [(i, j) for i, j in blocks if i != j] == pairs
+    for budget, enough in ((nodes, True), (nodes - 1, False)):  # the nodes, to the node
+        monkeypatch.setattr(relprod, "_SEARCH_NODE_BUDGET", budget)
+        try:
+            relprod.condense_by_invertible_bosons(P, bosons)
+        except LimitExceeded:
+            assert not enough
+        else:
+            assert enough
+
+
 @pytest.mark.parametrize("k", [4, 8, 12, 16])
 def test_unit_law_through_the_boson_j_equals_k(k):
     C = su2_level(k)
