@@ -347,16 +347,18 @@ def cmd_verify(args) -> int:
         res, _ = relative_tensor_product(C, D, embC, embD)
         factors_nondeg = C.is_nondegenerate() and D.is_nondegenerate()
         result_nondeg = res.result.is_nondegenerate()
-        verdict = result_nondeg if factors_nondeg else None
-        if verdict is None:
-            # nothing to preserve: report the facts, verdict vacuously true
-            verdict = True
+        # degenerate factors leave nothing to preserve: the verdict is vacuously true
+        verdict = result_nondeg or not factors_nondeg
         return _verdict_exit(args, verdict,
                              {"identity": "nondegeneracy", "left": C.name,
                               "right": D.name,
                               "factors_nondegenerate": factors_nondeg,
                               "result_nondegenerate": result_nondeg})
+    if kind in ("pointed-oracle", "arithmetic") and args.count < 1:
+        raise InputError(f"--count must be at least 1, got {args.count}")
     if kind == "pointed-oracle":
+        if args.max_order < 2:  # the smallest group drawn has order 2
+            raise InputError(f"--max-order must be at least 2, got {args.max_order}")
         report = run_pointed_oracle_trials(args.count, args.max_order, args.seed)
         return _verdict_exit(args, report["ok"], report)
     if kind == "arithmetic":

@@ -131,9 +131,8 @@ def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
 
     ambiguity_flags, name = [], f"{P.name} / H{len(H)}"
     if unknown:
-        classes = _resolve_split_fusion(
-            {(a, b, c): v for (a, b), row in forced.items() for c, v in row.items()},
-            unknown, result_labels, rep_of, dims, twists, margins)
+        classes = _resolve_split_fusion(forced, unknown, result_labels, rep_of, dims, twists,
+                                        margins)
         if not classes:
             raise ValidationInputError(
                 f"{P.name}: no fusion assignment of the split orbit(s) "
@@ -141,11 +140,12 @@ def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
                 f"either the data is not a braided category, or a stabilizer carries a "
                 f"nontrivial 2-cocycle, which the engine does not support")
         if len(classes) > 1:
+            rings = [cls.ring for cls in classes]
             ambiguity_flags = [f"{len(classes)} fusion assignments survive all constraints"] + [
                 f"undetermined coefficient N[{a},{b}]^{c}" for (a, b, c) in sorted(
-                    {t for cls, _ in classes for t in cls if any(c2.get(t, 0) != cls[t]
-                                                                 for c2, _ in classes)})]
-        result = classes[0][1]  # the candidate that passed _candidate_ok
+                    {(a, b, c) for ring in rings for (a, b), row in ring.rows() for c in row
+                     if len({r.n(a, b, c) for r in rings}) > 1})]
+        result = classes[0]  # the candidate that passed _candidate_ok
         result.name = name
     else:  # every orbit is free: the forced rows are the quotient's, X* the orbit of x*
         dual = {r: rep[P.dual(r)] for r in result_labels}
@@ -222,19 +222,12 @@ def _orbit_fusion(P, rep, of_orbit):
     return forced, unknown, margins
 
 
-def _build_result(labels, n_dict, dims, twists, name="candidate"):
-    # N_ab^1 = [b = a*] holds by the split search for children, by P's validity for the rest
-    rows = {}  # n_dict holds nonzero entries only
-    for (a, b, c), v in n_dict.items():
-        rows.setdefault((a, b), {})[c] = v
-    ring = _with_rows(labels, {a: b for (a, b, c) in n_dict if c == labels[0]}, rows)
-    return Premodular(ring, dims, twists, name=name)
-
-
 def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_margins):
-    """The assignments of the unknown coefficients that pass `_candidate_ok`,
-    one per class up to relabelling children within orbits (its least member
-    in sorted-items order, as a dict in that order, and its category), sorted.
+    """The categories of the assignments of the unknown coefficients that
+    pass `_candidate_ok`, one per class up to relabelling children within
+    orbits, each at its least member in live (sorted-triple) order and the
+    value order 1 < 2 < ... < 0, sorted in that order.  `forced` holds the
+    forced rows {(a, b): {c: N_ab^c}}.
 
     Depth-first search on an explicit stack, one commutativity class of live
     unknowns (all three margins nonzero; the rest are 0) per level in sorted
@@ -253,8 +246,9 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     positions past the dual levels that g moves, from the first not known to
     agree (Frisch et al., CP 2002), each comparison waiting for the level of
     the later position it reads: one survivor per class, its least member in
-    search order, outlives the search.  Each survivor that passes is then
-    relabelled to its least member in live (sorted-items) order."""
+    search order, outlives the search.  Each survivor is relabelled to its
+    least member in live order before the check, so the category checked is
+    the one returned."""
     unit, gid, rem, grp = labels[0], {}, [], {}  # sum groups: the sum each still needs
     for t in unknown:
         o = tuple(rep_of[x] for x in t)
@@ -262,24 +256,23 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         for key, m in zip(keys, orbit_margins):
             if key not in gid:
                 gid[key] = len(rem)
-                rem.append(m.get(o, 0))
+                rem.append(m[o])
         grp[t] = [gid[k] for k in keys]
     live = sorted(t for t in unknown if all(rem[g] for g in grp[t]))
     at, grp, n = {t: p for p, t in enumerate(live)}, [grp[t] for t in live], len(live)
-    rows, row, checks = defaultdict(list), defaultdict(dict), []  # checks: [what, rows]
-    for (a, b, c), v in forced.items():
-        row[(a, b)][c] = v
+    rows, checks = defaultdict(list), []  # checks: [what, rows]
+    row = defaultdict(dict, {ab: dict(r) for ab, r in forced.items()})
     for p, (a, b, c) in enumerate(live):  # row[(a, b)]: N_ab^c by c, open entries as None
         rows[(a, b)].append(p)
         row[(a, b)][c] = None
     # and packed[b][a]: row (a, b) as one integer, N_ab^c in the bits from shift[c] on,
     # wide enough that no sum an associativity check forms carries into the next
-    top = max(1, *forced.values(), *rem)  # no coefficient exceeds a margin
+    top = max(1, *(v for r in forced.values() for v in r.values()), *rem)  # bounds every N
     width = (len(labels) * top ** 2).bit_length()
     shift = {c: width * i for i, c in enumerate(labels)}
     packed = {b: dict.fromkeys(labels, 0) for b in labels}
-    for (a, b, c), v in forced.items():
-        packed[b][a] += v << shift[c]
+    for (a, b), r in forced.items():
+        packed[b][a] = sum(v << shift[c] for c, v in r.items())
     rid, V, inverse = {r: i for i, r in enumerate(rows)}, [None] * n, cache(Cyclo.inverse)
     cell = [(row[(a, b)], c, packed[b], a, shift[c]) for a, b, c in live]
     sums = {}  # the open entries' sum (None: mixed dims) by the orbits of the row's inputs,
@@ -347,7 +340,7 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
                         repeat(len(order) + 1)) for key in moving}
     moved = {key: array("i", [next(scan)]) for key, scan in scans.items()}  # found so far
     images = [[] for _ in maps]  # i -> order[s] relabelled by maps[g], s the i-th of those
-    dual, trail = {a: b for (a, b, c) in forced if c == unit}, []
+    dual, trail = {a: b for (a, b), r in forced.items() if unit in r}, []
     ready = [k for k in range(s_checks, len(checks)) if not wait[k]]  # S checks, forced rows
 
     def move(p, val, s):  # s = 1 sets V[p] to val, s = -1 clears it
@@ -426,17 +419,24 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
                 return False
         return True
 
-    def least(W):  # the least W o g in live order, and g^-1, which renames W's labels to it
-        best, at_best = W, {}
-        for g, m in enumerate(maps):
+    def least(W):  # the least W o g in live order
+        best = W
+        for g in range(len(maps)):
             x, y = next(((x, y) for x, y in zip(best, (W[image(g, p)] for p in range(n)))
                          if x != y), (0, 0))
             if (y == 0, y) < (x == 0, x):
-                best, at_best = [W[image(g, p)] for p in range(n)], m
-        return best, {b: a for a, b in at_best.items()}
+                best = [W[image(g, p)] for p in range(n)]
+        return best
 
-    def assignment(W):  # with the forced entries, as a dict in items order
-        return dict(sorted({**forced, **{t: v for t, v in zip(live, W) if v}}.items()))
+    def category(W):  # the forced rows and W's nonzero entries, rows and outputs sorted
+        # N_ab^1 = [b = a*] holds by the search for children, by P's validity for the rest
+        out = {ab: dict(r) for ab, r in forced.items()}
+        for (a, b, c), v in zip(live, W):
+            if v:
+                out.setdefault((a, b), {})[c] = v
+        out = {ab: dict(sorted(out[ab].items())) for ab in sorted(out)}
+        ring = _with_rows(labels, {a: b for (a, b), r in out.items() if unit in r}, out)
+        return Premodular(ring, dims, twists, name="candidate")
 
     # the unit rows: N_1x^y = N_x1^y = [x = y]
     ok = all(put(p, int(b == c if a == unit else a == c))
@@ -482,17 +482,8 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
             raise LimitExceeded(
                 f"splitting enumeration: too many candidates, {len(survivors) + 1} reached "
                 f"against the cap of {_MAX_SURVIVORS}, over {nv} unknown variables")
-    # relabelling keeps the verdict, so only the survivors that pass are relabelled; children
-    # of one orbit share a dim and a twist, so the S-entries and the S decision carry over
-    passed = []
-    for W in survivors:
-        if _candidate_ok(cand := _build_result(labels, assignment(W), dims, twists)):
-            best, rename = least(W)
-            result = _build_result(labels, n_dict := assignment(best), dims, twists)
-            result._s = {(rename.get(i, i), rename.get(j, j)): v for (i, j), v in cand._s.items()}
-            result._s_invertibility = cand._s_invertibility
-            passed.append((n_dict, result))
-    return sorted(passed, key=lambda c: tuple(c[0].items()))
+    bests = sorted(map(least, survivors), key=lambda W: [(v == 0, v) for v in W])
+    return [cand for W in bests if _candidate_ok(cand := category(W))]
 
 
 def _dual_classes(split, i, j):

@@ -7,7 +7,9 @@ within orbits.  `tests/test_split_differential.py` asserts that the engine
 finds the same classes, with the same representatives, wherever this finishes,
 and that the engine's candidate check gives the verdict of
 `sparse_candidate_ok`, the check it had before its character fast path.
-Nothing in `src/` imports it."""
+It works on fusion coefficients as (a, b, c) triples, builds its categories
+with its own `_build_result`, and takes the engine's forced rows as
+`relprod._orbit_fusion` returns them.  Nothing in `src/` imports it."""
 
 import sys
 from collections import defaultdict
@@ -15,7 +17,8 @@ from itertools import permutations
 
 from setcat.cyclo import Cyclo
 from setcat.errors import InputError, InternalFault
-from setcat.relprod import _build_result
+from setcat.fusion import _with_rows
+from setcat.premodular import Premodular
 
 from .dense_reference import dense_smatrix_invertible
 
@@ -23,8 +26,20 @@ _SEARCH_NODE_BUDGET = 200_000
 _MAX_SURVIVORS = 64
 
 
+def _build_result(labels, n_dict, dims, twists, name="candidate"):
+    """The category whose rows hold n_dict's entries {(a, b, c): N_ab^c}, in
+    n_dict's order."""
+    rows = {}
+    for (a, b, c), v in n_dict.items():
+        rows.setdefault((a, b), {})[c] = v
+    ring = _with_rows(labels, {a: b for (a, b, c) in n_dict if c == labels[0]}, rows)
+    return Premodular(ring, dims, twists, name=name)
+
+
 def reference_split_classes(forced, unknown, labels, rep_of, dims, twists, orbit_margins):
-    """The surviving classes, each as its least relabelling, in sorted order."""
+    """The surviving classes, each as its least relabelling, in sorted order,
+    as {(a, b, c): N_ab^c} dicts; `forced` holds the engine's forced rows."""
+    forced = {(a, b, c): v for (a, b), row in forced.items() for c, v in row.items()}
     of_orbit = defaultdict(list)
     for lab in labels:
         of_orbit[rep_of[lab]].append(lab)

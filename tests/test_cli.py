@@ -225,12 +225,35 @@ def test_verify_nondegeneracy_cli(capsys, fixture_dir):
     assert data["result_nondegenerate"] is True
 
 
+def test_verify_nondegeneracy_degenerate_factor_cli(capsys, fixture_dir):
+    # Rep(Z2) is degenerate: nothing to preserve, so the verdict is vacuously true
+    code, out, _ = run(capsys, [
+        "verify", "nondegeneracy",
+        str(fixture_dir / "rep_z2.json"), str(fixture_dir / "toric_code.json"),
+        "--emb", str(fixture_dir / "rep_z2.emb_identity.json"),
+        "--emb", str(fixture_dir / "toric_code.emb_e.json"),
+        "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["factors_nondegenerate"] is False
+    assert data["verdict"] is True
+
+
 def assert_input_error(capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 2
     assert "input error" in err
     assert "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize("kind,flag,value,bound", [
+    ("pointed-oracle", "--max-order", "1", "2"), ("pointed-oracle", "--max-order", "0", "2"),
+    ("pointed-oracle", "--count", "-3", "1"), ("arithmetic", "--count", "-3", "1"),
+    ("arithmetic", "--count", "0", "1")])
+def test_verify_trial_arguments_out_of_range_exit_2(capsys, kind, flag, value, bound):
+    err = assert_input_error(capsys, ["verify", kind, flag, value])
+    assert f"{flag} must be at least {bound}, got {value}" in err
 
 
 def write_json(tmp_path, obj) -> str:

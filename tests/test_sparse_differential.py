@@ -22,6 +22,7 @@ from setcat.premodular import Premodular
 from setcat.randomized import random_conserving_pair
 
 from .dense_reference import dense_orbit_fusion, dense_validate, triple_product, triples
+from .split_reference import _build_result
 from .test_acceptance import STACKING_SET
 from .test_invariants import assert_condensation_invariants, su2_level
 
@@ -67,8 +68,9 @@ def _rows(forced):
 def assert_same_condensation(P, bosons, monkeypatch):
     """The engine against `dense_orbit_fusion`: the whole condensation, its
     error text included; a free quotient against the dense triples through
-    `_build_result`; and `_orbit_fusion`'s forced rows, unknowns and margins,
-    which it builds only for orbit triples with two or more split slots."""
+    `split_reference._build_result`; and `_orbit_fusion`'s forced rows,
+    unknowns and margins, which it builds only for orbit triples with two or
+    more split slots."""
     new, seen = _outcome(P, bosons), []
 
     def dense(*args):
@@ -86,7 +88,7 @@ def assert_same_condensation(P, bosons, monkeypatch):
     (d_forced, d_unknown, d_margins), = seen
     Q, split = new.result, new.splittings
     if max(split.values()) == 1:
-        built = relprod._build_result(Q.labels, d_forced, Q.dims, Q.twists, Q.name)
+        built = _build_result(Q.labels, d_forced, Q.dims, Q.twists, Q.name)
         assert _ring_fields(Q) == _ring_fields(built)
     rep_of = {lab: rep for lab, (rep, _) in new.provenance.items()}
     of_orbit = {}

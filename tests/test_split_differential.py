@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice, permutations, product
 from pathlib import Path
@@ -216,14 +217,15 @@ def test_split_classes_match_reference(monkeypatch):
         args = solver_arguments(P, bosons, monkeypatch)
         new = relprod._resolve_split_fusion(*args)
         old = split_reference.reference_split_classes(*args)
-        assert [list(d.items()) for d, _ in new] == [list(d.items()) for d in old], P.name
+        assert [list(triples(c.ring).items()) for c in new] == [
+            list(d.items()) for d in old], P.name
         assert len(new) == 1
 
 
 def search_precondition(candidate) -> bool:
     """Whether a candidate, as the reference checks' arguments, meets what
     the search guarantees its check: it passes `Premodular.validate`."""
-    return relprod._build_result(*candidate).validate() == []
+    return split_reference._build_result(*candidate).validate() == []
 
 
 def unpacked(cand):
@@ -247,7 +249,7 @@ def test_candidate_checks_match_reference(monkeypatch):
             m.setattr(split_reference, "_candidate_ok", record)
             split_reference.reference_split_classes(*args)
     kept = [c for c in seen if search_precondition(c)]
-    verdicts = [(relprod._candidate_ok(relprod._build_result(*c)),
+    verdicts = [(relprod._candidate_ok(split_reference._build_result(*c)),
                  split_reference.dense_candidate_ok(*c), split_reference.sparse_candidate_ok(*c))
                 for c in kept]
     assert all(new == dense == sparse for new, dense, sparse in verdicts)
@@ -267,7 +269,7 @@ def ring_only(cand):
 
 def reference_classes(forced, unknown, labels, rep_of, dims, twists, orbit_margins):
     """The reference's classes as the engine's solver returns them."""
-    return [(d, relprod._build_result(labels, d, dims, twists)) for d in
+    return [split_reference._build_result(labels, d, dims, twists) for d in
             split_reference.reference_split_classes(
                 forced, unknown, labels, rep_of, dims, twists, orbit_margins)]
 
@@ -307,7 +309,7 @@ def test_distinct_classes_raise_the_reference_flags(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(relprod, "_candidate_ok", ring_only)
                 m.setattr(split_reference, "_candidate_ok", lambda *c: ring_only(
-                    cand := relprod._build_result(*c)) and conjugate_dual_rule(cand))
+                    cand := split_reference._build_result(*c)) and conjugate_dual_rule(cand))
                 m.setattr(relprod, "_resolve_split_fusion", solve)
                 res = relprod.condense_by_invertible_bosons(P, bosons)
             outcomes.append((res.ambiguity_flags, list(triples(res.result.ring).items())))
@@ -490,7 +492,7 @@ def test_candidate_verdicts_match_the_check_they_replace(monkeypatch):
 
     monkeypatch.setattr(Premodular, "_s_invertibility", property(counted))
     for c, ok in cases:
-        assert relprod._candidate_ok(relprod._build_result(*c)) is ok
+        assert relprod._candidate_ok(split_reference._build_result(*c)) is ok
     for P, image, _ in permuted_cases():
         Q = permuted_rows(P, dict(zip(P.labels, image)))
         with monkeypatch.context() as m:
@@ -550,32 +552,34 @@ def test_every_searched_candidate_passes_validation(monkeypatch):
     # every candidate passes Premodular.validate (before the search enforced
     # the rule, 63 were checked and 24 of them failed it)
     seen = searched_candidates(monkeypatch)
-    assert all(relprod._build_result(*unpacked(c)).validate() == [] for c in seen)
-    verdicts = [relprod._candidate_ok(relprod._build_result(*unpacked(c))) for c in seen]
+    assert all(c.validate() == [] for c in seen)
+    verdicts = [relprod._candidate_ok(c) for c in seen]
     assert (len(seen), verdicts.count(True)) == (39, 39)
 
 
-def test_split_results_take_over_the_candidate_s_state(monkeypatch):
-    # the result is the passing candidate relabelled to its least member:
-    # its S-entries are the candidate's, renamed (the children of two of these
-    # inputs are), equal to fresh ones, and is_nondegenerate computes no
-    # S-entry and no S decision beyond those the candidate check made
-    decisions, generators, results, renamed = [], premodular._generators, [], 0
+def test_split_results_are_the_checked_candidates(monkeypatch):
+    # every candidate the search hands to its check is already its least relabelling,
+    # and the result is the very candidate that passed: its S-entries equal fresh ones,
+    # and is_nondegenerate computes no S-entry and no S decision beyond those the
+    # candidate check made
+    decisions, generators, results = [], premodular._generators, []
     monkeypatch.setattr(premodular, "_generators",
                         lambda ring: decisions.append(ring) or generators(ring))
     for P, bosons in benchmark_split_inputs() + carrying_inputs():
         decisions.clear()
         seen = candidates_of(monkeypatch, relprod._candidate_ok, [
-            lambda: results.append(relprod.condense_by_invertible_bosons(P, bosons).result)])
-        result, made = results[-1], len(decisions)
+            lambda: results.append(relprod.condense_by_invertible_bosons(P, bosons))])
+        res, made = results[-1], len(decisions)
+        result = res.result
+        assert any(c is result for c in seen), P.name
+        for c in seen:
+            assert_least_relabelling(replace(res, result=c))
         computed = dict(result._s)
         assert result.is_nondegenerate() is True
         assert result._s == computed and len(computed) == result.ring.rank() ** 2
         assert made == len(decisions) == sum("_s_invertibility" in vars(c) for c in seen)
         fresh = Premodular(result.ring, result.dims, result.twists)
         assert computed == {(i, j): fresh.s_entry(i, j) for i, j in computed}, P.name
-        renamed += all(triples(c.ring) != triples(result.ring) for c in seen)
-    assert renamed == 2
 
 
 def balanced_rule(dims, twists, i, i2, j, n_ij, n_i2j) -> bool:
