@@ -53,8 +53,13 @@ def load_category(path: str) -> Premodular:
     return sio.parse_category(_read(path))
 
 
-def load_embedding(path: str, category: Premodular):
-    return sio.parse_embedding(_read(path), category)
+def _with_embeddings(what: str, paths: list[str], emb_paths: list[str]):
+    """The categories in `paths`, each paired with its embedding, in order."""
+    if len(emb_paths) != len(paths):
+        raise InputError(f"{what} needs one --emb per category file ({len(paths)}), "
+                         f"got {len(emb_paths)}")
+    cats = [load_category(path) for path in paths]
+    return [(C, sio.parse_embedding(_read(e), C)) for C, e in zip(cats, emb_paths)]
 
 
 def split_labels(text: str) -> list[str]:
@@ -146,6 +151,9 @@ def _category_text(P: Premodular, indent: str = "") -> str:
 def cmd_validate(args) -> int:
     obj = sio.loads(_read(args.file))
     kind = sio.file_kind(obj)
+    if kind != "embedding" and args.against is not None:
+        raise InputError(f"--against applies only to embedding files, "
+                         f"and {args.file} is a {kind} file")
     try:
         if kind == "category":
             sio.parse_category(obj)
@@ -204,14 +212,11 @@ def cmd_center(args) -> int:
 
 
 def cmd_centralizer(args) -> int:
-    P = load_category(args.file)
-    if args.emb:
-        emb = load_embedding(args.emb[0], P)
-        subset = emb.image()
-    elif args.labels:
-        subset = split_labels(args.labels)
+    if args.emb is None:
+        P, subset = load_category(args.file), split_labels(args.labels)
     else:
-        raise InputError("centralizer needs --labels or --emb")
+        [(P, emb)] = _with_embeddings("centralizer", [args.file], args.emb)
+        subset = emb.image()
     cent = P.centralizer(subset)
     _emit(args, {"name": P.name, "subset": subset, "centralizer": cent},
           f"centralizer of {{{', '.join(subset)}}} in {P.name}: "
@@ -228,12 +233,7 @@ def cmd_condense(args) -> int:
 
 
 def cmd_relprod(args) -> int:
-    if len(args.emb) != 2:
-        raise InputError("relprod needs exactly two --emb files")
-    C = load_category(args.left)
-    D = load_category(args.right)
-    embC = load_embedding(args.emb[0], C)
-    embD = load_embedding(args.emb[1], D)
+    (C, embC), (D, embD) = _with_embeddings("relprod", [args.left, args.right], args.emb)
     res, induced = relative_tensor_product(C, D, embC, embD)
     obj = _condensation_json(res)
     obj["induced_embedding"] = sio.serialize_embedding(induced)
@@ -281,14 +281,10 @@ def cmd_rep(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    A = load_category(args.left)
-    B = load_category(args.right)
-    emb1 = emb2 = None
     if args.emb:
-        if len(args.emb) != 2:
-            raise InputError("equiv with embeddings needs exactly two --emb files")
-        emb1 = load_embedding(args.emb[0], A)
-        emb2 = load_embedding(args.emb[1], B)
+        (A, emb1), (B, emb2) = _with_embeddings("equiv", [args.left, args.right], args.emb)
+    else:
+        A, B, emb1, emb2 = load_category(args.left), load_category(args.right), None, None
     sigma = find_equivalence(A, B, emb1, emb2)
     if sigma is None:
         _emit(args, {"equivalent": False, "mapping": None}, "none\n")
@@ -307,64 +303,49 @@ def _verdict_exit(args, verdict: bool | None, detail: dict) -> int:
     return EXIT_OK if verdict else EXIT_FALSE
 
 
-def cmd_verify(args) -> int:
-    kind = args.kind
-    if kind == "unit-law":
-        if len(args.files) != 1 or len(args.emb) != 1:
-            raise InputError("verify unit-law takes one category and one --emb")
-        C = load_category(args.files[0])
-        embC = load_embedding(args.emb[0], C)
-        verdict = verify_unit_law(C, embC)
-        return _verdict_exit(args, verdict, {"identity": "unit-law", "category": C.name})
-    if kind == "stacking":
-        if len(args.files) != 2 or len(args.emb) != 2:
-            raise InputError("verify stacking takes two categories and two --emb")
-        C = load_category(args.files[0])
-        D = load_category(args.files[1])
-        embC = load_embedding(args.emb[0], C)
-        embD = load_embedding(args.emb[1], D)
-        verdict = verify_stacking_identity(C, D, embC, embD)
-        return _verdict_exit(args, verdict,
-                             {"identity": "stacking", "left": C.name, "right": D.name})
-    if kind == "centralizer-set":
-        if len(args.files) != 1 or len(args.emb) != 1:
-            raise InputError("verify centralizer-set takes one category and one --emb")
-        C = load_category(args.files[0])
-        embC = load_embedding(args.emb[0], C)
-        cent = relative_centralizer(C, embC)
-        res = condense_by_invertible_bosons(C, embC.image())
-        verdict = cent.labels == res.deconfined
-        return _verdict_exit(args, verdict,
-                             {"identity": "centralizer-set", "category": C.name,
-                              "centralizer": cent.labels, "deconfined": res.deconfined})
-    if kind == "nondegeneracy":
-        if len(args.files) != 2 or len(args.emb) != 2:
-            raise InputError("verify nondegeneracy takes two categories and two --emb")
-        C = load_category(args.files[0])
-        D = load_category(args.files[1])
-        embC = load_embedding(args.emb[0], C)
-        embD = load_embedding(args.emb[1], D)
-        res, _ = relative_tensor_product(C, D, embC, embD)
-        factors_nondeg = C.is_nondegenerate() and D.is_nondegenerate()
-        result_nondeg = res.result.is_nondegenerate()
-        # degenerate factors leave nothing to preserve: the verdict is vacuously true
-        verdict = result_nondeg or not factors_nondeg
-        return _verdict_exit(args, verdict,
-                             {"identity": "nondegeneracy", "left": C.name,
-                              "right": D.name,
-                              "factors_nondegenerate": factors_nondeg,
-                              "result_nondegenerate": result_nondeg})
-    if kind in ("pointed-oracle", "arithmetic") and args.count < 1:
+def cmd_verify_unit_law(args) -> int:
+    [(C, embC)] = _with_embeddings("verify unit-law", args.files, args.emb)
+    return _verdict_exit(args, verify_unit_law(C, embC),
+                         {"identity": "unit-law", "category": C.name})
+
+
+def cmd_verify_stacking(args) -> int:
+    [(C, embC), (D, embD)] = _with_embeddings("verify stacking", args.files, args.emb)
+    return _verdict_exit(args, verify_stacking_identity(C, D, embC, embD),
+                         {"identity": "stacking", "left": C.name, "right": D.name})
+
+
+def cmd_verify_centralizer_set(args) -> int:
+    [(C, embC)] = _with_embeddings("verify centralizer-set", args.files, args.emb)
+    cent = relative_centralizer(C, embC)
+    res = condense_by_invertible_bosons(C, embC.image())
+    return _verdict_exit(args, cent.labels == res.deconfined,
+                         {"identity": "centralizer-set", "category": C.name,
+                          "centralizer": cent.labels, "deconfined": res.deconfined})
+
+
+def cmd_verify_nondegeneracy(args) -> int:
+    [(C, embC), (D, embD)] = _with_embeddings("verify nondegeneracy", args.files, args.emb)
+    res, _ = relative_tensor_product(C, D, embC, embD)
+    factors_nondeg = C.is_nondegenerate() and D.is_nondegenerate()
+    result_nondeg = res.result.is_nondegenerate()
+    # degenerate factors leave nothing to preserve: the verdict is vacuously true
+    return _verdict_exit(args, result_nondeg or not factors_nondeg,
+                         {"identity": "nondegeneracy", "left": C.name, "right": D.name,
+                          "factors_nondegenerate": factors_nondeg,
+                          "result_nondegenerate": result_nondeg})
+
+
+def cmd_verify_trials(args) -> int:
+    if args.count < 1:
         raise InputError(f"--count must be at least 1, got {args.count}")
-    if kind == "pointed-oracle":
+    if args.kind == "pointed-oracle":
         if args.max_order < 2:  # the smallest group drawn has order 2
             raise InputError(f"--max-order must be at least 2, got {args.max_order}")
         report = run_pointed_oracle_trials(args.count, args.max_order, args.seed)
-        return _verdict_exit(args, report["ok"], report)
-    if kind == "arithmetic":
+    else:
         report = run_arithmetic_trials(args.count, args.seed)
-        return _verdict_exit(args, report["ok"], report)
-    raise InputError(f"unknown verify kind {kind!r}")
+    return _verdict_exit(args, report["ok"], report)
 
 
 def cmd_catalog(args) -> int:
@@ -403,92 +384,91 @@ def build_parser() -> argparse.ArgumentParser:
                     "transparent bosons and relative stacking over Rep(G).")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False):
+    def common(p, func, seed=False):
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
         if seed:
             p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("validate", help="validate a data file")
     p.add_argument("file")
     p.add_argument("--against", default=None,
                    help="category file an embedding is validated against")
-    common(p)
-    p.set_defaults(func=cmd_validate)
+    common(p, cmd_validate)
 
     p = sub.add_parser("info", help="summarize a category file")
     p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_info)
+    common(p, cmd_info)
 
     p = sub.add_parser("product", help="Deligne product of two categories")
     p.add_argument("left")
     p.add_argument("right")
-    common(p)
-    p.set_defaults(func=cmd_product)
+    common(p, cmd_product)
 
     p = sub.add_parser("center", help="Mueger center of a category")
     p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_center)
+    common(p, cmd_center)
 
     p = sub.add_parser("centralizer", help="centralizer of a label subset")
     p.add_argument("file")
-    p.add_argument("--labels", default=None, help="comma-separated labels")
-    p.add_argument("--emb", action="append", default=[],
-                   help="embedding file whose image is centralized")
-    common(p)
-    p.set_defaults(func=cmd_centralizer)
+    subset = p.add_mutually_exclusive_group(required=True)
+    subset.add_argument("--labels", help="comma-separated labels")
+    subset.add_argument("--emb", action="append",
+                        help="embedding file whose image is centralized")
+    common(p, cmd_centralizer)
 
     p = sub.add_parser("condense", help="condense a group of invertible bosons")
     p.add_argument("file")
     p.add_argument("--bosons", required=True, help="comma-separated boson labels")
-    common(p)
-    p.set_defaults(func=cmd_condense)
+    common(p, cmd_condense)
 
     p = sub.add_parser("relprod", help="relative stacking over the shared symmetry")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--emb", action="append", default=[],
                    help="embedding file (give twice: left then right)")
-    common(p)
-    p.set_defaults(func=cmd_relprod)
+    common(p, cmd_relprod)
 
     p = sub.add_parser("double", help="Drinfeld double of a finite abelian group")
     p.add_argument("--group", required=True, help="invariant factors, e.g. 2,4")
     p.add_argument("--out-dir", default=None)
-    common(p)
-    p.set_defaults(func=cmd_double)
+    common(p, cmd_double)
 
     p = sub.add_parser("rep", help="Rep(G) as a pointed symmetric category")
     p.add_argument("--group", required=True)
     p.add_argument("--out-dir", default=None)
-    common(p)
-    p.set_defaults(func=cmd_rep)
+    common(p, cmd_rep)
 
     p = sub.add_parser("equiv", help="search for a modular-data equivalence")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--emb", action="append", default=[],
                    help="embedding files (give twice) to respect the symmetry")
-    common(p)
-    p.set_defaults(func=cmd_equiv)
+    common(p, cmd_equiv)
 
     p = sub.add_parser("verify", help="verify one of the structural identities")
-    p.add_argument("kind", choices=["unit-law", "stacking", "centralizer-set",
-                                    "nondegeneracy", "pointed-oracle",
-                                    "arithmetic"])
-    p.add_argument("files", nargs="*")
-    p.add_argument("--emb", action="append", default=[])
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--max-order", type=int, default=64)
-    common(p, seed=True)
-    p.set_defaults(func=cmd_verify)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, func, n in (("unit-law", cmd_verify_unit_law, 1),
+                          ("stacking", cmd_verify_stacking, 2),
+                          ("centralizer-set", cmd_verify_centralizer_set, 1),
+                          ("nondegeneracy", cmd_verify_nondegeneracy, 2)):
+        p = kinds.add_parser(kind)
+        p.add_argument("files", nargs=n, metavar="FILE", help="category file")
+        p.add_argument("--emb", action="append", required=True,
+                       help="embedding file (one per category, in order)")
+        common(p, func)
+
+    for kind in ("pointed-oracle", "arithmetic"):
+        p = kinds.add_parser(kind)
+        p.add_argument("--count", type=int, default=200)
+        if kind == "pointed-oracle":
+            p.add_argument("--max-order", type=int, default=64)
+        common(p, cmd_verify_trials, seed=True)
 
     p = sub.add_parser("catalog", help="list or export the fixture catalog")
     p.add_argument("--export", default=None, help="directory to write fixtures to")
-    common(p)
-    p.set_defaults(func=cmd_catalog)
+    common(p, cmd_catalog)
 
     return top
 

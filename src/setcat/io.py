@@ -9,10 +9,10 @@ import re
 from fractions import Fraction
 from math import prod
 
-from .abelian import check_factors
+from .abelian import check_element, check_factors
 from .cyclo import MAX_CONDUCTOR, format_cyclo, parse_cyclo, parse_int
 from .embedding import SymmetryEmbedding
-from .errors import InternalFault, SyntaxInputError, ValidationInputError
+from .errors import InputError, InternalFault, SyntaxInputError, ValidationInputError
 from .fusion import FusionRing
 from .pointed import MetricGroup, quadratic_form_from_rule
 from .premodular import Premodular
@@ -115,6 +115,9 @@ def parse_category(obj: dict | str) -> Premodular:
     dual = obj["dual"]
     if not all(isinstance(x, str) for x in dual.values()):
         raise SyntaxInputError("dual must be a map label -> label")
+    for key in ("dual", "twists", "dims"):  # an entry for no simple would be dropped unread
+        if extra := [x for x in obj[key] if x not in simples]:
+            raise SyntaxInputError(f"{key} has an entry for {extra[0]!r}, which is not in simples")
     fusion = {}
     for row in obj["fusion"]:
         if (not isinstance(row, list) or len(row) != 4
@@ -123,7 +126,9 @@ def parse_category(obj: dict | str) -> Premodular:
             raise SyntaxInputError(f"fusion rows must be [i, j, k, N], got {row!r}")
         if row[3] < 1:
             raise SyntaxInputError(f"fusion multiplicities must be >= 1, got {row!r}")
-        fusion[(row[0], row[1], row[2])] = row[3]
+        if tuple(row[:3]) in fusion:
+            raise SyntaxInputError(f"fusion has a second row for {row[:3]!r}")
+        fusion[tuple(row[:3])] = row[3]
     twists = {}
     for x in simples:
         if x not in obj["twists"]:
@@ -219,16 +224,26 @@ def parse_metric_group(obj: dict | str) -> MetricGroup:
                        "q": (dict, "a map element -> turn"),
                        "q_poly": (dict, "a map index pair -> turn")})
     factors = check_factors(obj["invariant_factors"])  # before q_poly enumerates the group
+    if "q" in obj and "q_poly" in obj:
+        raise SyntaxInputError("metric group file has both 'q' and 'q_poly'; give one")
     if "q" in obj:
         q = {}
         for key, val in obj["q"].items():
-            q[_parse_tuple_key(key, "q")] = _parse_turn(val, f"q[{key}]")
+            try:
+                a = check_element(factors, _parse_tuple_key(key, "q"))
+            except InputError as exc:
+                raise SyntaxInputError(f"q[{key}]: {exc}") from exc
+            if a in q:
+                raise SyntaxInputError(f"q[{key}]: a second entry for element {a}")
+            q[a] = _parse_turn(val, f"q[{key}]")
     elif "q_poly" in obj:
         coeffs = {}
         for key, val in obj["q_poly"].items():
             idx = _parse_tuple_key(key, "q_poly")
             if len(idx) != 2:
                 raise SyntaxInputError(f"q_poly keys are index pairs, got {key!r}")
+            if idx in coeffs:
+                raise SyntaxInputError(f"q_poly[{key}]: a second entry for index pair {idx}")
             coeffs[idx] = _parse_turn(val, f"q_poly[{key}]")
         q = quadratic_form_from_rule(factors, coeffs)
     else:

@@ -256,6 +256,52 @@ def test_verify_trial_arguments_out_of_range_exit_2(capsys, kind, flag, value, b
     assert f"{flag} must be at least {bound}, got {value}" in err
 
 
+def _refused_argv():
+    """(argv, stderr text) for each flag or combination that a command does not
+    read, with its id; files are fixture names.  Each once exited 0, the flag
+    ignored."""
+    one = ["toric_code", "--emb", "toric_code.emb_e"]
+    two = ["toric_code", "double_2", "--emb", "toric_code.emb_e",
+           "--emb", "double_2.emb_canonical"]
+    unread = "unrecognized arguments"
+    cases = [(f"{kind} {flag}", ["verify", kind] + files + [flag, value], unread)
+             for kind, files in (("unit-law", one), ("centralizer-set", one),
+                                 ("stacking", two), ("nondegeneracy", two))
+             for flag, value in (("--count", "5"), ("--max-order", "16"), ("--seed", "3"))]
+    trials = {"pointed-oracle": ["--count", "2", "--max-order", "8"],
+              "arithmetic": ["--count", "5"]}
+    cases += [(f"{kind} {extra[0]}", ["verify", kind] + extra + trials[kind], unread)
+              for kind in trials
+              for extra in (["toric_code"], ["--emb", "toric_code.emb_e"])]
+    cases += [
+        ("arithmetic --max-order", ["verify", "arithmetic", "--count", "5",
+                                    "--max-order", "16"], unread),
+        ("flag before the kind", ["verify", "--format", "json", "unit-law"] + one,
+         "invalid choice: 'json'"),
+        ("centralizer --labels --emb", ["centralizer", "toric_code", "--labels", "1,e",
+                                        "--emb", "toric_code.emb_e"],
+         "argument --emb: not allowed with argument --labels"),
+        ("centralizer --emb twice", ["centralizer", "toric_code", "--emb", "toric_code.emb_e",
+                                     "--emb", "/nonexistent.json"],
+         "centralizer needs one --emb per category file (1), got 2"),
+        ("validate category --against", ["validate", "toric_code", "--against", "/nonexistent"],
+         "--against applies only to embedding files"),
+    ]
+    return [pytest.param(argv, message, id=name) for name, argv, message in cases]
+
+
+@pytest.mark.parametrize("argv,message", _refused_argv())
+def test_unread_flags_exit_2(capsys, fixture_dir, argv, message):
+    files = {p.name[:-len(".json")]: str(p) for p in fixture_dir.glob("*.json")}
+    try:
+        code = main([files.get(a, a) for a in argv])
+    except SystemExit as exc:  # an argparse refusal
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
 def write_json(tmp_path, obj) -> str:
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))

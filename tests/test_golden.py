@@ -113,6 +113,59 @@ GOLDEN_SPLIT_REPORTS = {
 }
 
 
+# every `verify` kind's report, text and `--format json`, on the exported
+# fixtures; the digests were captured before each kind got its own sub-parser
+GOLDEN_VERIFY_REPORTS = {
+    "unit-law toric_code e text":
+        "c18e830fd03b691b3096b50aae65f2b9731009106b67b658f5351fb959fa9a40",
+    "unit-law toric_code e json":
+        "0f7e6bcb97c718a7ebc6139617f740a602b3afaccd9dea73fd57362b424c82ae",
+    "stacking double_4 rep_z4 text":
+        "c18e830fd03b691b3096b50aae65f2b9731009106b67b658f5351fb959fa9a40",
+    "stacking double_4 rep_z4 json":
+        "b6505586f7bdf7ed895a71ab04bdae4f110d248261aa5ecbc4d02a0739c39550",
+    "centralizer-set double_semion boson text":
+        "c18e830fd03b691b3096b50aae65f2b9731009106b67b658f5351fb959fa9a40",
+    "centralizer-set double_semion boson json":
+        "ff74af109e7d6b75b6826f69f53d8fc0cebe96ddd533d183e277262650adf3f4",
+    "nondegeneracy toric_code double_2 text":
+        "c18e830fd03b691b3096b50aae65f2b9731009106b67b658f5351fb959fa9a40",
+    "nondegeneracy toric_code double_2 json":
+        "e0847e1791a1838a84cef6778dbb433dd406cc7e67b60a917c97c5f3fc0c537e",
+    "nondegeneracy rep_z2 toric_code text":
+        "c18e830fd03b691b3096b50aae65f2b9731009106b67b658f5351fb959fa9a40",
+    "nondegeneracy rep_z2 toric_code json":
+        "d6e9db2253a95a3191e94c66ca65ea8ff1ee5d3bbb9220ac46c5f92877dbee7c",
+    "pointed-oracle 5 16 3 text":
+        "c18e830fd03b691b3096b50aae65f2b9731009106b67b658f5351fb959fa9a40",
+    "pointed-oracle 5 16 3 json":
+        "429c4b03982a7f98b22f4c538033f9f2ab5a59e1dc93102b572609ce90ace6ba",
+    "arithmetic 50 11 text":
+        "c18e830fd03b691b3096b50aae65f2b9731009106b67b658f5351fb959fa9a40",
+    "arithmetic 50 11 json":
+        "a18172d81c8a0c66d671c1789a6c67ecba3ddb8b67cdb51ed07188024afefa1f",
+}
+
+VERIFY_RUNS = {
+    "unit-law toric_code e":
+        ["unit-law", "toric_code", "--emb", "toric_code.emb_e"],
+    "stacking double_4 rep_z4":
+        ["stacking", "double_4", "rep_z4",
+         "--emb", "double_4.emb_canonical", "--emb", "rep_z4.emb_identity"],
+    "centralizer-set double_semion boson":
+        ["centralizer-set", "double_semion", "--emb", "double_semion.emb_boson"],
+    "nondegeneracy toric_code double_2":
+        ["nondegeneracy", "toric_code", "double_2",
+         "--emb", "toric_code.emb_e", "--emb", "double_2.emb_canonical"],
+    "nondegeneracy rep_z2 toric_code":
+        ["nondegeneracy", "rep_z2", "toric_code",
+         "--emb", "rep_z2.emb_identity", "--emb", "toric_code.emb_e"],
+    "pointed-oracle 5 16 3":
+        ["pointed-oracle", "--count", "5", "--max-order", "16", "--seed", "3"],
+    "arithmetic 50 11": ["arithmetic", "--count", "50", "--seed", "11"],
+}
+
+
 def split_inputs():
     """(key, category, bosons) for the split inputs 1-4."""
     ising, ising_rev = get("ising").category, get("ising_rev").category
@@ -159,6 +212,17 @@ def report_digests(capsys, d: Path) -> dict[str, str]:
     return out
 
 
+def verify_digests(capsys, d: Path) -> dict[str, str]:
+    """Digests of the verify reports, run on the exported fixtures in `d`."""
+    files = {p.name[:-len(".json")]: str(p) for p in d.iterdir()}
+    out = {}
+    for key, argv in VERIFY_RUNS.items():
+        argv = ["verify"] + [files.get(a, a) for a in argv]
+        for fmt in ("text", "json"):
+            out[f"{key} {fmt}"] = _sha(_cli(capsys, argv + ["--format", fmt]))
+    return out
+
+
 def test_catalog_export_is_byte_identical(capsys, tmp_path):
     assert export_digests(capsys, tmp_path) == GOLDEN_EXPORT
 
@@ -176,3 +240,8 @@ def test_split_condense_reports_are_byte_identical(capsys, tmp_path):
         out[key] = _sha(_cli(capsys, ["condense", str(path), "--bosons", ",".join(bosons),
                                       "--format", "json"]))
     assert out == GOLDEN_SPLIT_REPORTS
+
+
+def test_verify_reports_are_byte_identical(capsys, tmp_path):
+    export_digests(capsys, tmp_path)
+    assert verify_digests(capsys, tmp_path) == GOLDEN_VERIFY_REPORTS

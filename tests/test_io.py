@@ -125,3 +125,41 @@ def test_serialize_refuses_values_above_the_conductor_limit():
                    name="big")
     with pytest.raises(InternalFault, match="the twist of 'e' has denominator 11803"):
         serialize_category(P)
+
+
+@pytest.mark.parametrize("field,value", [("dims", "1"), ("twists", "0"), ("dual", "e")])
+def test_category_entry_for_no_simple_is_refused(field, value):
+    obj = serialize_category(get("toric_code").category)
+    obj[field]["x"] = value
+    with pytest.raises(SyntaxInputError,
+                       match=f"{field} has an entry for 'x', which is not in simples"):
+        parse_category(to_text(obj))
+
+
+def test_category_second_fusion_row_is_refused():
+    obj = serialize_category(get("toric_code").category)
+    obj["fusion"].insert(0, ["e", "m", "f", 2])  # read first, then overwritten
+    with pytest.raises(SyntaxInputError, match=r"second row for \['e', 'm', 'f'\]"):
+        parse_category(to_text(obj))
+
+
+@pytest.mark.parametrize("q,message", [
+    ({"0": "0", "1": "1/4", "2": "0"}, r"q\[2\]: element \(2,\) is not in the group"),
+    ({"0": "0", "1": "1/4", "0,1": "0"}, r"q\[0,1\]: element \(0, 1\) is not in the group"),
+    ({"0": "0", "1": "1/4", " 1": "1/4"}, r"q\[ 1\]: a second entry for element \(1,\)")])
+def test_metric_group_q_entry_that_is_no_element_is_refused(q, message):
+    with pytest.raises(SyntaxInputError, match=message):
+        parse_metric_group({"name": "semion", "invariant_factors": [2], "q": q})
+
+
+def test_metric_group_with_q_and_q_poly_is_refused():
+    obj = {"name": "semion", "invariant_factors": [2], "q": {"0": "0", "1": "1/4"},
+           "q_poly": {"0,0": "3/4"}}
+    with pytest.raises(SyntaxInputError, match="has both 'q' and 'q_poly'"):
+        parse_metric_group(obj)
+
+
+def test_metric_group_second_q_poly_entry_is_refused():
+    obj = {"name": "semion", "invariant_factors": [2], "q_poly": {"0,0": "1/4", "0, 0": "3/4"}}
+    with pytest.raises(SyntaxInputError, match=r"q_poly\[0, 0\]: a second entry"):
+        parse_metric_group(obj)
