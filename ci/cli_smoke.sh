@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Smoke run of the installed `setcat` console script. Run it from an empty
 # directory: it exports the fixtures there and writes its products beside them.
-# It exports fixtures, decides nondegeneracy both ways, finds an equivalence,
+# It exports fixtures, writes Rep(Z4) (JSON report) and D(Z2 x Z4) (text
+# report) to a directory, decides nondegeneracy both ways, finds an equivalence,
 # splits a fixed point, splits (ising x ising_rev)^2 by Z2xZ2 (a 4-child orbit
 # and four 2-child orbits), splits ising x ising_rev x D(Z3) by Z2 (nine
 # 2-child orbits, four pairs of them mutually dual), refuses a split orbit
-# whose stabilizer carries a 2-cocycle, an out-of-range --max-order and a flag
-# its verify kind does not read, checks a unit law, checks a Z4 stacking
-# identity and stacks two toric codes.
+# whose stabilizer carries a 2-cocycle, an out-of-range --max-order, a flag
+# its verify kind does not read and an option given twice, checks a unit law,
+# checks a Z4 stacking identity and stacks two toric codes.
 set -eu
 
 # exits 2 with no traceback, and its stderr holds the given text
@@ -22,6 +23,10 @@ refused() {
 }
 
 setcat catalog --export fixtures
+setcat rep --group 4 --out-dir out --format json > rep.json
+python -c 'import json, os; w = json.load(open("rep.json"))["written"]
+assert len(w) == 2 and all(map(os.path.isfile, w)), w'
+test "$(setcat double --group 2,4 --out-dir out | wc -l)" -eq 2
 setcat info fixtures/ising.json | grep -x "nondegenerate: True"
 setcat info fixtures/rep_z2.json | grep -x "nondegenerate: False"
 setcat equiv fixtures/toric_code.json fixtures/double_2.json
@@ -38,6 +43,8 @@ refused "nontrivial 2-cocycle" \
 refused "must be at least 2" setcat verify pointed-oracle --max-order 1
 refused "unrecognized arguments: --count 5" \
     setcat verify unit-law fixtures/double_4.json --emb fixtures/double_4.emb_canonical.json --count 5
+refused "argument --bosons: may be given only once" \
+    setcat condense fixtures/toric_code.json --bosons 1,m --bosons 1,e
 setcat verify unit-law fixtures/double_4.json --emb fixtures/double_4.emb_canonical.json
 setcat verify stacking fixtures/double_4.json fixtures/rep_z4.json \
     --emb fixtures/double_4.emb_canonical.json --emb fixtures/rep_z4.emb_identity.json \

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import io as sio
@@ -16,8 +17,7 @@ from .catalog import catalog
 from .cyclo import format_cyclo
 from .double import drinfeld_double, rep_abelian
 from .equiv import find_equivalence
-from .errors import (InputError, InternalFault, SetcatError, SyntaxInputError,
-                     ValidationInputError)
+from .errors import InputError, InternalFault, SyntaxInputError, ValidationInputError
 from .premodular import Premodular
 from .randomized import run_arithmetic_trials, run_pointed_oracle_trials
 from .relprod import (
@@ -245,39 +245,37 @@ def cmd_relprod(args) -> int:
     return EXIT_OK
 
 
-def _emit_pair(args, cat: Premodular, emb) -> int:
-    cat_obj = sio.serialize_category(cat)
-    emb_obj = sio.serialize_embedding(emb)
-    if args.out_dir:
-        d = Path(args.out_dir)
-        d.mkdir(parents=True, exist_ok=True)
-        cat_path = d / f"{cat.name}.json"
-        emb_path = d / f"{cat.name}.emb_canonical.json"
-        cat_path.write_text(sio.to_text(cat_obj), encoding="utf-8")
-        emb_path.write_text(sio.to_text(emb_obj), encoding="utf-8")
-        sys.stdout.write(f"{cat_path}\n{emb_path}\n")
-    else:
-        _emit(args, {"category": cat_obj, "embedding": emb_obj},
-              sio.to_text({"category": cat_obj, "embedding": emb_obj}))
+def _export(args, directory: str, entries) -> int:
+    """Write NAME.json and NAME.emb_KEY.json into `directory` for each
+    (category, {KEY: embedding}) and report the written paths."""
+    d = Path(directory)
+    d.mkdir(parents=True, exist_ok=True)
+    written = []
+    for cat, embeddings in entries:
+        files = {f"{cat.name}.json": sio.serialize_category(cat)}
+        files.update((f"{cat.name}.emb_{key}.json", sio.serialize_embedding(emb))
+                     for key, emb in embeddings.items())
+        for name, obj in files.items():
+            (d / name).write_text(sio.to_text(obj), encoding="utf-8")
+            written.append(str(d / name))
+    _emit(args, {"written": written}, "".join(f"{path}\n" for path in written))
     return EXIT_OK
 
 
-def _group_factors(text: str) -> list[int]:
+def cmd_group(build, args) -> int:
+    """`double` or `rep`: the category and canonical embedding that `build`
+    makes of the group."""
     try:
-        return [int(x) for x in split_labels(text)]
+        factors = [int(x) for x in split_labels(args.group)]
     except ValueError as exc:
         raise SyntaxInputError(
-            f"--group must be comma-separated integers, got {text!r}") from exc
-
-
-def cmd_double(args) -> int:
-    cat, emb = drinfeld_double(_group_factors(args.group))
-    return _emit_pair(args, cat, emb)
-
-
-def cmd_rep(args) -> int:
-    cat, emb = rep_abelian(_group_factors(args.group))
-    return _emit_pair(args, cat, emb)
+            f"--group must be comma-separated integers, got {args.group!r}") from exc
+    cat, emb = build(factors)
+    if args.out_dir:
+        return _export(args, args.out_dir, [(cat, {"canonical": emb})])
+    obj = {"category": sio.serialize_category(cat), "embedding": sio.serialize_embedding(emb)}
+    _emit(args, obj, sio.to_text(obj))
+    return EXIT_OK
 
 
 def cmd_equiv(args) -> int:
@@ -351,21 +349,7 @@ def cmd_verify_trials(args) -> int:
 def cmd_catalog(args) -> int:
     entries = catalog()
     if args.export:
-        d = Path(args.export)
-        d.mkdir(parents=True, exist_ok=True)
-        written = []
-        for entry in entries.values():
-            path = d / f"{entry.name}.json"
-            path.write_text(sio.to_text(sio.serialize_category(entry.category)),
-                            encoding="utf-8")
-            written.append(str(path))
-            for key, emb in entry.embeddings.items():
-                epath = d / f"{entry.name}.emb_{key}.json"
-                epath.write_text(sio.to_text(sio.serialize_embedding(emb)),
-                                 encoding="utf-8")
-                written.append(str(epath))
-        sys.stdout.write("\n".join(written) + "\n")
-        return EXIT_OK
+        return _export(args, args.export, [(e.category, e.embeddings) for e in entries.values()])
     listing = {name: {"rank": e.category.ring.rank(),
                       "embeddings": sorted(e.embeddings)}
                for name, e in entries.items()}
@@ -377,8 +361,26 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+class _StoreOnce(argparse.Action):
+    """The default action: refuses a single-value option given twice, whose
+    first value argparse's store action would drop unread (each parse fills a
+    new namespace, so storing into the same one again is a repeat)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(self, "stored_in", None) is namespace:
+            raise argparse.ArgumentError(self, "may be given only once")
+        self.stored_in = namespace
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)  # add_subparsers makes sub-parsers of this class
+        self.register("action", None, _StoreOnce)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="setcat",
         description="Exact modular-data computations: condensation of "
                     "transparent bosons and relative stacking over Rep(G).")
@@ -430,15 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="embedding file (give twice: left then right)")
     common(p, cmd_relprod)
 
-    p = sub.add_parser("double", help="Drinfeld double of a finite abelian group")
-    p.add_argument("--group", required=True, help="invariant factors, e.g. 2,4")
-    p.add_argument("--out-dir", default=None)
-    common(p, cmd_double)
-
-    p = sub.add_parser("rep", help="Rep(G) as a pointed symmetric category")
-    p.add_argument("--group", required=True)
-    p.add_argument("--out-dir", default=None)
-    common(p, cmd_rep)
+    groups = (("double", drinfeld_double, "Drinfeld double of a finite abelian group"),
+              ("rep", rep_abelian, "Rep(G) as a pointed symmetric category"))
+    for name, build, what in groups:
+        p = sub.add_parser(name, help=what)
+        p.add_argument("--group", required=True, help="invariant factors, e.g. 2,4")
+        p.add_argument("--out-dir", default=None)
+        common(p, partial(cmd_group, build))
 
     p = sub.add_parser("equiv", help="search for a modular-data equivalence")
     p.add_argument("left")
@@ -477,15 +477,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InputError, ValidationInputError) as exc:
+    except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except InternalFault as exc:
         sys.stderr.write(f"internal fault: {exc}\n")
         return EXIT_FAULT
-    except SetcatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -59,10 +59,6 @@ def _parse_turn(text, field: str) -> Fraction:
     return r
 
 
-def _format_turn(r: Fraction) -> str:
-    return str(r)
-
-
 def _parse_tuple_key(key: str, field: str) -> tuple[int, ...]:
     key = key.strip()
     if key == "":
@@ -71,6 +67,18 @@ def _parse_tuple_key(key: str, field: str) -> tuple[int, ...]:
         return tuple(int(part) for part in key.split(","))
     except ValueError as exc:
         raise SyntaxInputError(f"{field}: bad tuple key {key!r}") from exc
+
+
+def _element_key(factors: list[int], key: str, field: str, seen) -> tuple[int, ...]:
+    """The group element that key `key` of the `field` map names, refused if
+    `seen` holds it already."""
+    try:
+        a = check_element(factors, _parse_tuple_key(key, field))
+    except InputError as exc:
+        raise SyntaxInputError(f"{field}[{key}]: {exc}") from exc
+    if a in seen:
+        raise SyntaxInputError(f"{field}[{key}]: a second entry for element {a}")
+    return a
 
 
 def _format_tuple_key(t: tuple[int, ...]) -> str:
@@ -165,7 +173,7 @@ def serialize_category(P: Premodular) -> dict:
         "simples": list(P.labels),
         "dual": {x: P.dual(x) for x in P.labels},
         "fusion": fusion_rows,
-        "twists": {x: _format_turn(P.twist(x)) for x in P.labels},
+        "twists": {x: str(P.twist(x)) for x in P.labels},
         "dims": {x: format_cyclo(P.dim(x)) for x in P.labels},
     }
 
@@ -173,7 +181,7 @@ def serialize_category(P: Premodular) -> dict:
 # -- embeddings ----------------------------------------------------------------
 
 
-def parse_embedding(obj: dict | str, category: Premodular | None = None) -> SymmetryEmbedding:
+def parse_embedding(obj: dict | str, category: Premodular) -> SymmetryEmbedding:
     if isinstance(obj, str):
         obj = loads(obj)
     for key in ("group", "target", "map"):
@@ -190,16 +198,14 @@ def parse_embedding(obj: dict | str, category: Premodular | None = None) -> Symm
     for key, lab in obj["map"].items():
         if not isinstance(lab, str):
             raise SyntaxInputError(f"map[{key}] must be a label string")
-        mapping[_parse_tuple_key(key, "map")] = lab
+        mapping[_element_key(group, key, "map", mapping)] = lab
     try:
         emb = SymmetryEmbedding(group, obj["target"], mapping)
     except Exception as exc:
         raise ValidationInputError(f"embedding data rejected: {exc}") from exc
-    if category is not None:
-        report = emb.validate(category)
-        if report:
-            raise ValidationInputError(
-                "embedding fails validation: " + "; ".join(report[:5]))
+    report = emb.validate(category)
+    if report:
+        raise ValidationInputError("embedding fails validation: " + "; ".join(report[:5]))
     return emb
 
 
@@ -229,12 +235,7 @@ def parse_metric_group(obj: dict | str) -> MetricGroup:
     if "q" in obj:
         q = {}
         for key, val in obj["q"].items():
-            try:
-                a = check_element(factors, _parse_tuple_key(key, "q"))
-            except InputError as exc:
-                raise SyntaxInputError(f"q[{key}]: {exc}") from exc
-            if a in q:
-                raise SyntaxInputError(f"q[{key}]: a second entry for element {a}")
+            a = _element_key(factors, key, "q", q)
             q[a] = _parse_turn(val, f"q[{key}]")
     elif "q_poly" in obj:
         coeffs = {}
@@ -263,7 +264,7 @@ def serialize_metric_group(M: MetricGroup) -> dict:
     return {
         "name": M.name,
         "invariant_factors": list(M.invariant_factors),
-        "q": {_format_tuple_key(a): _format_turn(M.q[a]) for a in M.elements()},
+        "q": {_format_tuple_key(a): str(M.q[a]) for a in M.elements()},
     }
 
 

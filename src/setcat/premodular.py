@@ -64,9 +64,6 @@ class Premodular:
     def turns(self) -> tuple[dict[str, int], int]:
         return self._turn, self._den  # theta_x = e^(2 pi i turn[x] / den)
 
-    def theta(self, x: str) -> Cyclo:
-        return root_of_unity(self.twists[x])
-
     def is_invertible(self, x: str) -> bool:
         return self.dims[x] == _ONE
 

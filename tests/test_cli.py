@@ -14,7 +14,9 @@ from setcat.abelian import iter_elements
 from setcat.catalog import get
 from setcat.cli import main, split_labels
 from setcat.cyclo import MAX_CONDUCTOR
-from setcat.io import serialize_category, serialize_metric_group, to_text
+from setcat.embedding import SymmetryEmbedding
+from setcat.fusion import pair_label
+from setcat.io import serialize_category, serialize_embedding, serialize_metric_group, to_text
 from setcat.pointed import MetricGroup
 
 from .test_split_differential import ising_squared, rep_d8
@@ -96,6 +98,14 @@ def test_condense_bad_bosons_exit_2(capsys, fixture_dir):
     assert "twist" in err
 
 
+@pytest.mark.parametrize("bosons,message", [("1,x", "unknown boson label 'x'"),
+                                            ("e", "the boson group must contain the unit")])
+def test_condense_bosons_that_are_no_group_exit_2(capsys, fixture_dir, bosons, message):
+    err = assert_input_error(capsys, ["condense", str(fixture_dir / "toric_code.json"),
+                                      "--bosons", bosons])
+    assert message in err
+
+
 def test_relprod_toric_toric(capsys, fixture_dir):
     code, out, _ = run(capsys, [
         "relprod", str(fixture_dir / "toric_code.json"),
@@ -168,6 +178,26 @@ def test_double_command(capsys, tmp_path):
     assert len(cat["simples"]) == 4
 
 
+@pytest.mark.parametrize("argv", [["catalog", "--export", "e"],
+                                  ["double", "--group", "2", "--out-dir", "e"],
+                                  ["rep", "--group", "4", "--out-dir", "e"]],
+                         ids=["catalog", "double", "rep"])
+def test_export_report_follows_format_and_out(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, text, _ = run(capsys, argv)
+    files = {p.name: p.read_bytes() for p in Path("e").iterdir()}
+    written = text.splitlines()
+    assert code == 0
+    assert sorted(written) == sorted(f"e/{name}" for name in files)
+    assert run(capsys, argv + ["--format", "json"]) == (
+        0, json.dumps({"written": written}, indent=2) + "\n", "")
+    assert run(capsys, argv + ["--out", "report.txt"]) == (0, "", "")
+    assert Path("report.txt").read_text() == text
+    assert run(capsys, argv + ["--format", "json", "--out", "report.json"]) == (0, "", "")
+    assert json.loads(Path("report.json").read_text()) == {"written": written}
+    assert {p.name: p.read_bytes() for p in Path("e").iterdir()} == files
+
+
 def test_product_command(capsys, fixture_dir):
     code, out, _ = run(capsys, ["product", str(fixture_dir / "semion.json"),
                                 str(fixture_dir / "anti_semion.json"),
@@ -187,6 +217,31 @@ def test_center_and_centralizer_commands(capsys, fixture_dir):
                                 "--labels", "1,e", "--format", "json"])
     assert code == 0
     assert json.loads(out)["centralizer"] == ["1", "e"]
+
+
+def test_centralizer_of_a_subset_that_is_not_dual_closed_exit_2(capsys, fixture_dir):
+    err = assert_input_error(capsys, ["centralizer", str(fixture_dir / "double_3.json"),
+                                      "--labels", "(0,0),(0,1)"])
+    assert "centralizer input is not dual-closed at '(0,1)'" in err
+
+
+def test_validate_embedding_without_against_exit_2(capsys, fixture_dir):
+    err = assert_input_error(capsys, ["validate", str(fixture_dir / "toric_code.emb_e.json")])
+    assert "embedding validation needs --against <category file>" in err
+
+
+def test_inconclusive_verdict_exit_3(capsys, tmp_path):
+    # ising x ising_rev stacked with itself over the Z2 of (psi,psi) decides nothing
+    P = get("ising").category.deligne(get("ising_rev").category)
+    emb = SymmetryEmbedding([2], P.name, {(0,): pair_label("1", "1"),
+                                          (1,): pair_label("psi", "psi")})
+    cat, e = tmp_path / "ii.json", tmp_path / "ii.emb.json"
+    cat.write_text(to_text(serialize_category(P)))
+    e.write_text(to_text(serialize_embedding(emb)))
+    argv = ["verify", "stacking", str(cat), str(cat), "--emb", str(e), "--emb", str(e)]
+    assert run(capsys, argv) == (3, "verdict: inconclusive\n", "")
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert (code, json.loads(out)["verdict"]) == (3, "inconclusive")
 
 
 def test_missing_file_exit_2(capsys):
@@ -258,8 +313,9 @@ def test_verify_trial_arguments_out_of_range_exit_2(capsys, kind, flag, value, b
 
 def _refused_argv():
     """(argv, stderr text) for each flag or combination that a command does not
-    read, with its id; files are fixture names.  Each once exited 0, the flag
-    ignored."""
+    read, and for each single-value option given twice, with its id; files are
+    fixture names, and OUT is a path in a scratch directory.  Each once exited 0,
+    the flag (or the option's first value) ignored."""
     one = ["toric_code", "--emb", "toric_code.emb_e"]
     two = ["toric_code", "double_2", "--emb", "toric_code.emb_e",
            "--emb", "double_2.emb_canonical"]
@@ -287,12 +343,28 @@ def _refused_argv():
         ("validate category --against", ["validate", "toric_code", "--against", "/nonexistent"],
          "--against applies only to embedding files"),
     ]
+    cases += [(f"{flag} twice", argv, f"argument {flag}: may be given only once")
+              for flag, argv in (
+        ("--against", ["validate", "toric_code.emb_e", "--against", "/nonexistent.json",
+                       "--against", "toric_code"]),
+        ("--bosons", ["condense", "toric_code", "--bosons", "1,m", "--bosons", "1,e"]),
+        ("--labels", ["centralizer", "toric_code", "--labels", "1,m", "--labels", "1,e"]),
+        ("--out", ["info", "toric_code", "--out", "OUT", "--out", "OUT"]),
+        ("--format", ["info", "toric_code", "--format", "json", "--format", "text"]),
+        ("--count", ["verify", "arithmetic", "--count", "200", "--count", "5"]),
+        ("--seed", ["verify", "arithmetic", "--count", "5", "--seed", "1", "--seed", "2"]),
+        ("--max-order", ["verify", "pointed-oracle", "--count", "2", "--max-order", "64",
+                         "--max-order", "8"]),
+        ("--group", ["double", "--group", "x", "--group", "2"]),
+        ("--out-dir", ["rep", "--group", "2", "--out-dir", "OUT", "--out-dir", "OUT"]),
+        ("--export", ["catalog", "--export", "OUT", "--export", "OUT"]))]
     return [pytest.param(argv, message, id=name) for name, argv, message in cases]
 
 
 @pytest.mark.parametrize("argv,message", _refused_argv())
-def test_unread_flags_exit_2(capsys, fixture_dir, argv, message):
+def test_unread_flags_exit_2(capsys, fixture_dir, tmp_path, argv, message):
     files = {p.name[:-len(".json")]: str(p) for p in fixture_dir.glob("*.json")}
+    files["OUT"] = str(tmp_path / "out")
     try:
         code = main([files.get(a, a) for a in argv])
     except SystemExit as exc:  # an argparse refusal
@@ -339,7 +411,9 @@ def test_invalid_order_64_metric_group_lists_its_first_five_triples(capsys, tmp_
         for c in ("(1,0)", "(1,1)", "(1,2)", "(7,4)", "(7,5)")) + "\n"
 
 
-@pytest.mark.parametrize("field,value", [("map", ["1", "e"]), ("target", 3)])
+@pytest.mark.parametrize("field,value", [("map", ["1", "e"]), ("target", 3),
+                                         ("map", {"0": "1", "5": "e"}),
+                                         ("map", {"0": "1", " 0": "e"})])
 def test_malformed_embedding_file_exit_2(capsys, fixture_dir, tmp_path, field, value):
     obj = json.loads((fixture_dir / "toric_code.emb_e.json").read_text())
     obj[field] = value

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from setcat.catalog import get
 from setcat.double import drinfeld_double, rep_abelian
 from setcat.embedding import SymmetryEmbedding
 
@@ -22,6 +25,19 @@ def test_invalid_embedding_ising_psi():
     emb = SymmetryEmbedding([2], "ising", {(0,): "1", (1,): "psi"})
     report = emb.validate(ising())
     assert any("bosonic" in r for r in report)
+
+
+@pytest.mark.parametrize("target,image,message", [
+    ("toric_code", ["e", "1"], "0 must map to the unit, got 'e'"),
+    ("toric_code", ["1", "1"], "embedding is not injective on simples"),
+    ("ising", ["1", "sigma"], "image of (1,) is not invertible: d[sigma] != 1"),
+    # Z4 onto bosons of D(Z3) that form Z3 x Z3, not Z4
+    ("double_3", ["(0,0)", "(0,1)", "(1,0)", "(0,2)"], "not a homomorphism at ((1,),(1,))"),
+    ("double_3", ["(0,0)", "(0,1)", "(1,0)", "(0,2)"],
+     "image is not transparent internally at ((1,),(2,))")])
+def test_invalid_embedding_reports_the_broken_invariant(target, image, message):
+    emb = SymmetryEmbedding([len(image)], target, {(i,): x for i, x in enumerate(image)})
+    assert message in emb.validate(get(target).category)
 
 
 def test_is_central():

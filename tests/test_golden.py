@@ -12,6 +12,7 @@ from setcat.fusion import pair_label
 from setcat.io import serialize_category, to_text
 
 from .test_invariants import su2_level
+from .test_split_differential import rep_d8
 
 GOLDEN_EXPORT = {
     "anti_semion.json":
@@ -166,6 +167,38 @@ VERIFY_RUNS = {
 }
 
 
+# `double` and `rep` to stdout and with `--out-dir` (the printed paths and every
+# file written), `centralizer --emb`, and the text report of a condensation that
+# keeps two classes; the digests were captured before the three exporters
+# (these two and `catalog --export`) shared one writer
+GOLDEN_COMMAND_REPORTS = {
+    "double 2,4 text":
+        "9ab3453a6a30c27144efe58d98e5463c01389f7630960a3680ec5a623fee61b3",
+    "double 2,4 json":
+        "bb5793d97efd75341a28722dc2fc1436956154bcfef0c65e9db3f134b1d8934a",
+    "double 2,4 --out-dir":
+        "61a5e6b78ce809885ca3181418ff343c89c1a12a36e5779a40b37b3b2f828034",
+    "rep 4 text":
+        "1cec77b9819a3943fcec7d31d5400f58f323af79075552ac3442d81a762d0b1c",
+    "rep 4 json":
+        "ec87ebf98d4ad3e1fa7e8a0e746bffb9a7cf8f6ae62d59b84e09567f2a22f4dd",
+    "rep 4 --out-dir":
+        "cf78ea2c55f9bd48ebc97f7a56e8dda0f27a2e48515bdc0cfbf7639b7cdaab89",
+    "out/double_2x4.emb_canonical.json":
+        "f8e342a6b60043f7b308375bbcb61e2df088ada5c5da3f16103dd127342aa654",
+    "out/double_2x4.json":
+        "c185fb0a785cf66949c91f7ae1c0bdd5168a0d9e2aa3ed60149f3eb7d7299f86",
+    "out/rep_4.emb_canonical.json":
+        "260282e398695d4fd08bd95a9b481c57c80cff42e44cec5b4577d3fbe06e5302",
+    "out/rep_4.json":
+        "55e9b9246f70dd83bf1139064daecd13fe8adc8eea7af59dec7a2b8eb41f7c09",
+    "centralizer toric_code --emb e":
+        "9ac5ab4adfe2065b3087193793fd5135a7cdbd18caa5445a5b057bca4003fc1c",
+    "condense rep_d8 1,a":
+        "62515b6494410b92d231be6ddb490fb5d8874e39a8dd068a87235759975f5850",
+}
+
+
 def split_inputs():
     """(key, category, bosons) for the split inputs 1-4."""
     ising, ising_rev = get("ising").category, get("ising_rev").category
@@ -245,3 +278,29 @@ def test_split_condense_reports_are_byte_identical(capsys, tmp_path):
 def test_verify_reports_are_byte_identical(capsys, tmp_path):
     export_digests(capsys, tmp_path)
     assert verify_digests(capsys, tmp_path) == GOLDEN_VERIFY_REPORTS
+
+
+def command_digests(capsys) -> dict[str, str]:
+    """Digests of the reports and files in GOLDEN_COMMAND_REPORTS, run from the
+    current directory so that the printed paths are relative."""
+    out = {}
+    for cmd, group in (("double", "2,4"), ("rep", "4")):
+        for fmt in ("text", "json"):
+            out[f"{cmd} {group} {fmt}"] = _sha(_cli(capsys, [cmd, "--group", group,
+                                                             "--format", fmt]))
+        out[f"{cmd} {group} --out-dir"] = _sha(_cli(capsys, [cmd, "--group", group,
+                                                             "--out-dir", "out"]))
+    for p in sorted(Path("out").iterdir()):
+        out[f"out/{p.name}"] = _sha(p.read_text(encoding="utf-8"))
+    _cli(capsys, ["catalog", "--export", "fixtures"])
+    out["centralizer toric_code --emb e"] = _sha(_cli(capsys, [
+        "centralizer", "fixtures/toric_code.json", "--emb", "fixtures/toric_code.emb_e.json"]))
+    Path("rep_d8.json").write_text(to_text(serialize_category(rep_d8())), encoding="utf-8")
+    out["condense rep_d8 1,a"] = _sha(_cli(capsys, ["condense", "rep_d8.json",
+                                                    "--bosons", "1,a"]))
+    return out
+
+
+def test_command_reports_are_byte_identical(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert command_digests(capsys) == GOLDEN_COMMAND_REPORTS

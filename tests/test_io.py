@@ -152,6 +152,18 @@ def test_metric_group_q_entry_that_is_no_element_is_refused(q, message):
         parse_metric_group({"name": "semion", "invariant_factors": [2], "q": q})
 
 
+@pytest.mark.parametrize("key,message", [
+    ("5", r"map\[5\]: element \(5,\) is not in the group with factors \[2\]"),
+    ("0,1", r"map\[0,1\]: element \(0, 1\) is not in the group"),
+    (" 0", r"map\[ 0\]: a second entry for element \(0,\)")])
+def test_embedding_map_key_that_is_no_element_or_repeats_is_refused(key, message):
+    entry = get("toric_code")
+    obj = serialize_embedding(entry.embeddings["e"])
+    obj["map"] = {"0": "1", key: "e"}
+    with pytest.raises(SyntaxInputError, match=message):
+        parse_embedding(obj, entry.category)
+
+
 def test_metric_group_with_q_and_q_poly_is_refused():
     obj = {"name": "semion", "invariant_factors": [2], "q": {"0": "0", "1": "1/4"},
            "q_poly": {"0,0": "3/4"}}
