@@ -143,13 +143,17 @@ def _make(n: int, coeffs: dict[int, int], den: int) -> "Cyclo":
         n //= g
         coeffs = {e // g: c for e, c in coeffs.items()}
     if n > MAX_CONDUCTOR:
-        raise LimitExceeded(f"a cyclotomic value reached conductor {n:,}, above the limit "
-                            f"MAX_CONDUCTOR = {MAX_CONDUCTOR:,}")
+        raise _above_limit(f"conductor {n:,}")
     g = gcd(den, *coeffs.values())
     if g != 1:
         den //= g
         coeffs = {e: c // g for e, c in coeffs.items()}
     return Cyclo(n, coeffs, den)
+
+
+def _above_limit(where: str) -> LimitExceeded:
+    return LimitExceeded(f"a cyclotomic value reached {where}, above the limit "
+                         f"MAX_CONDUCTOR = {MAX_CONDUCTOR:,}")
 
 
 def _power_basis(n: int, coeffs: dict[int, int]) -> dict[int, int]:
@@ -285,6 +289,14 @@ class Cyclo:
             if self.order == 1:
                 return other._scaled(self.coeffs.get(0, 0), self.den)
             big = lcm(self.order, other.order)
+            if big > MAX_CONDUCTOR:  # refused before _canonical expands it at big
+                # where p^a || order and p^b || other.order with a != b, p^max(a, b) divides
+                # the product's conductor: x's divides lcm(that, y's), as x = (x y) y^-1
+                x, y = ({p: pa for p, pa, *_ in _basis(v.order)} for v in (self, other))
+                m = prod(max(x.get(p, 1), y.get(p, 1)) for p in x.keys() | y.keys()
+                         if x.get(p, 1) != y.get(p, 1))
+                if m > MAX_CONDUCTOR:
+                    raise _above_limit(f"a multiple of conductor {m:,}")
             a = _lift(self.coeffs, self.order, big)
             b = _lift(other.coeffs, other.order, big)
             raw: dict[int, int] = {}
@@ -481,6 +493,10 @@ def _cos_bounds(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 
 @lru_cache(maxsize=None)
 def _root(p: int, q: int) -> Cyclo:
+    """zeta_q^p for coprime p and q: its conductor, q or q/2 when q = 2 mod 4,
+    is checked before _canonical expands it at q."""
+    if (conductor := q // 2 if q % 4 == 2 else q) > MAX_CONDUCTOR:
+        raise _above_limit(f"conductor {conductor:,}")
     return _make(q, _canonical(q, {p: 1}), 1)
 
 

@@ -9,8 +9,8 @@ from functools import cache, cached_property
 from itertools import product
 from math import lcm
 
-from .cyclo import Cyclo, root_of_unity, turn_mod1
-from .errors import InputError, ValidationInputError
+from .cyclo import MAX_CONDUCTOR, Cyclo, cyclotomic_polynomial, root_of_unity, turn_mod1
+from .errors import InputError, LimitExceeded, ValidationInputError
 from .fusion import FusionRing, _with_rows
 
 _ONE = Cyclo.one()
@@ -143,29 +143,17 @@ class Premodular:
         # S * conj(S)^T = (global dim) * Id holds exactly iff nondegenerate
         d2, labels = self.global_dim(), self.labels
         conj = {(j, k): self.s_entry(j, k).conjugate() for j in labels for k in labels}
-        for i in labels:
-            for j in labels:
-                acc = Cyclo.zero()
-                for k in labels:
-                    acc = acc + self.s_entry(i, k) * conj[(j, k)]
-                want = d2 if i == j else Cyclo.zero()
-                if acc != want:
-                    return False
-        return True
+        return all(sum((self.s_entry(i, k) * conj[(j, k)] for k in labels), Cyclo.zero()) ==
+                   (d2 if i == j else Cyclo.zero()) for i in labels for j in labels)
 
     # -- scalar invariants -----------------------------------------------------
 
     def global_dim(self) -> Cyclo:
-        total = Cyclo.zero()
-        for x in self.labels:
-            total = total + self.dims[x] * self.dims[x]
-        return total
+        return sum((d * d for d in self.dims.values()), Cyclo.zero())
 
     def gauss_sum(self) -> Cyclo:
-        total = Cyclo.zero()
-        for x in self.labels:
-            total = total + root_of_unity(self.twists[x]) * self.dims[x] * self.dims[x]
-        return total
+        return sum((root_of_unity(self.twists[x]) * d * d for x, d in self.dims.items()),
+                   Cyclo.zero())
 
     # -- constructions -----------------------------------------------------------
 
@@ -227,31 +215,77 @@ class Premodular:
                 bad.append(f"dims: d[{self.dual(x)}] != d[{x}]")
             if self.twists[self.dual(x)] != self.twists[x]:
                 bad.append(f"twists: theta[{self.dual(x)}] != theta[{x}]")
-        for i in self.labels:
-            for j in self.labels:
-                rhs = Cyclo.zero()
-                for k, n in self.ring.fuse(i, j).items():
-                    rhs = rhs + self.dims[k] * n
-                if self.dims[i] * self.dims[j] != rhs:
-                    bad.append(f"dims: dimension equation fails at ({i},{j})")
-        for i in self.labels:
-            for j in self.labels:
-                if self.ring.fuse(i, j) != self.ring.fuse(j, i):
+        labels, fuse = self.labels, self.ring.fuse
+        dim_rule, s_rule = linear_rules(self.dims, self.twists, max(
+            (n for _, row in self.ring.rows() for n in row.values()), default=0))
+        bad += [f"dims: dimension equation fails at ({i},{j})"
+                for i, j in product(labels, labels) if not dim_rule(i, j, fuse(i, j))]
+        for i in labels:
+            for j in labels:
+                if fuse(i, j) != fuse(j, i):
                     bad.append(f"braiding: fusion is not commutative at ({i},{j})")
                     break
         if not bad:
             # S_1i = d_i and S_ij = S_ji follow from the checks above, and the
             # dims, a positive eigenvector of the positive matrix sum_i N_i, are
             # its Perron vector; tests/test_invariants.py asserts all three
-            S = self.s_entry
-            for a, i in enumerate(self.labels):
-                for j in self.labels[a:]:
-                    if S(self.dual(i), j) != S(i, j).conjugate():
-                        bad.append(f"smatrix: dual row is not the conjugate at ({i},{j})")
+            bad += [f"smatrix: dual row is not the conjugate at ({i},{j})"
+                    for a, i in enumerate(labels) for j in labels[a:]
+                    if not s_rule(i, self.dual(i), j, fuse(i, j), fuse(self.dual(i), j))]
         return bad
 
     def __repr__(self):
         return f"Premodular({self.name}, rank {self.ring.rank()})"
+
+
+def linear_rules(dims: dict[str, Cyclo], twists: dict[str, Fraction], bound: int):
+    """Exact tests of a category's two linear identities on fusion rows with
+    coefficients at most `bound`, making no Cyclo value: dim_rule(a, b, row)
+    is d_a d_b = sum_c row[c] d_c, and s_rule(i, i2, j, n_ij, n_i2j) is
+    S(i2, j) = conj S(i, j) for i2 = i* on the rows (i, j) and (i2, j), by the
+    balancing formula (`s_entry`) sum_k N_ij^k theta_k d_k = z^t conj(sum_k
+    N_(i2)j^k theta_k d_k) with z^t = theta_i theta_i2 theta_j^2.
+
+    Times den^2 or den (den clears the dims' denominators) a rule's difference
+    is some x = sum_e c_e z^e in Z[z], z = zeta_n, read as sum_e c_e 2^(w e)
+    mod M = Phi_n(2^w).  A nonzero x in the kernel (2^w - z) of z -> 2^w has
+    |norm(x)| >= M >= (2^w - 1)^phi(n), and no conjugate of x exceeds
+    sum_e |c_e| <= big^2 + 2 den rank bound big (big the largest such sum of a
+    den d_x), which w keeps below 2^w - 1.  n is the dims' lcm order for
+    dim_rule and also the twists' for s_rule, read at its first call; a
+    conductor of n above MAX_CONDUCTOR is a LimitExceeded, before Phi_n."""
+    den = lcm(*(d.den for d in dims.values()))
+    big = max(sum(map(abs, d.coeffs.values())) * (den // d.den) for d in dims.values())
+    w = (big * big + 2 * den * len(dims) * bound * big).bit_length() + 1
+
+    def field(n, turn):  # M, and s -> x -> the image of den (theta_x d_x)^s, s = +-1
+        if (conductor := n // 2 if n % 4 == 2 else n) > MAX_CONDUCTOR:
+            raise LimitExceeded(f"the dims and twists lie at conductor {conductor:,}, above "
+                                f"the limit MAX_CONDUCTOR = {MAX_CONDUCTOR:,}")
+        terms = {x: [(e * (n // d.order) + turn.get(x, 0), c * (den // d.den))
+                     for e, c in d.coeffs.items()] for x, d in dims.items()}
+        return (sum(c << w * e for e, c in enumerate(cyclotomic_polynomial(n))),
+                lambda s: {x: sum(c << w * (s * e % n) for e, c in ts) for x, ts in terms.items()})
+
+    mod, pack = field(lcm(*(d.order for d in dims.values())), {})
+    dd = pack(1)
+
+    def dim_rule(a, b, row):
+        return not (dd[a] * dd[b] - den * sum(v * dd[c] for c, v in row.items() if v)) % mod
+
+    @cache
+    def s_field():
+        n = lcm(*(r.denominator for r in twists.values()), *(d.order for d in dims.values()))
+        turn = {x: r.numerator * (n // r.denominator) for x, r in twists.items()}  # z^turn
+        s_mod, pack = field(n, turn)
+        return n, turn, s_mod, pack(1), pack(-1)
+
+    def s_rule(i, i2, j, n_ij, n_i2j):
+        n, turn, s_mod, theta_d, conj_theta_d = s_field()
+        t = w * ((turn[i] + turn[i2] + 2 * turn[j]) % n)
+        return not (sum(v * theta_d[k] for k, v in n_ij.items() if v) -
+                    (sum(v * conj_theta_d[k] for k, v in n_i2j.items() if v) << t)) % s_mod
+    return dim_rule, s_rule
 
 
 def _generators(ring: FusionRing) -> list[str]:

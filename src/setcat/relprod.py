@@ -9,18 +9,17 @@ from __future__ import annotations
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import (accumulate, chain, compress, count, groupby, permutations, product,
                        repeat)
-from math import factorial, lcm, prod
+from math import factorial, prod
 
-from .cyclo import Cyclo, cyclotomic_polynomial
+from .cyclo import Cyclo
 from .double import drinfeld_double
 from .embedding import SymmetryEmbedding, same_symmetry
 from .equiv import find_equivalence
 from .errors import InputError, LimitExceeded, ValidationInputError
 from .fusion import _with_rows, closure_error, pair_label
-from .premodular import Premodular
+from .premodular import Premodular, linear_rules
 
 _SEARCH_NODE_BUDGET = 200_000
 _MAX_SURVIVORS = 64
@@ -236,8 +235,8 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     each row whose open entries share one dim, is a group of fixed sum.
     Checked once decided, on rows kept in place: the group sums, the other
     rows' dimension equation, associativity and the rule S(i*, j) =
-    conj S(i, j) (`_conjugate_dual_rule`) once the rows they read are
-    complete.  Symmetry breaking: the dual involution is drawn from its
+    conj S(i, j) (`linear_rules`) once the rows they read are complete.
+    Symmetry breaking: the dual involution is drawn from its
     classes under relabelling, each as its least member in search order and
     the value order 1 < 0 (`_dual_classes`), so any relabelling g that moves
     it gives V < V o g.  The lex-leader condition V <= V o g (Crawford et
@@ -273,17 +272,16 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     packed = {b: dict.fromkeys(labels, 0) for b in labels}
     for (a, b), r in forced.items():
         packed[b][a] = sum(v << shift[c] for c, v in r.items())
-    rid, V, inverse = {r: i for i, r in enumerate(rows)}, [None] * n, cache(Cyclo.inverse)
+    rid, V = {r: i for i, r in enumerate(rows)}, [None] * n
     cell = [(row[(a, b)], c, packed[b], a, shift[c]) for a, b, c in live]
+    dim_rule, s_rule = linear_rules(dims, twists, top)
     sums = {}  # the open entries' sum (None: mixed dims) by the orbits of the row's inputs,
     for (a, b), ps in rows.items():  # which fix its forced entries and open outputs
         if (key := (rep_of[a], rep_of[b])) not in sums:
-            ds, sums[key] = {dims[live[p][2]] for p in ps}, None
-            if len(ds) == 1:
-                k = (dims[a] * dims[b] - sum((dims[c] * v for c, v in row[(a, b)].items() if v),
-                                             Cyclo.zero())) * inverse(ds.pop())
-                sums[key] = (int(k.as_fraction()) if k.is_rational() and
-                             k.as_fraction().denominator == 1 else -1)
+            c, sums[key] = live[ps[0]][2], None
+            if len({dims[live[p][2]] for p in ps}) == 1:  # d_a d_b = forced + k d_c, and
+                sums[key] = next((k for k in range(len(ps) * top + 1)  # each entry <= top
+                                  if dim_rule(a, b, {**row[(a, b)], c: k})), -1)
         if sums[key] is None:  # mixed dims: the row's dimension equation waits for the row
             checks.append([(a, b), (rid[(a, b)],)])
             continue
@@ -297,7 +295,7 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
                 checks.append([(x, y, z), rs])
     # S(i*, j) = conj S(i, j) for j >= i, one check per i2 that may be i*: it waits for the
     # rows (i, j), (i2, j) and (i, i2) and is vacuous unless N_(i i2)^1 = 1
-    s_rule, s_checks = _conjugate_dual_rule(labels, dims, twists, top), len(checks)
+    s_checks = len(checks)
     for a, i in enumerate(labels):
         duals = [y for y in labels if unit in row.get((i, y), ())]
         for j, i2 in product(labels[a:], duals):
@@ -378,8 +376,7 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
                 i, i2, j = what  # the S rule, once N_(i i2)^1 = 1 says i2 = i*
                 ok = row[(i, i2)][unit] != 1 or s_rule(i, i2, j, row[(i, j)], row[(i2, j)])
             elif len(what) == 2:
-                ok = sum((dims[c] * v for c, v in row[what].items() if v),
-                         Cyclo.zero()) == dims[what[0]] * dims[what[1]]
+                ok = dim_rule(*what, row[what])
             else:
                 x, y, z = what  # (x y) z and x (y z), the latter as (y z) x
                 by_z, by_x = packed[z], packed[x]
@@ -512,37 +509,6 @@ def _dual_classes(split, i, j):
             for k in {i, j}}
     return [(sigma, [sum(rank[k][tuple(map(m.get, split[k]))] for k in rank) for m in ms])
             for sigma, ms in found]
-
-
-def _conjugate_dual_rule(labels, dims, twists, bound):
-    """The rule S(i2, j) = conj S(i, j) for i2 = i* on a candidate's rows
-    (i, j) and (i2, j), as a function of i, i2, j and the two rows, with
-    coefficients at most `bound`.  By the balancing formula (`s_entry`) it
-    says sum_k N_ij^k theta_k d_k = z^t conj(sum_k N_(i2)j^k theta_k d_k) with
-    z^t = theta_i theta_i2 theta_j^2, z = zeta_n for one conductor n.
-
-    No value is made: den * sum_e c_e z^e (den clears every denominator) is
-    the integer sum_e c_e 2^(w e), its image under Z[z] -> Z/M, z -> 2^w,
-    M = Phi_n(2^w).  The kernel is the ideal (2^w - z), so a nonzero x in it
-    has |norm(x)| >= |norm(2^w - z)| = M >= (2^w - 1)^phi(n); every conjugate
-    of x is at most the absolute sum of its coefficients, so x = 0 once that
-    sum is below 2^w - 1, as w makes it for any difference the rule forms."""
-    n = lcm(*(r.denominator for r in twists.values()), *(d.order for d in dims.values()))
-    den = lcm(*(d.den for d in dims.values()))
-    turn = {x: r.numerator * (n // r.denominator) for x, r in twists.items()}  # theta = z^turn
-    terms = {x: [(e * (n // d.order) + turn[x], c * (den // d.den)) for e, c in d.coeffs.items()]
-             for x, d in dims.items()}  # den theta_x d_x = sum c z^e
-    w = (2 * len(labels) * bound * max(sum(abs(c) for _, c in ts) for ts in terms.values())
-         ).bit_length() + 1
-    mod = sum(c << w * e for e, c in enumerate(cyclotomic_polynomial(n)))
-    theta_d = {x: sum(c << w * (e % n) for e, c in ts) for x, ts in terms.items()}
-    conj_theta_d = {x: sum(c << w * (-e % n) for e, c in ts) for x, ts in terms.items()}
-
-    def rule(i, i2, j, n_ij, n_i2j):
-        t = w * ((turn[i] + turn[i2] + 2 * turn[j]) % n)
-        return not (sum(v * theta_d[k] for k, v in n_ij.items() if v) -
-                    (sum(v * conj_theta_d[k] for k, v in n_i2j.items() if v) << t)) % mod
-    return rule
 
 
 def _candidate_ok(cand: Premodular) -> bool:

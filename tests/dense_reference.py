@@ -5,8 +5,11 @@ representative rows, the validation became sparse and integer-indexed and
 the product was built row by row; the numpy Frobenius-Perron dims and the
 rank^3 S-invertibility test, as they were before `FusionRing.fp_dims` ran in
 plain Python and `_smatrix_invertible` conjugated each entry once; and the
-(i, j, k) -> N_ij^k triple view that `FusionRing.N` used to give.  The
-differential tests assert that the engine matches them.  They are not a
+(i, j, k) -> N_ij^k triple view that `FusionRing.N` used to give; and
+`Premodular.validate` with its dimension equations and conjugate-dual rule
+as `Cyclo` loops, the latter through `s_entry`, as it was before
+`premodular.linear_rules` evaluated both on integers.  The differential
+tests assert that the engine matches them.  They are not a
 second path of the package; nothing in `src/` imports them."""
 
 import numpy as np
@@ -191,4 +194,45 @@ def dense_validate(ring) -> list[str]:
                         rhs[l] = rhs.get(l, 0) + njk * nim
                 if lhs != rhs:
                     bad.append(f"associativity: ({i} x {j}) x {k} != {i} x ({j} x {k})")
+    return bad
+
+
+def cyclo_validate(P) -> list[str]:
+    """`Premodular.validate` with the dimension equation and the rule
+    S(i*, j) = conj S(i, j) in Cyclo arithmetic."""
+    self = P
+    bad = [f"ring: {msg}" for msg in self.ring.validate()]
+    one = self.unit
+    if self.dims[one] != Cyclo.one():
+        bad.append(f"dims: d[{one}] != 1")
+    if self.twists[one] != 0:
+        bad.append(f"twists: theta[{one}] != 1")
+    for x in self.labels:
+        d = self.dims[x]
+        if d.conjugate() != d:
+            bad.append(f"dims: d[{x}] is not real")
+        elif d.sign() <= 0:
+            bad.append(f"dims: d[{x}] is not positive")
+        if self.dims[self.dual(x)] != d:
+            bad.append(f"dims: d[{self.dual(x)}] != d[{x}]")
+        if self.twists[self.dual(x)] != self.twists[x]:
+            bad.append(f"twists: theta[{self.dual(x)}] != theta[{x}]")
+    for i in self.labels:
+        for j in self.labels:
+            rhs = Cyclo.zero()
+            for k, n in self.ring.fuse(i, j).items():
+                rhs = rhs + self.dims[k] * n
+            if self.dims[i] * self.dims[j] != rhs:
+                bad.append(f"dims: dimension equation fails at ({i},{j})")
+    for i in self.labels:
+        for j in self.labels:
+            if self.ring.fuse(i, j) != self.ring.fuse(j, i):
+                bad.append(f"braiding: fusion is not commutative at ({i},{j})")
+                break
+    if not bad:
+        S = self.s_entry
+        for a, i in enumerate(self.labels):
+            for j in self.labels[a:]:
+                if S(self.dual(i), j) != S(i, j).conjugate():
+                    bad.append(f"smatrix: dual row is not the conjugate at ({i},{j})")
     return bad

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setcat import abelian, relprod
+from setcat import abelian, premodular, relprod
 from setcat.abelian import iter_elements
 from setcat.catalog import get
 from setcat.cli import main, split_labels
@@ -455,21 +455,43 @@ def test_embedding_group_bounded_by_map_exit_2(capsys, fixture_dir, tmp_path, mo
     assert "map has 0 entries, but the group has order 1000000000" in err
 
 
+def no_arithmetic(*args):
+    raise AssertionError("cyclotomic arithmetic ran on an over-limit input")
+
+
 @pytest.mark.parametrize("field,value", [("dims", "z1000000"), ("twists", "1/1000000")])
 def test_conductor_limit_exit_2(capsys, fixture_dir, tmp_path, monkeypatch, field, value):
     obj = json.loads((fixture_dir / "toric_code.json").read_text())
     obj[field]["e"] = value
     path = write_json(tmp_path, obj)
-
-    def no_arithmetic(*args):
-        raise AssertionError("cyclotomic arithmetic ran on an over-limit input")
-
     monkeypatch.setattr("setcat.cyclo._canonical", no_arithmetic)
     code, _, err = run(capsys, ["info", path])
     assert code == 2
     assert "Traceback" not in err
     assert f"conductor limit {MAX_CONDUCTOR}" in err
     assert "1000000" in err
+
+
+def test_twists_whose_lcm_is_above_the_conductor_limit_exit_3(capsys, fixture_dir, tmp_path,
+                                                               monkeypatch):
+    # each twist's denominator is within the limit, their lcm is far above it: the S rule's
+    # field is refused before Phi_n or any value is made there (the S-entries that validation
+    # once computed filled the memory); bad dims are reported first, as an input error
+    obj = json.loads((fixture_dir / "toric_code.json").read_text())
+    obj["twists"] = {"1": "0", "e": "1/9973", "m": "1/9967", "f": "1/9949"}
+    monkeypatch.setattr("setcat.cyclo._canonical", no_arithmetic)
+    phi = premodular.cyclotomic_polynomial
+    monkeypatch.setattr(premodular, "cyclotomic_polynomial",
+                        lambda n: phi(n) if n <= MAX_CONDUCTOR else no_arithmetic())
+    code, _, err = run(capsys, ["validate", write_json(tmp_path, obj)])
+    assert code == 3
+    assert err == ("internal fault: the dims and twists lie at conductor 988,939,464,559, "
+                   "above the limit MAX_CONDUCTOR = 10,000\n")
+    obj["dims"]["e"] = "2"
+    code, _, err = run(capsys, ["info", write_json(tmp_path, obj)])
+    assert code == 2
+    assert "Traceback" not in err
+    assert "fails validation: dims: dimension equation fails at (e,e)" in err
 
 
 def test_split_ising_squared_exit_0(capsys, tmp_path):

@@ -104,6 +104,26 @@ def test_values_above_the_conductor_limit_raise():
         A.deligne(B)  # d_x d_x lies at conductor 53 * 229
 
 
+def test_roots_and_products_above_the_conductor_limit_raise_before_expanding():
+    # the conductor of zeta_q is q, or q/2 when q = 2 mod 4
+    assert root_of_unity(Fraction(1, 10006)).order == 5003
+    with pytest.raises(LimitExceeded, match="reached conductor 10,003, above the limit"):
+        root_of_unity(Fraction(1, 20006))
+    # the product once took 9.6 s to fill the memory; the sum was always refused at once
+    a, b = parse_cyclo("z9973 + z9973^9972"), parse_cyclo("z9967 + z9967^9966")
+    with pytest.raises(LimitExceeded, match="reached a multiple of conductor 99,400,891, "
+                                            "above the limit MAX_CONDUCTOR = 10,000"):
+        a * b
+    with pytest.raises(LimitExceeded, match="reached conductor 99,400,891, above the limit"):
+        a + b
+    # the operands' orders 2,991 and 15 have their lcm 14,955 above the limit, but the
+    # primes of unequal valuation only 4,985, the product's own conductor: it is made
+    x = root_of_unity(Fraction(1, 3)) * root_of_unity(Fraction(1, 997))
+    y = root_of_unity(Fraction(2, 3)) * root_of_unity(Fraction(1, 5))
+    assert (x.order, y.order, (x * y).order) == (2991, 15, 4985)
+    assert x * y == root_of_unity(Fraction(1, 997)) * root_of_unity(Fraction(1, 5))
+
+
 def test_division_by_zero_rejected():
     with pytest.raises(InputError):
         Cyclo.zero().inverse()

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,16 +8,17 @@ from setcat.catalog import catalog, get
 from setcat.cyclo import Cyclo, parse_cyclo, root_of_unity
 from setcat.double import drinfeld_double
 from setcat.equiv import label_fingerprints
-from setcat.errors import InputError
+from setcat.errors import InputError, LimitExceeded
 from setcat.fusion import FusionRing, pair_label
 from setcat.pointed import element_label
 from setcat.premodular import Premodular
 from setcat.randomized import random_conserving_pair
 from setcat.relprod import condense_by_invertible_bosons, relative_centralizer
 
-from .dense_reference import dense_smatrix_invertible
+from .dense_reference import cyclo_validate, dense_smatrix_invertible
 from .test_acceptance import ORACLE_COUNT, ORACLE_SEED, STACKING_SET, UNIT_LAW_INSTANCES
-from .test_invariants import su2_level
+from .test_cyclo import rank_two
+from .test_invariants import FUZZ_SEED, _random_pointed, su2_level, tables_that_are_not_quadratic
 from .test_pointed import oracle_draws
 from .test_split_differential import (benchmark_split_inputs, condensed, permuted_cases,
                                       permuted_rows)
@@ -254,14 +256,16 @@ def test_product_nondegeneracy_iff_factors():
     assert not toric().deligne(rep_z2()).is_nondegenerate()
 
 
-def test_validate_catches_inconsistent_twist():
+def broken_twist() -> Premodular:
     # theta_e = 1/4 on the toric ring is not a quadratic refinement of any
     # bilinear form; the dual-row conjugation check must fire
     P = toric()
-    broken = Premodular(P.ring, P.dims,
-                        {"1": Fraction(0), "e": Fraction(1, 4), "m": Fraction(0),
-                         "f": Fraction(1, 2)}, name="broken")
-    report = broken.validate()
+    return Premodular(P.ring, P.dims, {"1": Fraction(0), "e": Fraction(1, 4),
+                                       "m": Fraction(0), "f": Fraction(1, 2)}, name="broken")
+
+
+def test_validate_catches_inconsistent_twist():
+    report = broken_twist().validate()
     assert any("smatrix" in r for r in report)
 
 
@@ -282,14 +286,72 @@ def test_product_nondegeneracy_iff_factors_over_catalog():
             assert prod.is_nondegenerate() == want, (e1.name, e2.name)
 
 
-def test_validate_rejects_the_fibonacci_galois_conjugate():
+def fibonacci_conjugate() -> Premodular:
     # zeta5 -> zeta5^2 sends d_tau = 1 + z5 + z5^4 (the golden ratio) to
     # 1 + z5^2 + z5^3 = -1/phi and the twist 2/5 to 4/5; only the sign of
     # d_tau is wrong, and d_tau is within 0.62 of 0
     fib = get("fibonacci").category
-    conj = Premodular(fib.ring, {"1": ONE, "tau": parse_cyclo("1 + z5^2 + z5^3")},
+    return Premodular(fib.ring, {"1": ONE, "tau": parse_cyclo("1 + z5^2 + z5^3")},
                       {"1": Fraction(0), "tau": Fraction(4, 5)}, name="fib_conjugate")
-    assert conj.validate() == ["dims: d[tau] is not positive"]
+
+
+def test_validate_rejects_the_fibonacci_galois_conjugate():
+    assert fibonacci_conjugate().validate() == ["dims: d[tau] is not positive"]
+
+
+# twists whose denominators multiply far past MAX_CONDUCTOR, on the toric ring
+LARGE_TWISTS = {"1": Fraction(0), "e": Fraction(1, 9973), "m": Fraction(1, 9967),
+                "f": Fraction(1, 9949)}
+
+
+def test_validate_refuses_twists_above_the_conductor_limit_after_the_dims():
+    P = toric()
+    big = Premodular(P.ring, P.dims, LARGE_TWISTS)
+    with pytest.raises(LimitExceeded, match="the dims and twists lie at conductor "
+                                            "988,939,464,559, above the limit "
+                                            "MAX_CONDUCTOR = 10,000"):
+        big.validate()
+    # an S-entry's root of unity is refused before it is made at its conductor
+    with pytest.raises(LimitExceeded, match="a cyclotomic value reached conductor "
+                                            "988,939,464,559, above the limit"):
+        big.s_entry("e", "m")
+    # a dims report is made before the twists are read
+    bad = Premodular(P.ring, {**P.dims, "e": Cyclo.from_rational(2)}, LARGE_TWISTS)
+    assert bad.validate()[0] == "dims: dimension equation fails at (e,e)"
+
+
+def validate_inputs() -> list[Premodular]:
+    """The catalog, its Deligne pairs up to rank 64, SU(2)_k for k <= 16, the
+    broken twist, the Fibonacci conjugate, rank_two data, seeded fuzzed pointed
+    data, bad dims under twists above the conductor limit and a dim that is no
+    algebraic integer (every other dim has denominator 1)."""
+    cats = [e.category for e in catalog().values()]
+    rng, toric_ring = random.Random(FUZZ_SEED), toric().ring
+    return cats + [C.deligne(D) for C in cats for D in cats
+                   if C.ring.rank() * D.ring.rank() <= 64] + [
+        su2_level(k) for k in range(1, 17)] + [broken_twist(), fibonacci_conjugate()] + [
+        rank_two(n) for n in (1, 3, 7)] + [
+        Premodular(rank_two(3).ring, rank_two(1).dims, rank_two(3).twists)] + [
+        _random_pointed(rng)[1] for _ in range(40)] + [
+        M.to_premodular() for M, _ in tables_that_are_not_quadratic()] + [
+        Premodular(toric_ring, {**toric().dims, "e": Cyclo.from_rational(2)}, LARGE_TWISTS),
+        # a dim with a denominator, so the rules' common denominator is not 1
+        Premodular(toric_ring, {**toric().dims, "e": Cyclo.from_rational(Fraction(1, 2))},
+                   toric().twists)]
+
+
+def test_validate_matches_the_cyclo_reference(monkeypatch):
+    inputs = validate_inputs()
+    with monkeypatch.context() as m:  # validate computes no S-entry
+        m.setattr(Premodular, "s_entry", lambda *a: pytest.fail("validate called s_entry"))
+        packed = [P.validate() for P in inputs]
+    reports = list(zip(packed, map(cyclo_validate, inputs)))
+    assert all(packed == cyclo for packed, cyclo in reports)
+    # both outcomes, and how often each of the two rules fails
+    kinds = Counter(msg.split(" at ")[0] for packed, _ in reports for msg in packed)
+    assert (sum(not packed for packed, _ in reports), len(reports),
+            kinds["dims: dimension equation fails"],
+            kinds["smatrix: dual row is not the conjugate"]) == (241, 282, 15, 182)
 
 
 def balancing_reference(P, i, j):

@@ -76,14 +76,17 @@ def test_su2_d_series_quotient(k, rank):
     assert result.is_nondegenerate()
 
 
-def test_ising_squared_takes_1300_nodes(monkeypatch):
-    # the nodes the search needs, to the node: a change in where a check prunes shows here
-    # (2,617 while the rule S(i*, j) = conj S(i, j) waited for complete candidates; 1,634
-    # while the lex-leader compared every relabelling on the dual levels)
-    for budget, enough in ((1_300, True), (1_299, False)):
+@pytest.mark.parametrize("index,nodes", enumerate([15, 12, 12, 36, 58, 81, 77, 1_300]))
+def test_split_inputs_take_their_pinned_nodes(monkeypatch, index, nodes):
+    # the nodes the search needs on each benchmark split input, to the node: a change in
+    # where a check prunes shows here ((ising x ising_rev)^2 / Z2xZ2, the last, took 2,617
+    # while the rule S(i*, j) = conj S(i, j) waited for complete candidates and 1,634 while
+    # the lex-leader compared every relabelling on the dual levels)
+    P, bosons = benchmark_split_inputs()[index]
+    for budget, enough in ((nodes, True), (nodes - 1, False)):
         monkeypatch.setattr(relprod, "_SEARCH_NODE_BUDGET", budget)
         try:
-            relprod.condense_by_invertible_bosons(*ising_squared())
+            relprod.condense_by_invertible_bosons(P, bosons)
         except LimitExceeded:
             assert not enough
         else:
@@ -591,31 +594,76 @@ def balanced_rule(dims, twists, i, i2, j, n_ij, n_i2j) -> bool:
     return s(i2, j, n_ij) == s(i, j, n_i2j).conjugate()
 
 
-def test_packed_conjugate_dual_rule_matches_cyclo_arithmetic(monkeypatch):
-    # every firing of the search's rule on the split inputs, the carrying inputs
-    # and SU(2)_k x_Z2 SU(2)_k for k = 4, 8, against the rule in Cyclo arithmetic
-    firings, make = [], relprod._conjugate_dual_rule
+def test_split_search_makes_no_cyclo_operation(monkeypatch):
+    # its value checks run on packed integers (`premodular.linear_rules`); only the S
+    # decision on each complete candidate (`_candidate_ok`) computes in Q(zeta_n)
+    searching, search, check = [False], relprod._resolve_split_fusion, relprod._candidate_ok
 
-    def recording(labels, dims, twists, bound):
-        rule = make(labels, dims, twists, bound)
+    def guarded(name, op):
+        def run(*args):
+            assert not searching[0], f"Cyclo.{name} in the split search"
+            return op(*args)
+        return run
 
-        def check(i, i2, j, n_ij, n_i2j):
-            firings[-1].append((rule(i, i2, j, n_ij, n_i2j),
-                                balanced_rule(dims, twists, i, i2, j, n_ij, n_i2j)))
-            return firings[-1][-1][0]
-        return check
+    def flagged(inside, run):
+        def call(*args):
+            was, searching[0] = searching[0], inside
+            try:
+                return run(*args)
+            finally:
+                searching[0] = was
+        return call
 
-    monkeypatch.setattr(relprod, "_conjugate_dual_rule", recording)
-    for P, bosons in benchmark_split_inputs() + carrying_inputs():
-        firings.append([])
+    for name in ("__add__", "__mul__", "inverse", "galois"):
+        monkeypatch.setattr(Cyclo, name, guarded(name, getattr(Cyclo, name)))
+    monkeypatch.setattr(relprod, "_resolve_split_fusion", flagged(True, search))
+    monkeypatch.setattr(relprod, "_candidate_ok", flagged(False, check))
+    for P, bosons in benchmark_split_inputs():
         relprod.condense_by_invertible_bosons(P, bosons)
+
+
+def dimension_equation(dims, a, b, row) -> bool:
+    """d_a d_b = sum_c row[c] d_c in Cyclo arithmetic."""
+    return dims[a] * dims[b] == sum((dims[c] * v for c, v in row.items() if v), Cyclo.zero())
+
+
+def test_packed_linear_rules_match_cyclo_arithmetic(monkeypatch):
+    # every firing of the search's two rules on the split inputs, the carrying inputs
+    # and SU(2)_k x_Z2 SU(2)_k for k = 4, 8, against the same rule in Cyclo arithmetic
+    firings, make = {"dim": [], "s": []}, relprod.linear_rules
+
+    def recording(dims, twists, bound):
+        dim_rule, s_rule = make(dims, twists, bound)
+
+        def fired(kind, packed, cyclo):
+            firings[kind][-1].append((packed, cyclo))
+            return packed
+
+        return (lambda a, b, row: fired("dim", dim_rule(a, b, row),
+                                        dimension_equation(dims, a, b, row)),
+                lambda i, i2, j, n_ij, n_i2j: fired("s", s_rule(i, i2, j, n_ij, n_i2j),
+                                                    balanced_rule(dims, twists, i, i2, j,
+                                                                  n_ij, n_i2j)))
+
+    def run(verify, *args):
+        for runs in firings.values():
+            runs.append([])
+        verify(*args)
+
+    monkeypatch.setattr(relprod, "linear_rules", recording)
+    for P, bosons in benchmark_split_inputs() + carrying_inputs():
+        run(relprod.condense_by_invertible_bosons, P, bosons)
     for k in (4, 8):
         P = su2_level(k)
         emb = SymmetryEmbedding([2], P.name, {(0,): P.unit, (1,): str(k)})
-        firings.append([])
-        relprod.verify_stacking_identity(P, P, emb, emb)
-    assert all(packed == cyclo for run in firings for packed, cyclo in run)
-    # (firings, failing firings) per run: 37 fail on (ising x ising_rev)^2 / Z2xZ2
-    assert [(len(run), sum(not packed for packed, _ in run)) for run in firings] == [
-        (12, 1), (11, 1), (7, 1), (16, 0), (28, 1), (39, 0), (49, 1), (536, 37),
-        (103, 7), (240, 13), (323, 1), (45, 3), (164, 5), (81, 0), (458, 0)]
+        run(relprod.verify_stacking_identity, P, P, emb, emb)
+    assert all(packed == cyclo for runs in firings.values() for run in runs
+               for packed, cyclo in run)
+    # (firings, failing firings) per run: 37 S rules fail on (ising x ising_rev)^2 / Z2xZ2;
+    # a dimension equation fails for each k below a row's sum that the set-up tries
+    assert {kind: [(len(run), sum(not packed for packed, _ in run)) for run in runs]
+            for kind, runs in firings.items()} == {
+        "s": [(12, 1), (11, 1), (7, 1), (16, 0), (28, 1), (39, 0), (49, 1), (536, 37),
+              (103, 7), (240, 13), (323, 1), (45, 3), (164, 5), (81, 0), (458, 0)],
+        "dim": [(10, 5), (10, 5), (6, 3), (17, 9), (21, 10), (25, 13), (53, 16), (130, 65),
+                (30, 15), (64, 32), (37, 20), (31, 12), (51, 22), (44, 20), (108, 52)]}
