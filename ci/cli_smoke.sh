@@ -2,7 +2,8 @@
 # Smoke run of the installed `setcat` console script. Run it from an empty
 # directory: it exports the fixtures there and writes its products beside them.
 # It exports fixtures, writes Rep(Z4) (JSON report) and D(Z2 x Z4) (text
-# report) to a directory, decides nondegeneracy both ways, finds an equivalence,
+# report) to a directory, decides nondegeneracy both ways, prints two Mueger
+# centers and the centralizer of an embedding's image, finds an equivalence,
 # splits a fixed point, splits (ising x ising_rev)^2 by Z2xZ2 (a 4-child orbit
 # and four 2-child orbits), splits ising x ising_rev x D(Z3) by Z2 (nine
 # 2-child orbits, four pairs of them mutually dual), refuses a split orbit
@@ -29,6 +30,10 @@ assert len(w) == 2 and all(map(os.path.isfile, w)), w'
 test "$(setcat double --group 2,4 --out-dir out | wc -l)" -eq 2
 setcat info fixtures/ising.json | grep -x "nondegenerate: True"
 setcat info fixtures/rep_z2.json | grep -x "nondegenerate: False"
+setcat center fixtures/rep_z2.json | grep -x "Mueger center of rep_z2: 1, e"
+setcat center fixtures/ising.json | grep -x "Mueger center of ising: 1"
+setcat centralizer fixtures/toric_code.json --emb fixtures/toric_code.emb_e.json \
+    | grep -x "centralizer of {1, e} in toric_code: 1, e"
 setcat equiv fixtures/toric_code.json fixtures/double_2.json
 setcat product fixtures/ising.json fixtures/ising_rev.json --out ii.json
 setcat condense ii.json --bosons "(1,1),(psi,psi)" | tee condense.txt

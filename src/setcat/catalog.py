@@ -1,5 +1,6 @@
 """Built-in fixture catalog: small exact categories with their declared
-symmetry embeddings.  Every entry is validated on first access."""
+symmetry embeddings.  Entries are not validated at run time:
+tests/test_io.py parses, and so validates, every category and embedding."""
 
 from __future__ import annotations
 
@@ -75,7 +76,7 @@ def _fibonacci() -> CatalogEntry:
 
 @lru_cache(maxsize=1)
 def catalog() -> dict[str, CatalogEntry]:
-    """All fixtures, keyed by name, each validated as a startup self-test."""
+    """All fixtures, keyed by name."""
     entries = [
         _pointed("vec", [], [F(0)], ["1"]),
         _pointed("rep_z2", [2], [F(0), F(0)], ["1", "e"],
@@ -95,19 +96,7 @@ def catalog() -> dict[str, CatalogEntry]:
         _ising(reverse=True),
         _fibonacci(),
     ]
-    out: dict[str, CatalogEntry] = {}
-    for entry in entries:
-        report = entry.category.validate()
-        if report:
-            raise InternalFault(
-                f"catalog fixture {entry.name!r} fails validation: {report[0]}")
-        for key, emb in entry.embeddings.items():
-            emb_report = emb.validate(entry.category)
-            if emb_report:
-                raise InternalFault(
-                    f"catalog embedding {entry.name}:{key} invalid: {emb_report[0]}")
-        out[entry.name] = entry
-    return out
+    return {entry.name: entry for entry in entries}
 
 
 def get(name: str) -> CatalogEntry:

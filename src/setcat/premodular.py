@@ -34,7 +34,7 @@ class Premodular:
                 raise InputError(f"missing twist for label {x!r}")
         self.dims = {x: dims[x] for x in ring.labels}
         self.twists = {x: turn_mod1(twists[x]) for x in ring.labels}
-        # the twist turns as integers over one denominator, for s_entry
+        # the twist turns as integers over one denominator, for S and transparency
         self._den = lcm(*(r.denominator for r in self.twists.values()))
         self._turn = {x: r.numerator * (self._den // r.denominator)
                       for x, r in self.twists.items()}
@@ -84,14 +84,23 @@ class Premodular:
     # -- centralizer calculus -------------------------------------------------
 
     def centralizes(self, i: str, j: str) -> bool:
-        """Mueger's criterion: trivial double braiding iff S_ij = d_i d_j."""
-        return self.s_entry(i, j) == self.dims[i] * self.dims[j]
+        """Mueger's criterion S_ij = d_i d_j, read from the twists: i and j
+        centralize each other iff theta_k = theta_i theta_j for every k in
+        i* x j.  It is exact on validated data: S_ij = sum_k N_(i*j)^k d_k
+        theta_k / (theta_i theta_j), the dims are positive and sum_k
+        N_(i*j)^k d_k = d_i d_j, so S_ij = d_i d_j iff every phase is 1
+        (Mueger, Proc. LMS 87, 2003)."""
+        turn, den = self._turn, self._den
+        t = turn[i] + turn[j]
+        return all((turn[k] - t) % den == 0 for k in self.ring.fuse(self.dual(i), j))
 
     def monodromy(self, e: str, x: str) -> Cyclo:
-        """Scalar of the double braiding of an invertible e around x."""
+        """Scalar S_ex / d_x of the double braiding of an invertible e around
+        x: e* x x is one simple k of dim d_x, so it is theta_k / (theta_e theta_x)."""
         if not self.is_invertible(e):
             raise InputError(f"monodromy requires an invertible label, got {e!r}")
-        return self.s_entry(e, x) * self._inverse(self.dims[x])
+        [k], turn = self.ring.fuse(self.dual(e), x), self._turn
+        return root_of_unity((turn[k] - turn[e] - turn[x]) % self._den, self._den)
 
     def centralizer(self, subset: list[str]) -> list[str]:
         seen = set(subset)
@@ -108,8 +117,10 @@ class Premodular:
     def is_nondegenerate(self) -> bool:
         """Trivial Mueger center, cross-checked against exact S-matrix invertibility.
 
-        Data that passes `validate` yet is no braided category can split the
-        two; that is an input error."""
+        The two are independent computations: the Mueger center is read from
+        the twists (`centralizes`), invertibility from the S characters
+        (`_s_invertibility`).  Data that passes `validate` yet is no braided
+        category can split the two; that is an input error."""
         if self._nondeg is None:
             claim = self.muger_center() == [self.unit]
             invertible = self._s_invertibility[1]

@@ -8,8 +8,9 @@ plain Python and `_smatrix_invertible` conjugated each entry once; and the
 (i, j, k) -> N_ij^k triple view that `FusionRing.N` used to give; and
 `Premodular.validate` with its dimension equations and conjugate-dual rule
 as `Cyclo` loops, the latter through `s_entry`, as it was before
-`premodular.linear_rules` evaluated both on integers.  The differential
-tests assert that the engine matches them.  They are not a
+`premodular.linear_rules` evaluated both on integers; and `centralizes` and
+`monodromy` by S-entries, as they were before they read the twists.  The
+differential tests assert that the engine matches them.  They are not a
 second path of the package; nothing in `src/` imports them."""
 
 import numpy as np
@@ -236,3 +237,13 @@ def cyclo_validate(P) -> list[str]:
                 if S(self.dual(i), j) != S(i, j).conjugate():
                     bad.append(f"smatrix: dual row is not the conjugate at ({i},{j})")
     return bad
+
+
+def s_centralizes(P, i, j) -> bool:
+    """`Premodular.centralizes` as Mueger's criterion S_ij = d_i d_j."""
+    return P.s_entry(i, j) == P.dim(i) * P.dim(j)
+
+
+def s_monodromy(P, e, x) -> Cyclo:
+    """`Premodular.monodromy` as S_ex / d_x."""
+    return P.s_entry(e, x) * P._inverse(P.dim(x))

@@ -19,6 +19,7 @@ from setcat.fusion import pair_label
 from setcat.io import serialize_category, serialize_embedding, serialize_metric_group, to_text
 from setcat.pointed import MetricGroup
 
+from .test_premodular import z2_cubed
 from .test_split_differential import ising_squared, rep_d8
 
 
@@ -559,15 +560,11 @@ def test_split_orbit_with_a_2_cocycle_exit_2(capsys, fixture_dir, tmp_path):
 
 
 def test_validated_but_inconsistent_data_exit_2(capsys, tmp_path):
-    # pointed Z2^3, all labels self-dual, twist 1/2 on (1,1,1) only: the file
-    # validates, yet it is no braided category. The labels transparent to the
-    # boson (1,0,0) are not closed under fusion, and the Mueger center is
-    # trivial while the S-matrix is singular.
-    factors = [2, 2, 2]
-    q = {a: Fraction(1, 2) if a == (1, 1, 1) else Fraction(0) for a in iter_elements(factors)}
+    # the file validates, yet it is no braided category. The labels transparent
+    # to the boson (1,0,0) are not closed under fusion, and the Mueger center
+    # is trivial while the S-matrix is singular.
     path = tmp_path / "z2cubed.json"
-    path.write_text(to_text(serialize_category(
-        MetricGroup(factors, q, name="z2cubed").to_premodular())))
+    path.write_text(to_text(serialize_category(z2_cubed())))
     assert run(capsys, ["validate", str(path)])[0] == 0
     err = assert_input_error(capsys, ["condense", str(path), "--bosons", "(0,0,0),(1,0,0)"])
     assert "(0,0,1) x (0,1,0) contains the confined label (0,1,1)" in err

@@ -97,7 +97,7 @@ def assert_condensation_invariants(P, res):
 def assert_stacking_facts(C, D, embC, embD, H, res, emb):
     """What `relative_tensor_product` takes from its validated embeddings: A
     passes `_boson_group` in C x D (dims 1, twists 0, fusion as the group,
-    mutual centrality by the Kronecker S) as the H it condensed, inside the
+    so mutual centrality by the twist rule) as the H it condensed, inside the
     deconfined labels; (e, 1) and (1, e) lie in one free orbit, which is the
     image of e; and the induced embedding validates."""
     assert H == res.algebra and set(H) <= set(res.deconfined), (C.name, D.name)
@@ -111,9 +111,10 @@ def assert_stacking_facts(C, D, embC, embD, H, res, emb):
 
 def assert_deconfinement(C, D, embC, embD):
     """Stack C and D; the monodromy test, the centralizer of the canonical
-    algebra and the condensation's deconfined labels must agree, and the
-    stacking facts hold."""
-    H = _boson_group(C.deligne(D), canonical_algebra(embC, embD))  # even where stacking fails
+    algebra in C x D and the condensation's deconfined labels must agree, and
+    the stacking facts hold."""
+    CD = C.deligne(D)
+    H = _boson_group(CD, canonical_algebra(embC, embD))  # even where stacking fails
     res, emb = relative_tensor_product(C, D, embC, embD)
     deconfined = set(res.deconfined)
     for x in C.labels:
@@ -121,7 +122,8 @@ def assert_deconfinement(C, D, embC, embD):
             against_algebra = all(
                 C.monodromy(embC.map_neg(e), x) * D.monodromy(embD.mapping[e], y) == ONE
                 for e in embC.elements())
-            assert is_deconfined(C, D, embC, embD, x, y) == against_algebra \
+            centralizes = all(CD.centralizes(pair_label(x, y), a) for a in H)
+            assert is_deconfined(C, D, embC, embD, x, y) == against_algebra == centralizes \
                 == (pair_label(x, y) in deconfined), (C.name, D.name, x, y)
     assert_stacking_facts(C, D, embC, embD, H, res, emb)
     return res

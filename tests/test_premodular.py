@@ -1,21 +1,24 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from setcat.abelian import iter_elements
 from setcat.catalog import catalog, get
 from setcat.cyclo import Cyclo, parse_cyclo, root_of_unity
 from setcat.double import drinfeld_double
 from setcat.equiv import label_fingerprints
 from setcat.errors import InputError, LimitExceeded
 from setcat.fusion import FusionRing, pair_label
-from setcat.pointed import element_label
+from setcat.pointed import MetricGroup, element_label
 from setcat.premodular import Premodular
 from setcat.randomized import random_conserving_pair
 from setcat.relprod import condense_by_invertible_bosons, relative_centralizer
 
-from .dense_reference import cyclo_validate, dense_smatrix_invertible
+from .dense_reference import (cyclo_validate, dense_smatrix_invertible, s_centralizes,
+                              s_monodromy)
 from .test_acceptance import ORACLE_COUNT, ORACLE_SEED, STACKING_SET, UNIT_LAW_INSTANCES
 from .test_cyclo import rank_two
 from .test_invariants import FUZZ_SEED, _random_pointed, su2_level, tables_that_are_not_quadratic
@@ -381,6 +384,39 @@ def test_s_entry_and_fingerprint_match_the_balancing_reference():
         for x, fp in label_fingerprints(P).items():
             s_row = sorted(want[(x, j)].sort_key() for j in P.labels)
             assert s_row_of.setdefault(fp, s_row) == s_row, (P.name, x)
+
+
+def z2_cubed() -> Premodular:
+    """Pointed Z2^3, all labels self-dual, twist 1/2 on (1,1,1) only: the
+    data validates, yet it is no braided category."""
+    q = {a: Fraction(1, 2) if a == (1, 1, 1) else Fraction(0) for a in iter_elements([2, 2, 2])}
+    return MetricGroup([2, 2, 2], q, name="z2cubed").to_premodular()
+
+
+def test_transparency_matches_the_s_reference():
+    # the twist rule of centralizes and monodromy against S_ij = d_i d_j and
+    # S_ex / d_x on every ordered pair, also on data that is no braided category;
+    # in ising x ising_rev, (sigma,sigma)* x (sigma,sigma) has outputs of twists
+    # 0, 1/2, 1/2 and 0, so a rule that reads only the first output fails here
+    cats = [e.category for e in catalog().values()]
+    inputs = cats + [C.deligne(D) for C in cats for D in cats
+                     if C.ring.rank() * D.ring.rank() <= 36] + [
+        su2_level(k) for k in (2, 4, 8, 12, 16)] + [z2_cubed()]
+    for M, H in oracle_draws():
+        P = M.to_premodular(check_smatrix=False)
+        inputs += [P, condense_by_invertible_bosons(P, [element_label(h) for h in H]).result]
+    counts = Counter()
+    for P in inputs:
+        for i, j in product(P.labels, P.labels):
+            transparent = P.centralizes(i, j)
+            assert transparent == s_centralizes(P, i, j), (P.name, i, j)
+            counts["pairs"] += 1
+            counts["transparent"] += transparent
+            if P.is_invertible(i):
+                assert P.monodromy(i, j) == s_monodromy(P, i, j), (P.name, i, j)
+                counts["monodromies"] += 1
+    assert (len(inputs), counts["pairs"], counts["transparent"], counts["monodromies"]) == (
+        572, 314_518, 94_182, 310_191)
 
 
 # -- the S-invertibility decision against the dense test -----------------------

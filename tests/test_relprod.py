@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -14,6 +14,7 @@ from setcat.equiv import check_bijection, find_equivalence
 from setcat.errors import InputError, InternalFault, LimitExceeded, ValidationInputError
 from setcat.fusion import pair_label
 from setcat.pointed import MetricGroup, element_label
+from setcat.premodular import Premodular
 from setcat.randomized import random_metric_group
 from setcat.relprod import (
     canonical_algebra,
@@ -25,7 +26,9 @@ from setcat.relprod import (
     verify_unit_law,
 )
 
+from .test_acceptance import STACKING_SET, UNIT_LAW_INSTANCES
 from .test_invariants import su2_level
+from .test_sparse_differential import oracle_inputs
 from .test_split_differential import assert_least_relabelling, ising_squared, rep_d8
 
 F = Fraction
@@ -201,6 +204,22 @@ def test_each_input_embedding_is_validated_once_per_call(monkeypatch):
     seen.clear()
     assert verify_unit_law(C, m) is True
     assert seen == [(m, C.name)]
+
+
+def test_stack_and_oracle_paths_compute_no_s_entry(monkeypatch):
+    # transparency and charges are read from the twists: the unit laws, the
+    # stacking identities and the benchmark's oracle condensations read no S
+    monkeypatch.setattr(Premodular, "s_entry", lambda *a: pytest.fail("s_entry was called"))
+    for name, key in UNIT_LAW_INSTANCES:
+        entry = get(name)
+        assert verify_unit_law(entry.category, entry.embeddings[key]) is True
+    for (n1, k1), (n2, k2) in product(STACKING_SET, STACKING_SET):
+        C, D = get(n1), get(n2)
+        assert verify_stacking_identity(C.category, D.category, C.embeddings[k1],
+                                        D.embeddings[k2]) is True
+    for M, H in oracle_inputs():
+        res = condense_by_invertible_bosons(M.to_premodular(), [element_label(h) for h in H])
+        assert res.conservation["global_dim_conserved"] and res.conservation["gauss_conserved"]
 
 
 def test_relprod_unit_instance_equals_engine_on_doubles():
