@@ -3,8 +3,9 @@
 # directory: it exports the fixtures there and writes its products beside them.
 # It exports fixtures, writes Rep(Z4) (JSON report) and D(Z2 x Z4) (text
 # report) to a directory, decides nondegeneracy both ways, prints two Mueger
-# centers and the centralizer of an embedding's image, finds an equivalence,
-# splits a fixed point, splits (ising x ising_rev)^2 by Z2xZ2 (a 4-child orbit
+# centers and the centralizer of an embedding's image, conserves the global
+# dim of a condensation by transparent bosons, finds an equivalence, splits a
+# fixed point, splits (ising x ising_rev)^2 by Z2xZ2 (a 4-child orbit
 # and four 2-child orbits), splits ising x ising_rev x D(Z3) by Z2 (nine
 # 2-child orbits, four pairs of them mutually dual), refuses a split orbit
 # whose stabilizer carries a 2-cocycle, an out-of-range --max-order, a flag
@@ -34,6 +35,7 @@ setcat center fixtures/rep_z2.json | grep -x "Mueger center of rep_z2: 1, e"
 setcat center fixtures/ising.json | grep -x "Mueger center of ising: 1"
 setcat centralizer fixtures/toric_code.json --emb fixtures/toric_code.emb_e.json \
     | grep -x "centralizer of {1, e} in toric_code: 1, e"
+setcat condense fixtures/rep_z2.json --bosons 1,e | grep -x "global dim: 2 -> 1 (conserved: True)"
 setcat equiv fixtures/toric_code.json fixtures/double_2.json
 setcat product fixtures/ising.json fixtures/ising_rev.json --out ii.json
 setcat condense ii.json --bosons "(1,1),(psi,psi)" | tee condense.txt

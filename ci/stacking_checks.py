@@ -1,0 +1,68 @@
+"""Stacking checks beyond Tier-1, pinned to their verdicts.
+
+- SU(2)_16 x_Z2 SU(2)_16: the stacking identity holds (Tier-1 stops at k = 12).
+- The Z2 stacking census: all 36 unordered pairs of eight categories, each
+  with a Z2 of bosons; 33 hold and 3 are inconclusive (None).
+
+Run from the repository root:
+
+    PYTHONPATH=src python ci/stacking_checks.py
+
+It prints one line per check and exits 1 naming every verdict off its pin.
+"""
+
+import sys
+import time
+from itertools import combinations_with_replacement
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from setcat.catalog import get  # noqa: E402
+from setcat.fusion import pair_label  # noqa: E402
+from setcat.relprod import verify_stacking_identity  # noqa: E402
+from tests.test_relprod import su2_level, z2_embedding  # noqa: E402
+
+# the census pairs whose verdict is None: the left side's own S cannot tell its
+# survivors apart
+INCONCLUSIVE = {("ii", "ii"), ("ii", "ii x fib"), ("ii x fib", "ii x fib")}
+
+
+def census_inputs():
+    """(name, category, Z2 embedding) for the eight categories of the census."""
+    ii = get("ising").category.deligne(get("ising_rev").category)
+    iif = ii.deligne(get("fibonacci").category)
+    su2 = {k: su2_level(k) for k in (4, 8)}
+    return [(f"{n}/{k}", get(n).category, get(n).embeddings[k])
+            for n, k in (("toric_code", "e"), ("toric_code", "m"),
+                         ("double_semion", "boson"))] + [
+        ("ii", ii, z2_embedding(ii, pair_label("psi", "psi"))),
+        *((f"su2_{k}", P, z2_embedding(P, str(k))) for k, P in su2.items()),
+        ("ii x fib", iif, z2_embedding(iif, pair_label(pair_label("psi", "psi"), "1"))),
+        ("rep_z2/identity", get("rep_z2").category, get("rep_z2").embeddings["identity"])]
+
+
+def main() -> int:
+    off = []
+    start = time.perf_counter()
+    P = su2_level(16)
+    emb = z2_embedding(P, "16")
+    verdict = verify_stacking_identity(P, P, emb, emb)
+    if verdict is not True:
+        off.append(("su2_16", "su2_16", verdict))
+    print(f"SU(2)_16 x_Z2 SU(2)_16: {verdict} ({time.perf_counter() - start:.1f} s)")
+
+    start, verdicts = time.perf_counter(), []
+    for (a, C, e), (b, D, f) in combinations_with_replacement(census_inputs(), 2):
+        verdicts.append(v := verify_stacking_identity(C, D, e, f))
+        if v is not (None if (a, b) in INCONCLUSIVE else True):
+            off.append((a, b, v))
+    print(f"Z2 stacking census: {verdicts.count(True)} True, {verdicts.count(None)} None, "
+          f"{verdicts.count(False)} False ({time.perf_counter() - start:.1f} s)")
+    if off:
+        print(f"verdicts off the pins: {off}")
+    return 1 if off else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import io as sio
 from .catalog import catalog
-from .cyclo import format_cyclo
+from .cyclo import Cyclo, format_cyclo
 from .double import drinfeld_double, rep_abelian
 from .equiv import find_equivalence
 from .errors import InputError, InternalFault, SyntaxInputError, ValidationInputError
@@ -94,19 +94,12 @@ def _condensation_json(res: CondensationResult) -> dict:
         "confined": res.confined,
         "orbits": [{"representative": o.representative, "members": o.members,
                     "stabilizer": o.stabilizer} for o in res.orbits],
-        "splittings": {rep: n for rep, n in res.splittings.items()},
+        "splittings": res.splittings,
         "provenance": {lab: {"orbit": rep, "child": k}
                        for lab, (rep, k) in res.provenance.items()},
         "ambiguity_flags": res.ambiguity_flags,
-        "conservation": {
-            "algebra_size": res.conservation["algebra_size"],
-            "global_dim_input": format_cyclo(res.conservation["global_dim_input"]),
-            "global_dim_result": format_cyclo(res.conservation["global_dim_result"]),
-            "global_dim_conserved": res.conservation["global_dim_conserved"],
-            "gauss_input": format_cyclo(res.conservation["gauss_input"]),
-            "gauss_result": format_cyclo(res.conservation["gauss_result"]),
-            "gauss_conserved": res.conservation["gauss_conserved"],
-        },
+        "conservation": {k: format_cyclo(v) if isinstance(v, Cyclo) else v
+                         for k, v in res.conservation.items()},
         "result": sio.serialize_category(res.result),
     }
 

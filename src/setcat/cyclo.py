@@ -216,9 +216,6 @@ class Cyclo:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_rational(self) -> bool:
-        return self.order == 1
-
     def as_fraction(self) -> Fraction:
         if self.order != 1:
             raise InputError(f"value {self} is not rational")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import (accumulate, chain, compress, count, groupby, permutations, product,
                        repeat)
 from math import factorial, prod
@@ -23,6 +23,7 @@ from .premodular import Premodular, linear_rules
 
 _SEARCH_NODE_BUDGET = 200_000
 _MAX_SURVIVORS = 64
+_MAX_RELABELLINGS = 100_000  # relabellings of the split children the lex-leader walks
 
 
 @dataclass
@@ -42,7 +43,7 @@ class CondensationResult:
     splittings: dict[str, int]
     provenance: dict[str, tuple[str, int]]
     ambiguity_flags: list[str]
-    conservation: dict[str, object] = field(default_factory=dict)
+    conservation: dict[str, object]
 
 
 def _boson_group(P: Premodular, bosons: list[str]) -> list[str]:
@@ -81,13 +82,15 @@ def condense_by_invertible_bosons(P: Premodular, bosons: list[str]) -> Condensat
     split fusion coefficients found by `_resolve_split_fusion`."""
     H = _boson_group(P, bosons)
     confined = [x for x in P.labels if not all(P.centralizes(x, h) for h in H)]
-    return _condense(P, H, confined, P.global_dim(), P.gauss_sum())
+    central = 1 + sum(all(P.centralizes(h, x) for x in P.labels) for h in H[1:])
+    return _condense(P, H, confined, P.global_dim(), P.gauss_sum(), central)
 
 
 def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
-              gauss_in: Cyclo) -> CondensationResult:
-    """Condense H in P, given the confined labels and the input's global
-    dimension and Gauss sum; P may leave out confined labels."""
+              gauss_in: Cyclo, central: int) -> CondensationResult:
+    """Condense H in P, given the confined labels, the input's global
+    dimension and Gauss sum, and |H meet Z2(input)|, the number of bosons
+    transparent in the whole input; P may leave out confined labels."""
     out = set(confined)
     deconfined = [x for x in P.labels if x not in out]
 
@@ -148,7 +151,7 @@ def _condense(P: Premodular, H: list[str], confined: list[str], dim_in: Cyclo,
         "algebra_size": len(H),
         "global_dim_input": dim_in,
         "global_dim_result": dim_out,
-        "global_dim_conserved": dim_out * (len(H) ** 2) == dim_in,
+        "global_dim_conserved": dim_out * len(H) ** 2 == dim_in * central,  # README
         "gauss_input": gauss_in,
         "gauss_result": gauss_out,
         "gauss_conserved": gauss_out * len(H) == gauss_in,
@@ -241,6 +244,10 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     search order, outlives the search.  Each survivor is relabelled to its
     least member in live order before the check, so the category checked is
     the one returned."""
+    split = [ch for ch in (list(g) for _, g in groupby(labels, rep_of.get)) if len(ch) > 1]
+    if (n_maps := prod(map(factorial, map(len, split)))) > _MAX_RELABELLINGS:
+        raise LimitExceeded(f"splitting enumeration: relabelling the split children gives "
+                            f"{n_maps:,} relabellings, above the limit of {_MAX_RELABELLINGS:,}")
     unit, gid, rem, grp = labels[0], {}, [], {}  # sum groups: the sum each still needs
     for t in unknown:
         o = tuple(rep_of[x] for x in t)
@@ -308,7 +315,6 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     level = {p: v for v, cl in enumerate(classes) for p in cl}
     start = list(accumulate(map(len, classes), initial=0))  # level -> its first index in order
     order = [p for cl in classes for p in cl]  # search order; the unit rows are invariant
-    split = [ch for ch in (list(g) for _, g in groupby(labels, rep_of.get)) if len(ch) > 1]
     maps = [m for m in (dict(zip(sum(split, []), sum(pm, ())))
                         for pm in product(*map(permutations, split))) if m != dict(zip(m, m))]
     blocks, at_split = {}, {x: i for i, ch in enumerate(split) for x in ch}
@@ -462,8 +468,7 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
             gs = [0]
             for ps, cls in blocks:
                 gs = [g + h for g in gs for h in agreeing(ps, cls, len(ps))[0][1]]
-            if not lex([(g - 1, 0) for g in gs if g], log, nxt):
-                continue
+            lex([(g - 1, 0) for g in gs if g], log, nxt)  # only schedules: order[n_dual:] unset
         if nxt < nv:
             stack.append([nxt, None, [], len(trail)])
         elif len(survivors) < _MAX_SURVIVORS:
@@ -568,10 +573,15 @@ def _relative_tensor_product(C, D, embC, embD):
                  for P, emb in ((C, embC), (D, embD)))
     prod = C.deligne(D, keys)
     confined = [pair_label(x, y) for x in C.labels for y in D.labels if keys[0][x] != keys[1][y]]
+    # Z2(C x D) = Z2(C) x Z2(D): (-e, e) is transparent iff e has charge 1 around every
+    # label of C and of D, in column e of every character; column 0 is the unit's
+    one = Cyclo.one()
+    central = 1 + sum(all(v == one for v in col) for col in list(zip(*charges))[1:])
     # by the validated embeddings, A is a transparent group of invertible bosons
     # of the keyed product (README, "not re-checked at run time")
     res = _condense(prod, sorted(canonical_algebra(embC, embD), key=prod.ring.index.__getitem__),
-                    confined, C.global_dim() * D.global_dim(), C.gauss_sum() * D.gauss_sum())
+                    confined, C.global_dim() * D.global_dim(), C.gauss_sum() * D.gauss_sum(),
+                    central)
     # (e, 1) (-f, f) = (e - f, f): the orbit of (e, 1) is free and holds (1, e),
     # so its one result label, its representative, is the image of e
     rep = {m: o.representative for o in res.orbits for m in o.members}

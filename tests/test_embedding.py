@@ -1,11 +1,14 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from setcat.catalog import get
+from setcat.catalog import catalog, get
 from setcat.double import drinfeld_double, rep_abelian
 from setcat.embedding import SymmetryEmbedding
+from setcat.premodular import Premodular
 
+from .dense_reference import s_centralizes
 from .test_invariants import is_central
 from .test_premodular import ising, rep_z2, toric
 
@@ -32,12 +35,49 @@ def test_invalid_embedding_ising_psi():
     ("toric_code", ["1", "1"], "embedding is not injective on simples"),
     ("ising", ["1", "sigma"], "image of (1,) is not invertible: d[sigma] != 1"),
     # Z4 onto bosons of D(Z3) that form Z3 x Z3, not Z4
-    ("double_3", ["(0,0)", "(0,1)", "(1,0)", "(0,2)"], "not a homomorphism at ((1,),(1,))"),
-    ("double_3", ["(0,0)", "(0,1)", "(1,0)", "(0,2)"],
-     "image is not transparent internally at ((1,),(2,))")])
+    ("double_3", ["(0,0)", "(0,1)", "(1,0)", "(0,2)"], "not a homomorphism at ((1,),(1,))")])
 def test_invalid_embedding_reports_the_broken_invariant(target, image, message):
     emb = SymmetryEmbedding([len(image)], target, {(i,): x for i, x in enumerate(image)})
-    assert message in emb.validate(get(target).category)
+    report = emb.validate(get(target).category)
+    assert message in report
+    assert not any("transparent" in line for line in report)
+
+
+def embeddings_onto_bosons():
+    """(category, embedding): every catalog embedding, and every Z2 embedding
+    onto an order-2 twist-0 invertible of a catalog category or of a Deligne
+    pair of them of rank <= 36."""
+    entries = catalog().values()
+    cats = [entry.category for entry in entries]
+    found = [(entry.category, emb) for entry in entries for emb in entry.embeddings.values()]
+    for P in cats + [C.deligne(D) for C, D in combinations_with_replacement(cats, 2)
+                     if C.ring.rank() * D.ring.rank() <= 36]:
+        found += [(P, SymmetryEmbedding([2], P.name, {(0,): P.unit, (1,): x}))
+                  for x in P.labels[1:] if P.is_invertible(x) and P.twist(x) == 0
+                  and P.ring.fuse(x, x) == {P.unit: 1}]
+    return found
+
+
+def test_validation_tests_no_pair_for_transparency(monkeypatch):
+    # twist-0 invertible images forming a group are transparent (the twist rule),
+    # so validation never asks `centralizes`
+    found = embeddings_onto_bosons()
+    assert len(found) > 100
+
+    def centralizes(self, i, j):
+        raise AssertionError(f"validation asked centralizes({i}, {j})")
+
+    monkeypatch.setattr(Premodular, "centralizes", centralizes)
+    assert [(P.name, emb.mapping) for P, emb in found if emb.validate(P)] == []
+
+
+def test_valid_embeddings_have_transparent_images():
+    # what the deleted pairwise check tested: each pair of images centralizes,
+    # by the twist rule and by Mueger's S criterion
+    for P, emb in embeddings_onto_bosons():
+        assert emb.validate(P) == []
+        for a, b in product(emb.image(), repeat=2):
+            assert P.centralizes(a, b) and s_centralizes(P, a, b), (P.name, a, b)
 
 
 def test_is_central():

@@ -195,7 +195,7 @@ GOLDEN_COMMAND_REPORTS = {
     "centralizer toric_code --emb e":
         "9ac5ab4adfe2065b3087193793fd5135a7cdbd18caa5445a5b057bca4003fc1c",
     "condense rep_d8 1,a":
-        "62515b6494410b92d231be6ddb490fb5d8874e39a8dd068a87235759975f5850",
+        "523d7688033357aa8f9fc55a79fcdd50b5822c8473d4dd43a98752a18668a83d",
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -323,6 +324,37 @@ def test_split_candidate_cap_message_names_the_numbers(monkeypatch):
                                             r"the cap of 0, over \d+ unknown variables") as fault:
         condense_by_invertible_bosons(prod, [pair_label("1", "1"), pair_label("psi", "psi")])
     assert isinstance(fault.value, LimitExceeded)
+
+
+def test_split_relabelling_limit_is_checked_before_the_search():
+    # SU(2)_4^3 by Z2^3: one 8-child, three 4-child and three 2-child orbits, whose
+    # 8! 4!^3 2!^3 relabellings would be built before the first node
+    assert relprod._MAX_RELABELLINGS == 100_000
+    P = su2_level(4)
+    bosons = [pair_label(pair_label(a, b), c) for a, b, c in product(("0", "4"), repeat=3)]
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded, match=r"^splitting enumeration: relabelling the split "
+                                            r"children gives 4,459,069,440 relabellings, above "
+                                            r"the limit of 100,000$"):
+        condense_by_invertible_bosons(P.deligne(P).deligne(P), bosons)
+    assert time.perf_counter() - start < 5
+
+
+def test_global_dim_conserved_when_bosons_meet_the_mueger_center():
+    # dim(result) |H|^2 = dim(input) |H meet Z2(input)|; in each case H meets Z2 in 2 bosons
+    rep_z2 = get("rep_z2")
+    emb = rep_z2.embeddings["identity"]
+    toric_rep = get("toric_code").category.deligne(rep_z2.category)
+    for res, dim_in, dim_out in [
+            (condense_by_invertible_bosons(rep_z2.category, ["1", "e"]), 2, 1),
+            (relative_tensor_product(rep_z2.category, rep_z2.category, emb, emb)[0], 4, 2),
+            (condense_by_invertible_bosons(rep_d8(), ["1", "a"]), 8, 4),
+            (condense_by_invertible_bosons(toric_rep, [pair_label(a, b) for a in ("1", "e")
+                                                       for b in ("1", "e")]), 8, 1)]:
+        cons = res.conservation
+        assert cons["global_dim_input"] == Cyclo.from_rational(dim_in)
+        assert cons["global_dim_result"] == Cyclo.from_rational(dim_out)
+        assert cons["global_dim_conserved"] is True and cons["gauss_conserved"] is True
 
 
 def test_split_orbit_below_its_stabilizer_order_is_unsupported_input():
