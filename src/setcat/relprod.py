@@ -288,11 +288,30 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         rem.append(sums[key])
         for p in ps:
             grp[p].append(len(rem) - 1)
-    for i, x in enumerate(labels[1:], 1):  # (x y) z = x (y z), x <= z, waits for its rows;
-        for z, y in product(labels[i:], labels[1:]):  # on forced rows alone it holds for P
-            if rs := tuple({rid[r] for r in chain(((x, y), (y, z)), zip(row[x, y], repeat(z)),
-                                                  zip(repeat(x), row[y, z])) if r in rid}):
-                checks.append([(x, y, z), rs])
+    # (x y) z = x (y z), x <= z, waits for its rows; on forced rows alone it holds for P, so
+    # only the triples that read an open row: (x, y), (y, z), (m, z) for m in x y, or (x, m)
+    # for m in y z
+    opened, into = {x: {} for x in labels}, {x: [] for x in labels}
+    for (a, b), k in rid.items():  # a -> b -> the index of the open row (a, b)
+        opened[a][b] = k
+    for ab, r in row.items():  # m -> the rows with an entry at m
+        for m in r:
+            into[m].append(ab)
+    for i, x in enumerate(labels[1:], 1):
+        ox, by_y = opened[x], {y: set() for y in labels}  # y -> the z with (x, m) open, m in y z
+        for y, z in chain.from_iterable(map(into.__getitem__, ox)):
+            by_y[y].add(z)
+        after = {z: [] for z in labels[i:]}  # z -> (y, the open rows (x, y, z) reads), y in order
+        for y in labels[1:]:
+            reads = [opened[y], *map(opened.__getitem__, row.get((x, y), ()))]  # (y, z), (m, z)
+            for z in after if y in ox else by_y[y].union(*reads):
+                if z in after:
+                    rs = {r[z] for r in reads if z in r}
+                    rs.update(ox[m] for m in row.get((y, z), ()) if m in ox)
+                    if y in ox:
+                        rs.add(ox[y])
+                    after[z].append((y, rs))
+        checks += ([(x, y, z), rs] for z, found in after.items() for y, rs in found)
     # S(i*, j) = conj S(i, j) for j >= i, one check per i2 that may be i*: it waits for the
     # rows (i, j), (i2, j) and (i, i2) and is vacuous unless N_(i i2)^1 = 1
     s_checks = len(checks)
