@@ -2,7 +2,9 @@
 
 - SU(2)_16 x_Z2 SU(2)_16: the stacking identity holds (Tier-1 stops at k = 12).
 - The Z2 stacking census: all 36 unordered pairs of eight categories, each
-  with a Z2 of bosons; 33 hold and 3 are inconclusive (None).
+  with a Z2 of bosons; 33 hold and 3 are inconclusive (None).  The slowest
+  pair is printed with its time: the degenerate (ii x fib, ii x fib), whose
+  left side's split search depends most on the search order.
 
 Run from the repository root:
 
@@ -52,13 +54,16 @@ def main() -> int:
         off.append(("su2_16", "su2_16", verdict))
     print(f"SU(2)_16 x_Z2 SU(2)_16: {verdict} ({time.perf_counter() - start:.1f} s)")
 
-    start, verdicts = time.perf_counter(), []
+    start, verdicts, slowest = time.perf_counter(), [], (0.0, "")
     for (a, C, e), (b, D, f) in combinations_with_replacement(census_inputs(), 2):
+        began = time.perf_counter()
         verdicts.append(v := verify_stacking_identity(C, D, e, f))
+        slowest = max(slowest, (time.perf_counter() - began, f"{a} / {b}"))
         if v is not (None if (a, b) in INCONCLUSIVE else True):
             off.append((a, b, v))
     print(f"Z2 stacking census: {verdicts.count(True)} True, {verdicts.count(None)} None, "
-          f"{verdicts.count(False)} False ({time.perf_counter() - start:.1f} s)")
+          f"{verdicts.count(False)} False ({time.perf_counter() - start:.1f} s); "
+          f"slowest pair {slowest[1]} ({slowest[0]:.2f} s)")
     if off:
         print(f"verdicts off the pins: {off}")
     return 1 if off else 0

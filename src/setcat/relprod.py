@@ -225,25 +225,38 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     forced rows {(a, b): {c: N_ab^c}}.
 
     Depth-first search on an explicit stack, one commutativity class of live
-    unknowns (all three margins nonzero; the rest are 0) per level in sorted
-    order, the N_xy^1 that fix the dual involution of the children first.  A
-    value spreads over N_ab^c = N_(a*)c^b = N_(b*)(a*)^(c*).  Each margin, and
-    each row whose open entries share one dim, is a group of fixed sum.
+    unknowns (all three margins nonzero; the rest are 0) per level.  A block
+    is a self-dual split orbit or a pair of mutually dual ones, and blocks
+    rank by their sorted orbit indices.  Block b's segment of levels holds
+    its dual levels, the N_xy^1 that fix its children's dual involution, then
+    every other class whose row (its inputs and open outputs) touches block
+    b last, each part in sorted order; the segments follow block rank.  A
+    value spreads over N_ab^c = N_(a*)c^b = N_(b*)(a*)^(c*).  Each margin,
+    and each row whose open entries share one dim, is a group of fixed sum.
     Checked once decided, on rows kept in place: the group sums, the other
     rows' dimension equation, associativity and the rule S(i*, j) =
     conj S(i, j) (`linear_rules`) once the rows they read are complete.
-    Symmetry breaking: the dual involution is drawn from its
-    classes under relabelling, each as its least member in search order and
-    the value order 1 < 0 (`_dual_classes`), so any relabelling g that moves
-    it gives V < V o g.  The lex-leader condition V <= V o g (Crawford et
-    al., KR 1996) is then checked only for the relabellings that fix it, its
-    centralizer (Puget, CP 2003), in the value order 1 < 2 < ... < 0 on the
-    positions past the dual levels that g moves, from the first not known to
-    agree (Frisch et al., CP 2002), each comparison waiting for the level of
-    the later position it reads: one survivor per class, its least member in
-    search order, outlives the search.  Each survivor is relabelled to its
-    least member in live order before the check, so the category checked is
-    the one returned."""
+    Symmetry breaking: each block's involution is drawn from its classes
+    under relabelling, each as its least member in search order and the
+    value order 1 < 0 (`_dual_classes`).  The lex-leader condition
+    V <= V o g (Crawford et al., KR 1996) is checked only for the
+    relabellings that fix the drawn involutions, their centralizer (Puget,
+    CP 2003): when block b's involution is drawn, for each g that fixes the
+    involutions so far, moves block b and fixes every later block.  Each
+    comparison runs in the value order 1 < 2 < ... < 0 over the positions g
+    moves, which leaves out the dual levels it fixes, from the first not
+    known to agree (Frisch et al., CP 2002), waiting for the level of the
+    later position it reads.  One survivor per class outlives the search,
+    its least member in search order.  Take any g whose first component
+    outside the centralizer is at block j, and g'' the centralizer element
+    that is g cut to the blocks below j: a segment before block j's touches
+    only those blocks, so V o g agrees there with V o g'', and V <= V o g''.
+    If V and V o g'' differ there, the first difference gives V < V o g.
+    Otherwise V o g agrees with V up to block j's dual levels, where it
+    draws another member of the class of the involution drawn there, which
+    is that class's least member: V < V o g again.  Each survivor is
+    relabelled to its least member in live order before the check, so the
+    category checked is the one returned."""
     split = [ch for ch in (list(g) for _, g in groupby(labels, rep_of.get)) if len(ch) > 1]
     if (n_maps := prod(map(factorial, map(len, split)))) > _MAX_RELABELLINGS:
         raise LimitExceeded(f"splitting enumeration: relabelling the split children gives "
@@ -328,32 +341,45 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     left = list(map(Counter(g for gs in grp for g in gs).__getitem__, range(len(rem))))
     row_left = list(map(Counter(row_of).__getitem__, range(len(rows))))
     classes = sorted({tuple(sorted({at[t], at.get((t[1], t[0], t[2]), at[t])}))
-                      for t in live if unit not in t[:2]},
-                     key=lambda cl: (live[cl[0]][2] != unit, cl))
-    n_dual, nv = sum(live[cl[0]][2] == unit for cl in classes), len(classes)
+                      for t in live if unit not in t[:2]})
+    at_split, dual_levels = {x: i for i, ch in enumerate(split) for x in ch}, defaultdict(list)
+    for cl in classes:  # (i, j) -> the dual levels pairing split[i] with split[j]
+        if live[cl[0]][2] == unit:
+            dual_levels[tuple(sorted(at_split[x] for x in live[cl[0]][:2]))].append(cl)
+    keys = sorted(dual_levels)  # the blocks, ranked
+    block_of = dict.fromkeys(labels, 0)
+    block_of.update((x, b) for b, key in enumerate(keys) for i in key for x in split[i])
+    segments = [list(dual_levels[key]) for key in keys]  # block b's dual levels, then each class
+    for cl in classes:  # whose row (its inputs and open outputs) touches block b last
+        x, y, c = live[cl[0]]
+        if c != unit:
+            touched = chain((x, y), (live[p][2] for p in rows[x, y]))
+            segments[max(map(block_of.__getitem__, touched))].append(cl)
+    classes = sum(segments, [])
+    nv = len(classes)
     level = {p: v for v, cl in enumerate(classes) for p in cl}
     start = list(accumulate(map(len, classes), initial=0))  # level -> its first index in order
     order = [p for cl in classes for p in cl]  # search order; the unit rows are invariant
     maps = [m for m in (dict(zip(sum(split, []), sum(pm, ())))
                         for pm in product(*map(permutations, split))) if m != dict(zip(m, m))]
-    blocks, at_split = {}, {x: i for i, ch in enumerate(split) for x in ch}
-    for cl in classes[:n_dual]:  # (i, j) -> the dual levels pairing split[i] with split[j]
-        blocks.setdefault(tuple(sorted(at_split[x] for x in live[cl[0]][:2])), []).append(cl[0])
-    blocks = [(ps, [(tuple(int(sigma[live[p][0]] == live[p][1]) for p in ps), gs)
-                    for sigma, gs in _dual_classes(split, *key)])
-              for key, ps in blocks.items()]  # per class its least member's values on them
+    blocks = []  # per block its dual levels, and per class its least member's values there
+    for key in keys:
+        ps = [cl[0] for cl in dual_levels[key]]
+        blocks.append((ps, [(tuple(int(sigma[live[p][0]] == live[p][1]) for p in ps), gs)
+                            for sigma, gs in _dual_classes(split, *key)]))
     block_at = {p: (ps, cls, j) for ps, cls in blocks for j, p in enumerate(ps)}
+    ends = {level[ps[-1]]: b for b, (ps, _) in enumerate(blocks)}  # the level ending block b
 
     def agreeing(ps, cls, j):  # the block's classes whose least member is V on ps[:j]
         return [c for c in cls if all(V[p] == x for p, x in zip(ps[:j], c[0]))]
 
     bit = {x: 1 << i for i, x in enumerate(sum(split, []))}
-    mask = [bit.get(a, 0) | bit.get(b, 0) | bit.get(c, 0)
-            for a, b, c in map(live.__getitem__, order[start[n_dual]:])]
+    mask = [0 if c == unit else bit.get(a, 0) | bit.get(b, 0) | bit.get(c, 0)
+            for a, b, c in map(live.__getitem__, order)]  # the centralizer fixes N_ab^1
     moving = [sum(bit[a] for a, b in m.items() if a != b) for m in maps]  # the labels g moves
-    # key -> the indices s past the dual levels of the order[s] it moves, then a stop
-    scans = {key: chain(compress(count(start[n_dual]), map(key.__and__, mask)),
-                        repeat(len(order) + 1)) for key in moving}
+    # key -> the indices s of the order[s] it moves, then a stop
+    scans = {key: chain(compress(count(), map(key.__and__, mask)), repeat(len(order) + 1))
+             for key in moving}
     moved = {key: array("i", [next(scan)]) for key, scan in scans.items()}  # found so far
     images = [[] for _ in maps]  # i -> order[s] relabelled by maps[g], s the i-th of those
     dual, trail = {a: b for (a, b), r in forced.items() if unit in r}, []
@@ -434,13 +460,17 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
                 return False
         return True
 
+    body = [p for p, t in enumerate(live) if unit not in t[:2]]  # the unit rows are invariant
+
     def least(W):  # the least W o g in live order
         best = W
         for g in range(len(maps)):
-            x, y = next(((x, y) for x, y in zip(best, (W[image(g, p)] for p in range(n)))
-                         if x != y), (0, 0))
+            x, y = next(((x, y) for x, y in zip(map(best.__getitem__, body),
+                                                (W[image(g, p)] for p in body)) if x != y), (0, 0))
             if (y == 0, y) < (x == 0, x):
-                best = [W[image(g, p)] for p in range(n)]
+                best = W[:]
+                for p in body:
+                    best[p] = W[image(g, p)]
         return best
 
     def category(W):  # the forced rows and W's nonzero entries, rows and outputs sorted
@@ -465,8 +495,8 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
             move(p, V[p], -1)
         while log:
             agenda[log.pop()].pop()
-        if vals is None and v < n_dual:  # the values its block's least involutions take
-            ps, cls, j = block_at[classes[v][0]]
+        if vals is None and classes[v][0] in block_at:  # the values its block's least
+            ps, cls, j = block_at[classes[v][0]]  # involutions take
             frame[1] = vals = sorted({c[0][j] for c in agreeing(ps, cls, j)})
         elif vals is None:
             frame[1] = vals = list(range(min(rem[g] for p in classes[v] for g in grp[p]) + 1))
@@ -477,17 +507,22 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         if nodes > _SEARCH_NODE_BUDGET:
             raise LimitExceeded(f"splitting enumeration exhausted its search budget of "
                                 f"{_SEARCH_NODE_BUDGET:,} nodes over {nv} unknown variables")
-        if not spread(classes[v], vals.pop(), v >= n_dual):
+        if not spread(classes[v], vals.pop(), classes[v][0] not in block_at):
             continue
         nxt = next((w for w in range(v + 1, nv) if V[classes[w][0]] is None), nv)
         if not all(lex(agenda[w], log, nxt) for w in range(v, nxt)):
             continue
-        if v < n_dual <= nxt:  # the dual involution is decided: compare with its centralizer
-            dual.update(live[p][:2] for cl in classes[:n_dual] for p in cl if V[p])
+        if v in ends:  # block b's involution is decided: compare with each g that fixes the
+            b = ends[v]  # involutions so far, moves block b and fixes every later block
+            dual.update(live[p][:2] for p in chain(*dual_levels[keys[b]]) if V[p])
             gs = [0]
-            for ps, cls in blocks:
+            for ps, cls in blocks[:b]:
                 gs = [g + h for g in gs for h in agreeing(ps, cls, len(ps))[0][1]]
-            lex([(g - 1, 0) for g in gs if g], log, nxt)  # only schedules: order[n_dual:] unset
+            ps, cls = blocks[b]
+            # only schedules: order[:start[nxt]] holds no label of block b past its dual
+            # levels, so there g reads what g cut below block b reads, whose comparison is open
+            lex([(g + h - 1, 0) for g in gs for h in agreeing(ps, cls, len(ps))[0][1] if h],
+                log, nxt)
         if nxt < nv:
             stack.append([nxt, None, [], len(trail)])
         elif len(survivors) < _MAX_SURVIVORS:
