@@ -2,7 +2,8 @@
 # Smoke run of the installed `setcat` console script. Run it from an empty
 # directory: it exports the fixtures there and writes its products beside them.
 # It exports fixtures, writes Rep(Z4) (JSON report) and D(Z2 x Z4) (text
-# report) to a directory, decides nondegeneracy both ways, prints two Mueger
+# report) to a directory, decides nondegeneracy both ways and on the rank-81
+# (ising x ising_rev)^2, verifies the nondegeneracy of a stacking, prints two Mueger
 # centers and the centralizer of an embedding's image, conserves the global
 # dim of a condensation by transparent bosons, finds an equivalence, splits a
 # fixed point, splits (ising x ising_rev)^2 by Z2xZ2 (a 4-child orbit
@@ -41,6 +42,7 @@ setcat product fixtures/ising.json fixtures/ising_rev.json --out ii.json
 setcat condense ii.json --bosons "(1,1),(psi,psi)" | tee condense.txt
 grep -q "splits into 2" condense.txt
 setcat product ii.json ii.json --out iiii.json
+setcat info iiii.json | grep -x "nondegenerate: True"
 setcat condense iiii.json --bosons "((1,1),(1,1)),((psi,psi),(1,1)),((1,1),(psi,psi)),((psi,psi),(psi,psi))" | grep -q "splits into 4"
 setcat product ii.json fixtures/double_3.json --out ii3.json
 test "$(setcat condense ii3.json --bosons "((1,1),(0,0)),((psi,psi),(0,0))" | grep -c "splits into 2")" -eq 9
@@ -55,6 +57,9 @@ refused "argument --bosons: may be given only once" \
 setcat verify unit-law fixtures/double_4.json --emb fixtures/double_4.emb_canonical.json
 setcat verify stacking fixtures/double_4.json fixtures/rep_z4.json \
     --emb fixtures/double_4.emb_canonical.json --emb fixtures/rep_z4.emb_identity.json \
+    | grep -x "verdict: True"
+setcat verify nondegeneracy fixtures/toric_code.json fixtures/toric_code.json \
+    --emb fixtures/toric_code.emb_e.json --emb fixtures/toric_code.emb_e.json \
     | grep -x "verdict: True"
 setcat relprod fixtures/toric_code.json fixtures/toric_code.json \
     --emb fixtures/toric_code.emb_e.json --emb fixtures/toric_code.emb_e.json > relprod.txt

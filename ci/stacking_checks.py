@@ -5,6 +5,8 @@
   with a Z2 of bosons; 33 hold and 3 are inconclusive (None).  The slowest
   pair is printed with its time: the degenerate (ii x fib, ii x fib), whose
   left side's split search depends most on the search order.
+- The S decision of every candidate that the census's split searches check
+  matches the same decision in Cyclo arithmetic (tests/dense_reference.py).
 
 Run from the repository root:
 
@@ -20,9 +22,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from setcat import relprod  # noqa: E402
 from setcat.catalog import get  # noqa: E402
 from setcat.fusion import pair_label  # noqa: E402
 from setcat.relprod import verify_stacking_identity  # noqa: E402
+from tests.dense_reference import cyclo_s_invertibility  # noqa: E402
 from tests.test_relprod import su2_level, z2_embedding  # noqa: E402
 
 # the census pairs whose verdict is None: the left side's own S cannot tell its
@@ -54,16 +58,23 @@ def main() -> int:
         off.append(("su2_16", "su2_16", verdict))
     print(f"SU(2)_16 x_Z2 SU(2)_16: {verdict} ({time.perf_counter() - start:.1f} s)")
 
-    start, verdicts, slowest = time.perf_counter(), [], (0.0, "")
+    start, verdicts, slowest, checked = time.perf_counter(), [], (0.0, ""), []
+    check = relprod._candidate_ok
+    relprod._candidate_ok = lambda cand: checked.append(cand) or check(cand)
     for (a, C, e), (b, D, f) in combinations_with_replacement(census_inputs(), 2):
         began = time.perf_counter()
         verdicts.append(v := verify_stacking_identity(C, D, e, f))
         slowest = max(slowest, (time.perf_counter() - began, f"{a} / {b}"))
         if v is not (None if (a, b) in INCONCLUSIVE else True):
             off.append((a, b, v))
+    relprod._candidate_ok = check
     print(f"Z2 stacking census: {verdicts.count(True)} True, {verdicts.count(None)} None, "
           f"{verdicts.count(False)} False ({time.perf_counter() - start:.1f} s); "
           f"slowest pair {slowest[1]} ({slowest[0]:.2f} s)")
+    mismatched = [c.name for c in checked if c._s_invertibility != cyclo_s_invertibility(c)]
+    print(f"S decisions of the census's {len(checked)} checked candidates match the Cyclo "
+          f"reference: {not mismatched}")
+    off += [("S decision", name, "differs from the Cyclo reference") for name in mismatched]
     if off:
         print(f"verdicts off the pins: {off}")
     return 1 if off else 0

@@ -4,9 +4,10 @@ calculus (transparency, Mueger center, nondegeneracy)."""
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 from .cyclo import MAX_CONDUCTOR, Cyclo, cyclotomic_polynomial, root_of_unity, turn_mod1
@@ -39,7 +40,6 @@ class Premodular:
         self._turn = {x: r.numerator * (self._den // r.denominator)
                       for x, r in self.twists.items()}
         self._s: dict[tuple[str, str], Cyclo] = {}
-        self._inverse = cache(Cyclo.inverse)  # of dims, by value
         self._nondeg: bool | None = None
 
     # -- conveniences --------------------------------------------------------
@@ -133,37 +133,77 @@ class Premodular:
         return self._nondeg
 
     @cached_property
+    def _s_table(self) -> tuple[int, dict[str, int], dict[str, dict[str, int]]]:
+        """(M, x -> den d_x, x -> l -> den S_xl), read at z = 2^w and reduced mod
+        M = Phi_n(2^w), n and z^turn[x] = theta_x as in `_s_turns` and den and
+        big as in `_scale`: by the balancing formula den S_xl = (sum_k
+        N_(x*)l^k den theta_k d_k) z^-(turn[x] + turn[l]).  S_lx = S_xl on
+        validated data, so each pair is summed once.
+
+        The tests of `_s_invertibility` are differences of integer polynomials
+        in z; zero mod M means zero in Q(zeta_n) when the coefficient sum of
+        the difference is below 2^w - 1, by the norm argument of
+        `linear_rules`.  A den S entry sums to at most A = R big (R the largest
+        row sum of the ring), so a row of S conj(S)^T's difference sums to at
+        most rank (A^2 + big^2), which w keeps below 2^w - 1; the character
+        rule's, A^2 + big R A = 2 A^2, and a distinctness test's, 2 A big,
+        are no larger."""
+        labels, fuse, dual, dims = self.labels, self.ring.fuse, self.dual, self.dims
+        n, turn = _s_turns(dims, self.twists)
+        big = _scale(dims)[1]
+        A = big * max(sum(row.values()) for _, row in self.ring.rows())
+        w = (len(labels) * (A * A + big * big)).bit_length() + 1
+        mod, pack = _field(dims, w, n, turn)
+        theta_d, S = pack(1), {x: {} for x in labels}
+        for a, x in enumerate(labels):
+            for l in labels[a:]:
+                v = sum(c * theta_d[k] for k, c in fuse(dual(x), l).items())
+                S[x][l] = S[l][x] = (v << w * (-(turn[x] + turn[l]) % n)) % mod
+        return mod, {x: (theta_d[x] << w * (-turn[x] % n)) % mod for x in labels}, S
+
+    @cached_property
     def _s_invertibility(self) -> tuple[bool, bool]:
         """(Verlinde holds, S is invertible), on validated data, from the
-        columns chi_l = S_.l / d_l (EGNO, Tensor Categories, ch. 8).
-        Validation gives chi_l(1) = 1; if also chi_l(g x) = chi_l(g) chi_l(x)
-        for g in G (`_generators`) and every x, chi_l is a character, fixed by
-        its values on G, and Verlinde holds.  Then S is invertible iff the
-        characters are pairwise distinct: distinct characters are linearly
-        independent (Dedekind), and two equal columns make S singular.
-        Otherwise the dense test decides."""
-        labels, fuse, S = self.labels, self.ring.fuse, self.s_entry
-        G, chis = _generators(self.ring), [{x: S(x, l) * d for x in labels} for l, d in
-                                           zip(labels, map(self._inverse, self.dims.values()))]
-        if all(chi[g] * chi[x] == sum((chi[k] * n for k, n in fuse(g, x).items()), Cyclo.zero())
-               for chi in chis for g in G for x in labels):
-            return True, len({tuple(chi[g] for g in G) for chi in chis}) == len(labels)
-        return False, self._smatrix_invertible()
-
-    def _smatrix_invertible(self) -> bool:
-        # S * conj(S)^T = (global dim) * Id holds exactly iff nondegenerate
-        d2, labels = self.global_dim(), self.labels
-        conj = {(j, k): self.s_entry(j, k).conjugate() for j in labels for k in labels}
-        return all(sum((self.s_entry(i, k) * conj[(j, k)] for k in labels), Cyclo.zero()) ==
-                   (d2 if i == j else Cyclo.zero()) for i in labels for j in labels)
+        columns chi_l = S_.l / d_l (EGNO, Tensor Categories, ch. 8), each
+        test an integer congruence on `_s_table`.  Validation gives
+        chi_l(1) = 1; if also chi_l(g x) = chi_l(g) chi_l(x) for g in G
+        (`_generators`) and every x, i.e. S_gl S_xl = d_l sum_k N_gx^k S_kl,
+        chi_l is a character, fixed by its values on G, and Verlinde holds.
+        Then S is invertible iff the characters are pairwise distinct:
+        distinct characters are linearly independent (Dedekind), and two
+        equal columns make S singular.  chi_l = chi_m iff S_gl d_m = S_gm d_l
+        for every g, so the columns are compared by dim: within one dim as
+        their values on G, across dims d and d' as the sets of S_gl d' and
+        S_gm d.  Otherwise S conj(S)^T = D^2 Id decides, with conj S_jk =
+        S_(j*)k, the conjugate-dual rule that validation checks."""
+        labels, fuse, dual = self.labels, self.ring.fuse, self.dual
+        mod, d, S = self._s_table
+        G = _generators(self.ring)
+        for l in labels:
+            col = {x: S[x][l] for x in labels}
+            dcol = {k: d[l] * s for k, s in col.items()}
+            if any((col[g] * col[x] - sum(c * dcol[k] for k, c in fuse(g, x).items())) % mod
+                   for g in G for x in labels):
+                dim2 = sum(v * v for v in d.values())  # den^2 D^2
+                return False, not any((sum(S[i][k] * S[dual(j)][k] for k in labels) -
+                                       (dim2 if i == j else 0)) % mod
+                                      for i in labels for j in labels)
+        chis = defaultdict(list)  # d_l -> the chi_l, each as its values S_gl on G
+        for l in labels:
+            chis[d[l]].append(tuple(S[g][l] for g in G))
+        return True, all(len(set(cs)) == len(cs) for cs in chis.values()) and not any(
+            {tuple(s * e % mod for s in c) for c in cs} &
+            {tuple(s * f % mod for s in c) for c in ds}
+            for (f, cs), (e, ds) in combinations(chis.items(), 2))
 
     # -- scalar invariants -----------------------------------------------------
 
     def global_dim(self) -> Cyclo:
-        return sum((d * d for d in self.dims.values()), Cyclo.zero())
+        return sum((d * d * m for d, m in Counter(self.dims.values()).items()), Cyclo.zero())
 
     def gauss_sum(self) -> Cyclo:
-        return sum((root_of_unity(self.twists[x]) * d * d for x, d in self.dims.items()),
+        return sum((root_of_unity(t) * d * d * m for (t, d), m in
+                    Counter((self.twists[x], d) for x, d in self.dims.items()).items()),
                    Cyclo.zero())
 
     # -- constructions -----------------------------------------------------------
@@ -263,22 +303,11 @@ def linear_rules(dims: dict[str, Cyclo], twists: dict[str, Fraction], bound: int
     |norm(x)| >= M >= (2^w - 1)^phi(n), and no conjugate of x exceeds
     sum_e |c_e| <= big^2 + 2 den rank bound big (big the largest such sum of a
     den d_x), which w keeps below 2^w - 1.  n is the dims' lcm order for
-    dim_rule and also the twists' for s_rule, read at its first call; a
-    conductor of n above MAX_CONDUCTOR is a LimitExceeded, before Phi_n."""
-    den = lcm(*(d.den for d in dims.values()))
-    big = max(sum(map(abs, d.coeffs.values())) * (den // d.den) for d in dims.values())
+    dim_rule and also the twists' for s_rule (`_s_turns`), read at its first
+    call; a conductor of n above MAX_CONDUCTOR is a LimitExceeded, before Phi_n."""
+    den, big = _scale(dims)
     w = (big * big + 2 * den * len(dims) * bound * big).bit_length() + 1
-
-    def field(n, turn):  # M, and s -> x -> the image of den (theta_x d_x)^s, s = +-1
-        if (conductor := n // 2 if n % 4 == 2 else n) > MAX_CONDUCTOR:
-            raise LimitExceeded(f"the dims and twists lie at conductor {conductor:,}, above "
-                                f"the limit MAX_CONDUCTOR = {MAX_CONDUCTOR:,}")
-        terms = {x: [(e * (n // d.order) + turn.get(x, 0), c * (den // d.den))
-                     for e, c in d.coeffs.items()] for x, d in dims.items()}
-        return (sum(c << w * e for e, c in enumerate(cyclotomic_polynomial(n))),
-                lambda s: {x: sum(c << w * (s * e % n) for e, c in ts) for x, ts in terms.items()})
-
-    mod, pack = field(lcm(*(d.order for d in dims.values())), {})
+    mod, pack = _field(dims, w, lcm(*(d.order for d in dims.values())), {})
     dd = pack(1)
 
     def dim_rule(a, b, row):
@@ -286,9 +315,8 @@ def linear_rules(dims: dict[str, Cyclo], twists: dict[str, Fraction], bound: int
 
     @cache
     def s_field():
-        n = lcm(*(r.denominator for r in twists.values()), *(d.order for d in dims.values()))
-        turn = {x: r.numerator * (n // r.denominator) for x, r in twists.items()}  # z^turn
-        s_mod, pack = field(n, turn)
+        n, turn = _s_turns(dims, twists)
+        s_mod, pack = _field(dims, w, n, turn)
         return n, turn, s_mod, pack(1), pack(-1)
 
     def s_rule(i, i2, j, n_ij, n_i2j):
@@ -297,6 +325,33 @@ def linear_rules(dims: dict[str, Cyclo], twists: dict[str, Fraction], bound: int
         return not (sum(v * theta_d[k] for k, v in n_ij.items() if v) -
                     (sum(v * conj_theta_d[k] for k, v in n_i2j.items() if v) << t)) % s_mod
     return dim_rule, s_rule
+
+
+def _scale(dims: dict[str, Cyclo]) -> tuple[int, int]:
+    """den, the lcm of the dims' denominators, and big, the largest sum of the
+    absolute coefficients of a den d_x."""
+    den = lcm(*(d.den for d in dims.values()))
+    return den, max(sum(map(abs, d.coeffs.values())) * (den // d.den) for d in dims.values())
+
+
+def _s_turns(dims: dict[str, Cyclo], twists: dict[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """n, the lcm of the twists' denominators and the dims' orders, and each
+    theta_x as a power z^turn[x] of z = zeta_n."""
+    n = lcm(*(r.denominator for r in twists.values()), *(d.order for d in dims.values()))
+    return n, {x: r.numerator * (n // r.denominator) for x, r in twists.items()}
+
+
+def _field(dims: dict[str, Cyclo], w: int, n: int, turn: dict[str, int]):
+    """M = Phi_n(2^w), and s -> x -> the image at z = 2^w of den (theta_x d_x)^s,
+    s = +-1, theta_x = z^turn[x] (1 where turn has no x), den as in `_scale`."""
+    if (conductor := n // 2 if n % 4 == 2 else n) > MAX_CONDUCTOR:
+        raise LimitExceeded(f"the dims and twists lie at conductor {conductor:,}, above "
+                            f"the limit MAX_CONDUCTOR = {MAX_CONDUCTOR:,}")
+    den = _scale(dims)[0]
+    terms = {x: [(e * (n // d.order) + turn.get(x, 0), c * (den // d.den))
+                 for e, c in d.coeffs.items()] for x, d in dims.items()}
+    return (sum(c << w * e for e, c in enumerate(cyclotomic_polynomial(n))),
+            lambda s: {x: sum(c << w * (s * e % n) for e, c in ts) for x, ts in terms.items()})
 
 
 def _generators(ring: FusionRing) -> list[str]:

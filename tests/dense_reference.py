@@ -4,20 +4,23 @@ engine, the label-keyed `FusionRing.validate` and the triple-wise
 representative rows, the validation became sparse and integer-indexed and
 the product was built row by row; the numpy Frobenius-Perron dims and the
 rank^3 S-invertibility test, as they were before `FusionRing.fp_dims` ran in
-plain Python and `_smatrix_invertible` conjugated each entry once; and the
+plain Python and the S decision conjugated each entry once; and the
 (i, j, k) -> N_ij^k triple view that `FusionRing.N` used to give; and
 `Premodular.validate` with its dimension equations and conjugate-dual rule
 as `Cyclo` loops, the latter through `s_entry`, as it was before
 `premodular.linear_rules` evaluated both on integers; and `centralizes` and
-`monodromy` by S-entries, as they were before they read the twists.  The
-differential tests assert that the engine matches them.  They are not a
-second path of the package; nothing in `src/` imports them."""
+`monodromy` by S-entries, as they were before they read the twists; and
+`Premodular._s_invertibility` in `Cyclo` arithmetic through `s_entry`, as
+it was before it read the packed S table.  The differential tests assert
+that the engine matches them.  They are not a second path of the package;
+nothing in `src/` imports them."""
 
 import numpy as np
 
 from setcat.cyclo import Cyclo
 from setcat.errors import InputError, InternalFault
 from setcat.fusion import FusionRing, closure_error, pair_label
+from setcat.premodular import _generators
 from setcat.relprod import _act
 
 _FP_TOL = 1e-12
@@ -87,6 +90,20 @@ def dense_smatrix_invertible(P) -> bool:
                 return False
     return True
 
+
+
+def cyclo_s_invertibility(P) -> tuple[bool, bool]:
+    """`Premodular._s_invertibility` on `Cyclo` values: the columns chi_l =
+    S_.l / d_l through `s_entry` and the dims' inverses, multiplicative on
+    the generators iff Verlinde holds, then pairwise distinct on them; else
+    the dense test."""
+    labels, fuse, S = P.labels, P.ring.fuse, P.s_entry
+    G = _generators(P.ring)
+    chis = [{x: S(x, l) * P.dim(l).inverse() for x in labels} for l in labels]
+    if all(chi[g] * chi[x] == sum((chi[k] * n for k, n in fuse(g, x).items()), Cyclo.zero())
+           for chi in chis for g in G for x in labels):
+        return True, len({tuple(chi[g] for g in G) for chi in chis}) == len(labels)
+    return False, dense_smatrix_invertible(P)
 
 def dense_orbit_fusion(P, rep, of_orbit):
     """Walk every row between deconfined labels for the closure error, then
@@ -246,4 +263,4 @@ def s_centralizes(P, i, j) -> bool:
 
 def s_monodromy(P, e, x) -> Cyclo:
     """`Premodular.monodromy` as S_ex / d_x."""
-    return P.s_entry(e, x) * P._inverse(P.dim(x))
+    return P.s_entry(e, x) * P.dim(x).inverse()

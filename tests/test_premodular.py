@@ -17,8 +17,8 @@ from setcat.premodular import Premodular
 from setcat.randomized import random_conserving_pair
 from setcat.relprod import condense_by_invertible_bosons, relative_centralizer
 
-from .dense_reference import (cyclo_validate, dense_smatrix_invertible, s_centralizes,
-                              s_monodromy)
+from .dense_reference import (cyclo_s_invertibility, cyclo_validate, dense_smatrix_invertible,
+                              s_centralizes, s_monodromy)
 from .test_acceptance import ORACLE_COUNT, ORACLE_SEED, STACKING_SET, UNIT_LAW_INSTANCES
 from .test_cyclo import rank_two
 from .test_invariants import FUZZ_SEED, _random_pointed, su2_level, tables_that_are_not_quadratic
@@ -425,12 +425,13 @@ DENSE_RANK = 17  # every SU(2)_k here; the dense r^3 test takes a second at rank
 
 
 def s_decision(P):
-    """P's (Verlinde holds, S invertible), compared with the dense test and
-    its rank^3 reference up to rank DENSE_RANK and, via is_nondegenerate, with
-    the Mueger center."""
-    verlinde, invertible = P._s_invertibility
+    """P's (Verlinde holds, S invertible), compared with the same decision in
+    Cyclo arithmetic, with the dense rank^3 test up to rank DENSE_RANK and,
+    via is_nondegenerate, with the Mueger center."""
+    verlinde, invertible = decided = P._s_invertibility
+    assert decided == cyclo_s_invertibility(P), P.name
     if P.ring.rank() <= DENSE_RANK:
-        assert invertible == P._smatrix_invertible() == dense_smatrix_invertible(P), P.name
+        assert invertible == dense_smatrix_invertible(P), P.name
     assert P.is_nondegenerate() == (P.muger_center() == [P.unit]) == invertible, P.name
     return verlinde, invertible
 
@@ -459,3 +460,13 @@ def test_s_decision_matches_dense_on_split_results_and_permuted_rows():
         assert s_decision(condensed(P, bosons)) == (True, True)
     for P, image, automorphism in permuted_cases():  # a broken Verlinde reaches the dense test
         assert s_decision(permuted_rows(P, dict(zip(P.labels, image)))) == (automorphism, True)
+
+
+def test_s_decision_compares_characters_across_dims():
+    # with trivial twists the Fibonacci ring's S is d_i d_j: the columns of 1 and tau,
+    # of dims 1 and phi, are one character, which only the comparison across dims
+    # finds; times ising, each dim's own columns are distinct characters
+    fib, ising = get("fibonacci").category, get("ising").category
+    flat = Premodular(fib.ring, fib.dims, {x: Fraction(0) for x in fib.labels}, name="flat fib")
+    assert flat.validate() == []
+    assert s_decision(flat) == s_decision(flat.deligne(ising)) == (True, False)

@@ -36,7 +36,7 @@ from setcat.pointed import MetricGroup, element_label
 from setcat.premodular import Premodular
 
 from . import split_reference
-from .dense_reference import dense_smatrix_invertible, triples
+from .dense_reference import cyclo_s_invertibility, dense_smatrix_invertible, triples
 from .test_invariants import su2_level
 
 Z2 = [pair_label("1", "1"), pair_label("psi", "psi")]
@@ -344,12 +344,15 @@ def test_distinct_classes_raise_the_reference_flags(monkeypatch):
 
 
 def permuted_rows(P, sigma):
-    """P's data with the S-matrix rows permuted: S'_ij = S_sigma(i),j.  For a
-    sigma that fixes the unit and commutes with duality, S' is orthogonal,
-    has conjugate dual rows and a trivial Mueger center, so the candidate
-    passes every check before Verlinde; Verlinde holds iff sigma preserves
-    fusion."""
+    """P's data with the S-matrix rows permuted: S'_ij = S_sigma(i),j, in the
+    packed table that the S decision reads and in the S-entries that its
+    Cyclo reference reads.  For a sigma that fixes the unit and commutes
+    with duality, S' is orthogonal, has conjugate dual rows and a trivial
+    Mueger center, so the candidate passes every check before Verlinde;
+    Verlinde holds iff sigma preserves fusion."""
     Q = Premodular(P.ring, P.dims, P.twists, name=P.name)
+    mod, dims, S = P._s_table
+    Q._s_table = mod, dims, {i: S[sigma[i]] for i in P.labels}
     Q._s = {(i, j): P.s_entry(sigma[i], j) for i in P.labels for j in P.labels}
     return Q
 
@@ -512,6 +515,7 @@ def test_candidate_verdicts_match_the_check_they_replace(monkeypatch):
 
     def counted(cand):  # uncached: _candidate_ok reads it once per candidate
         decided.append(decision(cand))
+        assert decided[-1] == cyclo_s_invertibility(cand), cand.name
         return decided[-1]
 
     monkeypatch.setattr(Premodular, "_s_invertibility", property(counted))
@@ -574,18 +578,20 @@ def test_every_searched_candidate_passes_validation(monkeypatch):
     # the search enforces the ring axioms, the dimension equations and the
     # conjugate-dual rule of S, and dims and twists come from the valid parent:
     # every candidate passes Premodular.validate (before the search enforced
-    # the rule, 63 were checked and 24 of them failed it)
+    # the rule, 63 were checked and 24 of them failed it); the S decision of each
+    # matches its Cyclo reference
     seen = searched_candidates(monkeypatch)
     assert all(c.validate() == [] for c in seen)
+    assert all(c._s_invertibility == cyclo_s_invertibility(c) for c in seen)
     verdicts = [relprod._candidate_ok(c) for c in seen]
     assert (len(seen), verdicts.count(True)) == (39, 39)
 
 
 def test_split_results_are_the_checked_candidates(monkeypatch):
     # every candidate the search hands to its check is already its least relabelling,
-    # and the result is the very candidate that passed: its S-entries equal fresh ones,
-    # and is_nondegenerate computes no S-entry and no S decision beyond those the
-    # candidate check made
+    # and the result is the very candidate that passed: its packed S table equals a
+    # fresh one, the check and is_nondegenerate compute no S-entry, and
+    # is_nondegenerate makes no S decision beyond those the candidate check made
     decisions, generators, results = [], premodular._generators, []
     monkeypatch.setattr(premodular, "_generators",
                         lambda ring: decisions.append(ring) or generators(ring))
@@ -598,12 +604,11 @@ def test_split_results_are_the_checked_candidates(monkeypatch):
         assert any(c is result for c in seen), P.name
         for c in seen:
             assert_least_relabelling(replace(res, result=c))
-        computed = dict(result._s)
+        table = result._s_table
         assert result.is_nondegenerate() is True
-        assert result._s == computed and len(computed) == result.ring.rank() ** 2
+        assert result._s == {} and result._s_table is table
         assert made == len(decisions) == sum("_s_invertibility" in vars(c) for c in seen)
-        fresh = Premodular(result.ring, result.dims, result.twists)
-        assert computed == {(i, j): fresh.s_entry(i, j) for i, j in computed}, P.name
+        assert table == Premodular(result.ring, result.dims, result.twists)._s_table, P.name
 
 
 def balanced_rule(dims, twists, i, i2, j, n_ij, n_i2j) -> bool:
@@ -616,9 +621,9 @@ def balanced_rule(dims, twists, i, i2, j, n_ij, n_i2j) -> bool:
 
 
 def test_split_search_makes_no_cyclo_operation(monkeypatch):
-    # its value checks run on packed integers (`premodular.linear_rules`); only the S
-    # decision on each complete candidate (`_candidate_ok`) computes in Q(zeta_n)
-    searching, search, check = [False], relprod._resolve_split_fusion, relprod._candidate_ok
+    # its value checks, the S decision on each complete candidate (`_candidate_ok`)
+    # included, run on packed integers (`premodular.linear_rules`, `_s_table`)
+    searching, search = [False], relprod._resolve_split_fusion
 
     def guarded(name, op):
         def run(*args):
@@ -626,19 +631,16 @@ def test_split_search_makes_no_cyclo_operation(monkeypatch):
             return op(*args)
         return run
 
-    def flagged(inside, run):
-        def call(*args):
-            was, searching[0] = searching[0], inside
-            try:
-                return run(*args)
-            finally:
-                searching[0] = was
-        return call
+    def flagged(*args):
+        searching[0] = True
+        try:
+            return search(*args)
+        finally:
+            searching[0] = False
 
     for name in ("__add__", "__mul__", "inverse", "galois"):
         monkeypatch.setattr(Cyclo, name, guarded(name, getattr(Cyclo, name)))
-    monkeypatch.setattr(relprod, "_resolve_split_fusion", flagged(True, search))
-    monkeypatch.setattr(relprod, "_candidate_ok", flagged(False, check))
+    monkeypatch.setattr(relprod, "_resolve_split_fusion", flagged)
     for P, bosons in benchmark_split_inputs():
         relprod.condense_by_invertible_bosons(P, bosons)
 
