@@ -132,13 +132,13 @@ class Premodular:
             self._nondeg = claim
         return self._nondeg
 
-    @cached_property
     def _s_table(self) -> tuple[int, dict[str, int], dict[str, dict[str, int]]]:
         """(M, x -> den d_x, x -> l -> den S_xl), read at z = 2^w and reduced mod
         M = Phi_n(2^w), n and z^turn[x] = theta_x as in `_s_turns` and den and
         big as in `_scale`: by the balancing formula den S_xl = (sum_k
         N_(x*)l^k den theta_k d_k) z^-(turn[x] + turn[l]).  S_lx = S_xl on
-        validated data, so each pair is summed once.
+        validated data, so each pair is summed once.  Only the cached
+        `_s_invertibility` reads it, so it is not kept.
 
         The tests of `_s_invertibility` are differences of integer polynomials
         in z; zero mod M means zero in Q(zeta_n) when the coefficient sum of
@@ -177,7 +177,7 @@ class Premodular:
         S_gm d.  Otherwise S conj(S)^T = D^2 Id decides, with conj S_jk =
         S_(j*)k, the conjugate-dual rule that validation checks."""
         labels, fuse, dual = self.labels, self.ring.fuse, self.dual
-        mod, d, S = self._s_table
+        mod, d, S = self._s_table()
         G = _generators(self.ring)
         for l in labels:
             col = {x: S[x][l] for x in labels}

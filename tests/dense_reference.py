@@ -15,6 +15,8 @@ it was before it read the packed S table.  The differential tests assert
 that the engine matches them.  They are not a second path of the package;
 nothing in `src/` imports them."""
 
+from functools import cache
+
 import numpy as np
 
 from setcat.cyclo import Cyclo
@@ -25,6 +27,7 @@ from setcat.relprod import _act
 
 _FP_TOL = 1e-12
 _FP_MAX_ITER = 20000
+_inverse = cache(Cyclo.inverse)  # of dims, by value
 
 
 def triples(ring) -> dict:
@@ -76,7 +79,8 @@ def dense_fp_dims(ring) -> list[float]:
 
 
 def dense_smatrix_invertible(P) -> bool:
-    """`Premodular._smatrix_invertible` with a conjugation per product."""
+    """S conj(S)^T = D^2 Id, the S decision's dense test, with a conjugation
+    per product."""
     self = P
     # S * conj(S)^T = (global dim) * Id holds exactly iff nondegenerate
     d2 = self.global_dim()
@@ -91,7 +95,6 @@ def dense_smatrix_invertible(P) -> bool:
     return True
 
 
-
 def cyclo_s_invertibility(P) -> tuple[bool, bool]:
     """`Premodular._s_invertibility` on `Cyclo` values: the columns chi_l =
     S_.l / d_l through `s_entry` and the dims' inverses, multiplicative on
@@ -99,11 +102,13 @@ def cyclo_s_invertibility(P) -> tuple[bool, bool]:
     the dense test."""
     labels, fuse, S = P.labels, P.ring.fuse, P.s_entry
     G = _generators(P.ring)
-    chis = [{x: S(x, l) * P.dim(l).inverse() for x in labels} for l in labels]
+    chis = [{x: S(x, l) * d for x in labels}
+            for l, d in zip(labels, map(_inverse, P.dims.values()))]
     if all(chi[g] * chi[x] == sum((chi[k] * n for k, n in fuse(g, x).items()), Cyclo.zero())
            for chi in chis for g in G for x in labels):
         return True, len({tuple(chi[g] for g in G) for chi in chis}) == len(labels)
     return False, dense_smatrix_invertible(P)
+
 
 def dense_orbit_fusion(P, rep, of_orbit):
     """Walk every row between deconfined labels for the closure error, then
@@ -263,4 +268,4 @@ def s_centralizes(P, i, j) -> bool:
 
 def s_monodromy(P, e, x) -> Cyclo:
     """`Premodular.monodromy` as S_ex / d_x."""
-    return P.s_entry(e, x) * P.dim(x).inverse()
+    return P.s_entry(e, x) * _inverse(P.dim(x))
