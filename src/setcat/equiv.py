@@ -1,15 +1,23 @@
-"""Modular-data equivalence: backtracking over label bijections, pruned by
-per-label fingerprints of integer data (no S-matrix entry is read), optionally
-constrained to respect a symmetry embedding on both sides, plus an independent
-verifier for found bijections."""
+"""Modular-data equivalence: backtracking over label bijections, optionally
+constrained to respect a symmetry embedding on both sides, plus an
+independent verifier for found bijections.  Neither reads an S-matrix
+entry: S follows from fusion, duals, dims and twists (`Premodular.s_entry`)."""
 
 from __future__ import annotations
 
 from .embedding import SymmetryEmbedding, same_symmetry
 from .errors import InputError
-from .premodular import Premodular
+from .premodular import Premodular, _generators
 
 Fingerprint = tuple
+
+
+def _pool_keys(P: Premodular) -> dict[str, tuple]:
+    """The search's pool key per label, read in O(1): exact dim, twist turn
+    and its denominator, self-fusion counts."""
+    turn, den = P.turns()
+    return {x: (P.dims[x].sort_key(), turn[x], den, tuple(sorted(P.ring.fuse(x, x).values())))
+            for x in P.labels}
 
 
 def label_fingerprints(P: Premodular) -> dict[str, Fingerprint]:
@@ -23,21 +31,15 @@ def label_fingerprints(P: Premodular) -> dict[str, Fingerprint]:
     for (i, j), row in P.ring.rows():  # row (x*, j) for x = i*
         x = P.dual(i)
         t = turn[x] + turn[j]
-        if len(row) == 1:  # every row of a pointed category; one term is sorted
-            [(k, n)] = row.items()
-            bal[x].append((((turn[k] - t) % den, keys[k], n),))
-        else:
-            bal[x].append(tuple(sorted([((turn[k] - t) % den, keys[k], n)
-                                        for k, n in row.items()])))
-    return {x: (keys[x], turn[x], den, tuple(sorted(bal[x])),
-                tuple(sorted(P.ring.fuse(x, x).values()))) for x in P.labels}
+        bal[x].append(tuple(sorted([((turn[k] - t) % den, keys[k], n) for k, n in row.items()])))
+    return {x: (*key[:3], tuple(sorted(bal[x])), key[3]) for x, key in _pool_keys(P).items()}
 
 
-def _classes(fps: dict[str, Fingerprint]) -> dict[Fingerprint, list[str]]:
-    """The labels grouped by fingerprint, each group in label order."""
-    out: dict[Fingerprint, list[str]] = {}
-    for x, fp in fps.items():
-        out.setdefault(fp, []).append(x)
+def _classes(keys: dict[str, tuple]) -> dict[tuple, list[str]]:
+    """The labels grouped by key, each group in label order."""
+    out: dict[tuple, list[str]] = {}
+    for x, key in keys.items():
+        out.setdefault(key, []).append(x)
     return out
 
 
@@ -52,36 +54,19 @@ def check_bijection(P1: Premodular, P2: Premodular, sigma: dict[str, str],
     """Verify a candidate bijection against every preserved quantity.
 
     Deliberately independent of the search: a straight re-check of unit,
-    duals, dims, twists, all fusion coefficients, and all S-matrix entries.
+    duals, dims, twists and all fusion coefficients, which fix S.
     """
-    labels1, labels2 = P1.labels, P2.labels
-    if sorted(sigma) != sorted(labels1) or sorted(sigma.values()) != sorted(labels2):
+    if sorted(sigma) != sorted(P1.labels) or sorted(sigma.values()) != sorted(P2.labels) \
+            or sigma[P1.unit] != P2.unit or (emb1 is None) != (emb2 is None):
         return False
-    if sigma[P1.unit] != P2.unit:
-        return False
-    if emb1 is not None or emb2 is not None:
-        if emb1 is None or emb2 is None:
-            return False
+    if emb1 is not None:
         same_symmetry(emb1, emb2)
-        for e in emb1.elements():
-            if sigma[emb1.mapping[e]] != emb2.mapping[e]:
-                return False
-    for x in labels1:
-        if sigma[P1.dual(x)] != P2.dual(sigma[x]):
+        if any(sigma[emb1.mapping[e]] != emb2.mapping[e] for e in emb1.elements()):
             return False
-        if P1.dim(x) != P2.dim(sigma[x]):
-            return False
-        if P1.twist(x) != P2.twist(sigma[x]):
-            return False
-    for i in labels1:
-        for j in labels1:
-            if P1.s_entry(i, j) != P2.s_entry(sigma[i], sigma[j]):
-                return False
-            f1 = P1.ring.fuse(i, j)
-            f2 = P2.ring.fuse(sigma[i], sigma[j])
-            if {sigma[k]: n for k, n in f1.items()} != f2:
-                return False
-    return True
+    return all(sigma[P1.dual(x)] == P2.dual(sigma[x]) and P1.dim(x) == P2.dim(sigma[x])
+               and P1.twist(x) == P2.twist(sigma[x]) for x in P1.labels) and all(
+        {sigma[k]: n for k, n in P1.ring.fuse(i, j).items()} == P2.ring.fuse(sigma[i], sigma[j])
+        for i in P1.labels for j in P1.labels)
 
 
 def find_equivalence(P1: Premodular, P2: Premodular,
@@ -89,7 +74,16 @@ def find_equivalence(P1: Premodular, P2: Premodular,
                      emb2: SymmetryEmbedding | None = None) -> dict[str, str] | None:
     """First label bijection (in lexicographic backtracking order) preserving
     the modular data exactly, or None; with embeddings, the bijection is also
-    required to intertwine them pointwise."""
+    required to intertwine them pointwise.
+
+    A label's candidates are the labels of P2 with its `_pool_keys`, in P2's
+    order.  A candidate must respect duals and every entry N_ga^k, g in
+    G = `_generators(P1.ring)`, once g, a and k are assigned; G's monomials
+    span the ring, so on valid data a bijection multiplicative on these rows
+    is a ring isomorphism.  A complete bijection is kept only if it maps
+    every dual and every fusion row of P1 onto P2's, so the search stays
+    exact on data that is no category.  Every bijection that preserves the
+    data passes each check, so the answer is the first such bijection."""
     if (emb1 is None) != (emb2 is None):
         raise InputError("either both or neither embedding must be given")
     if P1.ring.rank() != P2.ring.rank():
@@ -102,11 +96,10 @@ def find_equivalence(P1: Premodular, P2: Premodular,
             if pins.get(a, b) != b:
                 return None
             pins[a] = b
-    # one hash per label: equal ranks and equal class sizes make equal multisets
-    pool_of = _classes(label_fingerprints(P2))
+    pool_of = _classes(_pool_keys(P2))
     pools: dict[str, list[str]] = {}
-    for fp, xs in _classes(label_fingerprints(P1)).items():
-        pool = pool_of.get(fp, [])
+    for key, xs in _classes(_pool_keys(P1)).items():
+        pool = pool_of.get(key, [])
         if len(pool) != len(xs):
             return None
         for x in xs:
@@ -114,57 +107,44 @@ def find_equivalence(P1: Premodular, P2: Premodular,
                 return None
             pools[x] = [pins[x]] if x in pins else pool
 
-    t_in1: dict[str, list[tuple[str, str, int]]] = {x: [] for x in P1.labels}
-    for (i, j), row in P1.ring.rows():  # k -> the entries (i, j, N_ij^k) into k
-        for k, n in row.items():
-            t_in1[k].append((i, j, n))
-    order = list(P1.labels)
+    order, at2 = P1.labels, {u: p for p, u in enumerate(P2.labels)}
+    at = {x: p for p, x in enumerate(order)}
+    due: dict[str, list[tuple[str, str, str, int]]] = {x: [] for x in order}
+    via: dict[str, tuple[str, str]] = {}  # x -> a row (g, a) into x, g and a before x
+    for g in _generators(P1.ring):  # N_ga^k is checked when the last of g, a, k is assigned
+        for a in order:
+            for k, n in P1.ring.fuse(g, a).items():
+                due[last := max(g, a, k, key=at.__getitem__)].append((g, a, k, n))
+                if last == k != g and k != a:
+                    via.setdefault(k, (g, a))
+    dual1, dual2, n2 = P1.ring.dual, P2.ring.dual, P2.ring.n
+    rows1, fuse2 = P1.ring.rows(), P2.ring.fuse
     assign: dict[str, str] = {}
     used: set[str] = set()
 
-    def consistent(x: str, u: str) -> bool:
-        xd = P1.dual(x)
-        if xd == x:
-            if P2.dual(u) != u:
-                return False
-        elif xd in assign and assign[xd] != P2.dual(u):
-            return False
-        for a, va in ((x, u), *assign.items()):  # rows (x, x), (x, a) and (a, x)
-            for (p, q), (vp, vq) in (((x, a), (u, va)), ((a, x), (va, u))):
-                f1 = P1.ring.fuse(p, q)
-                f2 = P2.ring.fuse(vp, vq)
-                if len(f1) != len(f2):
-                    return False
-                for k, n in f1.items():
-                    if k in assign and f2.get(assign[k], 0) != n:
-                        return False
-                    if k == x and f2.get(u, 0) != n:
-                        return False
-        for (a, b, n) in t_in1[x]:
-            va = assign.get(a, u if a == x else None)
-            vb = assign.get(b, u if b == x else None)
-            if va is not None and vb is not None:
-                if P2.ring.n(va, vb, u) != n:
-                    return False
-        return True
+    def complete() -> bool:
+        return all(assign[dual1[x]] == dual2[assign[x]] for x in order) and \
+            len(rows1) == len(P2.ring.rows()) and all(
+                fuse2(assign[i], assign[j]) == {assign[k]: n for k, n in row.items()}
+                for (i, j), row in rows1)
 
     def backtrack(pos: int) -> bool:
         if pos == len(order):
-            return True
+            return complete()
         x = order[pos]
-        for u in pools[x]:
-            if u in used:
-                continue
-            if not consistent(x, u):
+        xd, cands = dual1[x], pools[x]
+        if x in via:  # the outputs of the image of that row, in P2's order
+            cands = sorted(fuse2(*map(assign.get, via[x])).keys() & cands, key=at2.get)
+        for u in cands:
+            if u in used or (dual2[u] == u) != (xd == x) or xd in assign and assign[xd] != dual2[u]:
                 continue
             assign[x] = u
-            used.add(u)
-            if backtrack(pos + 1):
-                return True
+            if all(n2(assign[g], assign[a], assign[k]) == n for g, a, k, n in due[x]):
+                used.add(u)
+                if backtrack(pos + 1):
+                    return True
+                used.remove(u)
             del assign[x]
-            used.remove(u)
         return False
 
-    # on valid data the pools and `consistent` enforce all that check_bijection
-    # verifies, by the argument in CHANGES.md; tests/test_equiv.py asserts it
     return dict(assign) if backtrack(0) else None

@@ -354,15 +354,30 @@ def _field(dims: dict[str, Cyclo], w: int, n: int, turn: dict[str, int]):
             lambda s: {x: sum(c << w * (s * e % n) for e, c in ts) for x, ts in terms.items()})
 
 
+def _span(ring: FusionRing, G: list[str], span=()) -> set[str]:
+    """The labels that G's monomials reach from `span`, the unit and G: a
+    label joins when it is the only output outside of some g y, g in G and
+    y inside; the closure does not depend on the order of joining."""
+    span = list(dict.fromkeys((ring.unit, *span, *G)))
+    inside, open_, done = set(span), [], 0
+    while done < len(span):  # products of the labels that joined last
+        open_ += [ring.fuse(g, y).keys() for y in span[done:] for g in G]
+        done = len(span)
+        open_ = [out for fresh in open_ if (out := fresh - inside)]
+        span += (fresh := {x for out in open_ if len(out) == 1 for x in out})
+        inside |= fresh
+    return inside
+
+
 def _generators(ring: FusionRing) -> list[str]:
-    """A set G of labels whose monomials span the ring over Q: a label joins
-    the span when it is the only output outside it of some g x y with g in G
-    and y in the span; when none joins, the first label outside is added to G."""
+    """An irredundant set G of labels whose monomials span the ring over Q
+    (`_span`): the first label outside the span joins G until the span is
+    the ring, then each g in turn leaves G if the rest still span it."""
     span, G = {ring.unit}, []
     while len(span) < ring.rank():
         G.append(next(x for x in ring.labels if x not in span))
-        span.add(G[-1])
-        while grown := {out.pop() for g, y in product(G, span)
-                        if len(out := ring.fuse(g, y).keys() - span) == 1}:
-            span |= grown
+        span = _span(ring, G, span)
+    for g in list(G):
+        if len(_span(ring, rest := [h for h in G if h != g])) == ring.rank():
+            G = rest
     return G

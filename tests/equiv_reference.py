@@ -6,7 +6,10 @@ entries of a self row (x, x) whose output precedes x are left to Frobenius
 reciprocity, so on data that breaks it this may return a bijection that
 `check_bijection` rejects.
 `tests/test_equiv.py` asserts that the engine's search returns the same
-bijection, or None exactly when this does.  Nothing in `src/` imports it."""
+bijection, or None exactly when this does.  `reference_check_bijection` is
+the verifier as it was while it also compared every S-entry; the tests
+assert that the engine's verifier gives the same verdicts.  Nothing in `src/`
+imports this module."""
 
 from __future__ import annotations
 
@@ -126,3 +129,23 @@ def reference_equivalence(P1: Premodular, P2: Premodular,
         return False
 
     return dict(assign) if backtrack(0) else None
+
+
+def reference_check_bijection(P1: Premodular, P2: Premodular, sigma: dict[str, str]) -> bool:
+    """`check_bijection` without embeddings, as it was while it also compared
+    every S-matrix entry."""
+    if sigma[P1.unit] != P2.unit or sorted(sigma.values()) != sorted(P2.labels):
+        return False
+    for x in P1.labels:
+        if (sigma[P1.dual(x)] != P2.dual(sigma[x]) or P1.dim(x) != P2.dim(sigma[x])
+                or P1.twist(x) != P2.twist(sigma[x])):
+            return False
+    for i in P1.labels:
+        for j in P1.labels:
+            if P1.s_entry(i, j) != P2.s_entry(sigma[i], sigma[j]):
+                return False
+            f1 = P1.ring.fuse(i, j)
+            f2 = P2.ring.fuse(sigma[i], sigma[j])
+            if {sigma[k]: n for k, n in f1.items()} != f2:
+                return False
+    return True

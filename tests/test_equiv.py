@@ -1,8 +1,9 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
+from setcat import equiv
 from setcat.catalog import catalog, get
 from setcat.embedding import SymmetryEmbedding
 from setcat.cyclo import Cyclo
@@ -12,7 +13,7 @@ from setcat.errors import InputError
 from setcat.fusion import FusionRing
 from setcat.premodular import Premodular
 
-from .equiv_reference import reference_equivalence
+from .equiv_reference import reference_check_bijection, reference_equivalence
 
 F = Fraction
 
@@ -89,7 +90,7 @@ def test_search_matches_brute_force_small_pairs():
                 assert check_bijection(e1.category, e2.category, got)
 
 
-def test_search_reads_no_s_entries_and_the_verifier_does(monkeypatch):
+def test_search_and_verifier_read_no_s_entries(monkeypatch):
     entries = list(catalog().values())
     calls = []
     s_entry = Premodular.s_entry
@@ -99,7 +100,28 @@ def test_search_reads_no_s_entries_and_the_verifier_does(monkeypatch):
              for e1 in entries for e2 in entries]
     assert calls == []
     assert all(check_bijection(*case) for case in found if case[2] is not None)
-    assert calls
+    assert calls == []
+
+
+def test_verifier_matches_the_s_reading_verifier():
+    # S is derived from fusion, duals, dims and twists by the balancing
+    # formula, so dropping its entry-by-entry comparison changes no verdict:
+    # every unit-fixing bijection between the small catalog categories, and
+    # into their perturbed copies, which are no categories
+    small = [e.category for e in catalog().values() if e.category.ring.rank() <= 5]
+    perturbed = [Q for P in small if P.ring.rank() >= 3 for Q in (
+        with_twist(P, P.labels[1], (P.twist(P.labels[1]) + F(1, 2)) % 1),
+        with_entries_swapped(P, *P.labels[1:3]))]
+    verdicts = []
+    for P1 in small:
+        for P2 in small + perturbed:
+            if P1.ring.rank() != P2.ring.rank():
+                continue
+            for perm in permutations(P2.labels[1:]):
+                sigma = dict(zip(P1.labels, (P2.unit, *perm)))
+                verdicts.append(check_bijection(P1, P2, sigma))
+                assert verdicts[-1] == reference_check_bijection(P1, P2, sigma), sigma
+    assert 0 < verdicts.count(True) < len(verdicts)
 
 
 def test_verifier_independent_of_search():
@@ -140,12 +162,14 @@ def test_double_z4_pinned_embeddings_not_equivalent():
 
 # -- every bijection the search returns passes the verifier -----------------
 #
-# find_equivalence does not re-check its result at run time: its pools and
-# consistency test enforce what check_bijection verifies (the argument is in
-# CHANGES.md).  These tests hold it to that on the inputs the package and the
-# benchmark run, and compare it with the search as it was while it still read
-# S-entries (tests/equiv_reference.py): pruning by true invariants must leave
-# the first bijection in backtracking order, or its absence, unchanged.
+# find_equivalence keeps a complete bijection only after comparing every
+# dual and every fusion row; with the dims and twists of its pools that is
+# all check_bijection verifies, and S follows by the balancing formula.
+# These tests hold it to that on the inputs the package and the benchmark
+# run, and compare it with the search as it was while it still read
+# S-entries (tests/equiv_reference.py): pruning by true invariants must
+# leave the first bijection in backtracking order, or its absence,
+# unchanged.
 
 
 @pytest.fixture
@@ -224,6 +248,21 @@ def test_search_results_verify_on_stack_identities(verified):
     assert len(found) == len(UNIT_LAW_INSTANCES) + len(STACKING_SET) ** 2
 
 
+def test_search_results_verify_on_pointed_pairs_with_equal_pools(verified):
+    # non-equivalent groups whose labels share every pooled invariant (dim 1,
+    # twist 0, one self-fusion output): only duals and fusion rows tell them
+    # apart.  The reference takes up to a minute the other way round, so
+    # that direction is checked by symmetry alone.
+    from setcat.double import rep_abelian
+    search, found = verified
+    for a, b in (([2, 2, 2, 2], [4, 2, 2]), ([8, 8], [4, 4, 4])):
+        P, Q = rep_abelian(a)[0], rep_abelian(b)[0]
+        assert len(set(equiv._pool_keys(P).values()) | set(equiv._pool_keys(Q).values())) == 1
+        assert search(P, Q) is None and find_equivalence(Q, P) is None, (a, b)
+        assert search(P, P) is not None
+    assert len(found) == 2
+
+
 def with_twist(P, x, turn):
     return Premodular(P.ring, P.dims, {**P.twists, x: turn}, name=f"{P.name}~twist")
 
@@ -259,6 +298,48 @@ def test_perturbed_copies_are_equivalent_to_nothing(verified):
     assert found == [] and checked >= 16
 
 
+def test_a_row_off_the_generators_is_checked(verified):
+    # a swapped entry in the row of two labels outside G leaves every row
+    # (g, a), g in G, every dual and every pooled invariant as they were;
+    # only the comparison of every row of a complete bijection finds it
+    from setcat.premodular import _generators
+    search, found = verified
+    cats = [e.category for e in catalog().values()]
+    small = [P for P in cats if 2 <= P.ring.rank() <= 4]
+    checked = 0
+    for P in cats + [P.deligne(Q) for i, P in enumerate(small) for Q in small[i:]]:
+        G = _generators(P.ring)
+        rest = [z for z in P.labels if z != P.unit and z not in G]
+        if len(rest) < 2:
+            continue
+        Q = with_entries_swapped(P, *rest[:2])
+        assert all(Q.ring.fuse(g, a) == P.ring.fuse(g, a) for g in G for a in P.labels)
+        assert search(P, Q) is None and search(Q, P) is None, Q.name
+        checked += 1
+    assert found == [] and checked == 48
+
+
+def test_every_dual_map_of_small_categories_gives_the_brute_force_answer():
+    # the dual map replaced by every map that fixes the unit, most of them no
+    # involution.  On three pairs (rep_z4 with the dual map (1) -> (2),
+    # (2) -> (2), (3) -> (1) is one) the checks made along the way pass a
+    # bijection that only the comparison of every dual of a complete
+    # bijection refutes
+    checked = 0
+    for e in catalog().values():
+        P = e.category
+        if not 3 <= P.ring.rank() <= 4:
+            continue
+        rows = {(a, b, c): n for (a, b), r in P.ring.rows() for c, n in r.items()}
+        for image in product(P.labels[1:], repeat=P.ring.rank() - 1):
+            ring = FusionRing(P.labels, dict(zip(P.labels, (P.unit, *image))), rows)
+            Q = Premodular(ring, P.dims, P.twists, name=f"{P.name}~dual")
+            for A, B in ((P, Q), (Q, P)):
+                assert find_equivalence(A, B) == brute_force_equivalent(A, B), (A.name, image)
+                checked += 1
+    assert checked == 2 * (4 * 3 ** 3 + 2 * 2 ** 2)
+
+
 def test_search_checks_self_rows_without_frobenius_reciprocity():
     # rep_z4 with (1) x (1) = (0): Frobenius reciprocity fails in that row.
     # The search checks self rows entry by entry and finds nothing; the
@@ -291,15 +372,14 @@ def test_turn_denominator_separates_equal_turns():
 
 
 def test_fingerprint_classes_are_compared_by_size_and_pooled_in_p2_order(monkeypatch):
-    """With label_fingerprints replaced: classes with the same fingerprints
-    but other sizes give None before any fusion row is read; one class for
-    all labels gives the first bijection in P2's label order, not in the
-    order of label names."""
-    from setcat import equiv
+    """With the pool keys replaced: classes with the same keys but other
+    sizes give None before any fusion row is read; one class for all labels
+    gives the first bijection in P2's label order, not in the order of label
+    names."""
     T = get("toric_code").category
     R = T.relabel({"1": "1", "e": "z", "m": "y", "f": "x"}, "renamed")
     fake = {id(T): dict(zip(T.labels, "abbc")), id(R): dict(zip(R.labels, "abcc"))}
-    monkeypatch.setattr(equiv, "label_fingerprints", lambda P: fake[id(P)])
+    monkeypatch.setattr(equiv, "_pool_keys", lambda P: fake[id(P)])
 
     def no_rows(*args):
         raise AssertionError("the search read a fusion row")

@@ -13,7 +13,7 @@ from setcat.equiv import label_fingerprints
 from setcat.errors import InputError, LimitExceeded
 from setcat.fusion import FusionRing, pair_label
 from setcat.pointed import MetricGroup, element_label
-from setcat.premodular import Premodular
+from setcat.premodular import Premodular, _generators, _span
 from setcat.randomized import random_conserving_pair
 from setcat.relprod import condense_by_invertible_bosons, relative_centralizer
 
@@ -470,3 +470,44 @@ def test_s_decision_compares_characters_across_dims():
     flat = Premodular(fib.ring, fib.dims, {x: Fraction(0) for x in fib.labels}, name="flat fib")
     assert flat.validate() == []
     assert s_decision(flat) == s_decision(flat.deligne(ising)) == (True, False)
+
+
+def monomials_span(ring: FusionRing, G: list[str]) -> bool:
+    """Whether the products of labels in G span the ring, by elimination on
+    their fusion vectors modulo the prime p = 2^61 - 1: full rank mod p
+    gives full rank over Q."""
+    p, pivots, queue = (1 << 61) - 1, {}, [{ring.unit: 1}]
+    while queue:  # each new independent vector v is followed by g v, g in G
+        v = queue.pop()
+        for k, row in pivots.items():
+            if c := v.get(k, 0):
+                for y, a in row.items():
+                    v[y] = (v.get(y, 0) - c * a) % p
+        if not (v := {y: a for y, a in v.items() if a}):
+            continue
+        k = min(v, key=ring.labels.index)
+        pivots[k] = {y: a * pow(v[k], -1, p) % p for y, a in v.items()}
+        for g in G:
+            gv = {}
+            for y, a in v.items():
+                for z, n in ring.fuse(g, y).items():
+                    gv[z] = (gv.get(z, 0) + a * n) % p
+            queue.append(gv)
+    return len(pivots) == ring.rank()
+
+
+def test_generators_are_irredundant_and_span_the_ring():
+    # the sigma-type labels span ising x ising_rev (2 of them) and its square
+    # (4), with no psi-type label beside them; on every input, G's products
+    # span the ring and no generator can be left out of the closure
+    ii = ising().deligne(ising(True))
+    rng = random.Random(ORACLE_SEED)
+    oracle = [random_conserving_pair(rng, 64)[0].to_premodular() for _ in range(17)]
+    cases = [ii, ii.deligne(ii), *(e.category for e in catalog().values()), *oracle,
+             *(su2_level(k) for k in (4, 8))]
+    for P in cases:
+        G = _generators(P.ring)
+        assert _span(P.ring, G) == set(P.labels) and monomials_span(P.ring, G), P.name
+        assert all(len(_span(P.ring, [h for h in G if h != g])) < P.ring.rank() for g in G)
+    sizes = [_generators(P.ring) for P in cases[:2]]
+    assert [len(G) for G in sizes] == [2, 4] and all("psi" not in g for G in sizes for g in G)
