@@ -107,7 +107,7 @@ def find_equivalence(P1: Premodular, P2: Premodular,
                 return None
             pools[x] = [pins[x]] if x in pins else pool
 
-    order, at2 = P1.labels, {u: p for p, u in enumerate(P2.labels)}
+    order = P1.labels
     at = {x: p for p, x in enumerate(order)}
     due: dict[str, list[tuple[str, str, str, int]]] = {x: [] for x in order}
     via: dict[str, tuple[str, str]] = {}  # x -> a row (g, a) into x, g and a before x
@@ -133,8 +133,10 @@ def find_equivalence(P1: Premodular, P2: Premodular,
             return complete()
         x = order[pos]
         xd, cands = dual1[x], pools[x]
-        if x in via:  # the outputs of the image of that row, in P2's order
-            cands = sorted(fuse2(*map(assign.get, via[x])).keys() & cands, key=at2.get)
+        if x in via:  # only the outputs of the image of that row
+            g, a = via[x]
+            row = fuse2(assign[g], assign[a])
+            cands = [u for u in cands if u in row]
         for u in cands:
             if u in used or (dual2[u] == u) != (xd == x) or xd in assign and assign[xd] != dual2[u]:
                 continue

@@ -363,7 +363,7 @@ def _span(ring: FusionRing, G: list[str], span=()) -> set[str]:
     while done < len(span):  # products of the labels that joined last
         open_ += [ring.fuse(g, y).keys() for y in span[done:] for g in G]
         done = len(span)
-        open_ = [out for fresh in open_ if (out := fresh - inside)]
+        open_ = [rest for out in open_ if (rest := out - inside)]
         span += (fresh := {x for out in open_ if len(out) == 1 for x in out})
         inside |= fresh
     return inside
