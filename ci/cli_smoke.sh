@@ -5,9 +5,10 @@
 # report) to a directory, decides nondegeneracy both ways and on the rank-81
 # (ising x ising_rev)^2, verifies the nondegeneracy of a stacking, prints two Mueger
 # centers and the centralizer of an embedding's image, conserves the global
-# dim of a condensation by transparent bosons, finds an equivalence, splits a
-# fixed point, splits (ising x ising_rev)^2 by Z2xZ2 (a 4-child orbit
-# and four 2-child orbits), splits ising x ising_rev x D(Z3) by Z2 (nine
+# dim of a condensation by transparent bosons, finds an equivalence, finds
+# none between Rep(Z2^5) and Rep(Z4 x Z2^3), whose labels the search pools
+# alike, splits a fixed point, splits (ising x ising_rev)^2 by Z2xZ2 (a
+# 4-child orbit and four 2-child orbits), splits ising x ising_rev x D(Z3) by Z2 (nine
 # 2-child orbits, four pairs of them mutually dual), refuses a split orbit
 # whose stabilizer carries a 2-cocycle, an out-of-range --max-order, a flag
 # its verify kind does not read and an option given twice, checks a unit law,
@@ -38,6 +39,12 @@ setcat centralizer fixtures/toric_code.json --emb fixtures/toric_code.emb_e.json
     | grep -x "centralizer of {1, e} in toric_code: 1, e"
 setcat condense fixtures/rep_z2.json --bosons 1,e | grep -x "global dim: 2 -> 1 (conserved: True)"
 setcat equiv fixtures/toric_code.json fixtures/double_2.json
+setcat rep --group 2,2,2,2,2 --out-dir groups > /dev/null
+setcat rep --group 4,2,2,2 --out-dir groups > /dev/null
+status=0
+setcat equiv groups/rep_2x2x2x2x2.json groups/rep_4x2x2x2.json > equiv.txt || status=$?
+test "$status" -eq 1
+test "$(cat equiv.txt)" = none
 setcat product fixtures/ising.json fixtures/ising_rev.json --out ii.json
 setcat condense ii.json --bosons "(1,1),(psi,psi)" | tee condense.txt
 grep -q "splits into 2" condense.txt
