@@ -6,8 +6,8 @@
 # (ising x ising_rev)^2, verifies the nondegeneracy of a stacking, prints two Mueger
 # centers and the centralizer of an embedding's image, conserves the global
 # dim of a condensation by transparent bosons, finds an equivalence, finds
-# none between Rep(Z2^5) and Rep(Z4 x Z2^3), whose labels the search pools
-# alike, splits a fixed point, splits (ising x ising_rev)^2 by Z2xZ2 (a
+# none between Rep(Z2^6) and Rep(Z4 x Z2^4), whose 64 and 32 self-dual labels
+# give pools of other sizes, splits a fixed point, splits (ising x ising_rev)^2 by Z2xZ2 (a
 # 4-child orbit and four 2-child orbits), splits ising x ising_rev x D(Z3) by Z2 (nine
 # 2-child orbits, four pairs of them mutually dual), refuses a split orbit
 # whose stabilizer carries a 2-cocycle, an out-of-range --max-order, a flag
@@ -39,10 +39,10 @@ setcat centralizer fixtures/toric_code.json --emb fixtures/toric_code.emb_e.json
     | grep -x "centralizer of {1, e} in toric_code: 1, e"
 setcat condense fixtures/rep_z2.json --bosons 1,e | grep -x "global dim: 2 -> 1 (conserved: True)"
 setcat equiv fixtures/toric_code.json fixtures/double_2.json
-setcat rep --group 2,2,2,2,2 --out-dir groups > /dev/null
-setcat rep --group 4,2,2,2 --out-dir groups > /dev/null
+setcat rep --group 2,2,2,2,2,2 --out-dir groups > /dev/null
+setcat rep --group 4,2,2,2,2 --out-dir groups > /dev/null
 status=0
-setcat equiv groups/rep_2x2x2x2x2.json groups/rep_4x2x2x2.json > equiv.txt || status=$?
+setcat equiv groups/rep_2x2x2x2x2x2.json groups/rep_4x2x2x2x2.json > equiv.txt || status=$?
 test "$status" -eq 1
 test "$(cat equiv.txt)" = none
 setcat product fixtures/ising.json fixtures/ising_rev.json --out ii.json

@@ -14,10 +14,10 @@ Fingerprint = tuple
 
 def _pool_keys(P: Premodular) -> dict[str, tuple]:
     """The search's pool key per label, read in O(1): exact dim, twist turn
-    and its denominator, self-fusion counts."""
-    turn, den = P.turns()
-    return {x: (P.dims[x].sort_key(), turn[x], den, tuple(sorted(P.ring.fuse(x, x).values())))
-            for x in P.labels}
+    and its denominator, self-fusion counts, self-duality."""
+    (turn, den), dual = P.turns(), P.ring.dual
+    return {x: (P.dims[x].sort_key(), turn[x], den, tuple(sorted(P.ring.fuse(x, x).values())),
+                dual[x] == x) for x in P.labels}
 
 
 def label_fingerprints(P: Premodular) -> dict[str, Fingerprint]:

@@ -6,7 +6,6 @@ centralizer identities."""
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import (accumulate, chain, compress, count, groupby, permutations, product,
@@ -236,27 +235,29 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     Checked once decided, on rows kept in place: the group sums, the other
     rows' dimension equation, associativity and the rule S(i*, j) =
     conj S(i, j) (`linear_rules`) once the rows they read are complete.
-    Symmetry breaking: each block's involution is drawn from its classes
-    under relabelling, each as its least member in search order and the
-    value order 1 < 0 (`_dual_classes`).  The lex-leader condition
-    V <= V o g (Crawford et al., KR 1996) is checked only for the
-    relabellings that fix the drawn involutions, their centralizer (Puget,
-    CP 2003): when block b's involution is drawn, for each g that fixes the
-    involutions so far, moves block b and fixes every later block.  Each
-    comparison runs in the value order 1 < 2 < ... < 0 over the positions g
-    moves, which leaves out the dual levels it fixes, from the first not
-    known to agree (Frisch et al., CP 2002), waiting for the level of the
-    later position it reads.  One survivor per class outlives the search,
-    its least member in search order.  Take any g whose first component
-    outside the centralizer is at block j, and g'' the centralizer element
-    that is g cut to the blocks below j: a segment before block j's touches
-    only those blocks, so V o g agrees there with V o g'', and V <= V o g''.
-    If V and V o g'' differ there, the first difference gives V < V o g.
-    Otherwise V o g agrees with V up to block j's dual levels, where it
-    draws another member of the class of the involution drawn there, which
-    is that class's least member: V < V o g again.  Each survivor is
-    relabelled to its least member in live order before the check, so the
-    category checked is the one returned."""
+    Symmetry breaking: each block's involution is drawn from its classes under
+    relabelling, each as its least member in search order and the value order
+    1 < 0 (`_dual_classes`).  The lex-leader condition V <= V o g (Crawford et
+    al., KR 1996) is checked only for the relabellings that fix the drawn
+    involutions, their centralizer (Puget, CP 2003): when block b's involution
+    is drawn, for each g = g' h, h in its centralizer and moving block b, g'
+    the identity or an element for the earlier blocks still compared.  What is
+    set then holds no label of block b past its dual levels, which g reads as
+    V does, so there V o g = V o g': a settled V < V o g' gives V < V o g at
+    the same place, V = V o g' gives V o g = V o h.  Each comparison runs in
+    the value order 1 < 2 < ... < 0 over the positions g moves, which leaves
+    out the dual levels it fixes, from the first not known to agree (Frisch et
+    al., CP 2002), waiting for the level of the later position it reads.  One
+    survivor per class outlives the search, its least member in search order.
+    Take any g whose first component outside the centralizer is at block j,
+    and g'' the centralizer element that is g cut to the blocks below j: a
+    segment before block j's touches only those blocks, so V o g agrees there
+    with V o g'', and V <= V o g''.  If V and V o g'' differ there, the first
+    difference gives V < V o g.  Otherwise V o g agrees with V up to block j's
+    dual levels, where it draws another member of the class of the involution
+    drawn there, which is that class's least member: V < V o g again.  Each
+    survivor is relabelled to its least member in live order before the check,
+    so the category checked is the one returned."""
     split = [ch for ch in (list(g) for _, g in groupby(labels, rep_of.get)) if len(ch) > 1]
     if (n_maps := prod(map(factorial, map(len, split)))) > _MAX_RELABELLINGS:
         raise LimitExceeded(f"splitting enumeration: relabelling the split children gives "
@@ -360,8 +361,6 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     level = {p: v for v, cl in enumerate(classes) for p in cl}
     start = list(accumulate(map(len, classes), initial=0))  # level -> its first index in order
     order = [p for cl in classes for p in cl]  # search order; the unit rows are invariant
-    maps = [m for m in (dict(zip(sum(split, []), sum(pm, ())))
-                        for pm in product(*map(permutations, split))) if m != dict(zip(m, m))]
     blocks = []  # per block its dual levels, and per class its least member's values there
     for key in keys:
         ps = [cl[0] for cl in dual_levels[key]]
@@ -373,15 +372,29 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     def agreeing(ps, cls, j):  # the block's classes whose least member is V on ps[:j]
         return [c for c in cls if all(V[p] == x for p, x in zip(ps[:j], c[0]))]
 
-    bit = {x: 1 << i for i, x in enumerate(sum(split, []))}
-    mask = [0 if c == unit else bit.get(a, 0) | bit.get(b, 0) | bit.get(c, 0)
-            for a, b, c in map(live.__getitem__, order)]  # the centralizer fixes N_ab^1
-    moving = [sum(bit[a] for a, b in m.items() if a != b) for m in maps]  # the labels g moves
-    # key -> the indices s of the order[s] it moves, then a stop
-    scans = {key: chain(compress(count(), map(key.__and__, mask)), repeat(len(order) + 1))
-             for key in moving}
-    moved = {key: array("i", [next(scan)]) for key, scan in scans.items()}  # found so far
-    images = [[] for _ in maps]  # i -> order[s] relabelled by maps[g], s the i-th of those
+    # relabellings g (indices into product(*map(permutations, split))) as label-index arrays,
+    # positions as label-index triples, mask[s] the labels order[s] holds (none for N_ab^1)
+    num, size, walks, scans = {x: i for i, x in enumerate(labels)}, len(labels), {}, {}
+    tri = [(num[a], num[b], num[c]) for a, b, c in live]
+    coded = {t: p for p, t in enumerate(tri)}
+    perms = [list(permutations(map(num.get, ch))) for ch in split]
+    mask = [c and 1 << a | 1 << b | 1 << c for a, b, c in map(tri.__getitem__, order)]
+
+    def relabelling(g):  # label index -> its image; g is mixed radix, the last orbit lowest
+        m = list(range(size))
+        for pms in reversed(perms):  # an orbit's children are consecutive labels
+            g, d = divmod(g, len(pms))
+            m[pms[0][0]:pms[0][-1] + 1] = pms[d]
+        return m
+
+    def walk(g):  # g's array, the indices s of the order[s] it moves found so far (shared by
+        m = relabelling(g)  # the g that move the same labels), a scan for more, their images
+        if (key := sum(1 << x for x, y in enumerate(m) if x != y)) not in scans:
+            scan = chain(compress(count(), map(key.__and__, mask)), repeat(len(order) + 1))
+            scans[key] = ([next(scan)], scan)  # then a stop
+        walks[g] = (m, *scans[key], [])
+        return walks[g]
+
     dual, trail = {a: b for (a, b), r in forced.items() if unit in r}, []
     ready = [k for k in range(s_checks, len(checks)) if not wait[k]]  # S checks, forced rows
 
@@ -405,14 +418,18 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
             return all(rem[g] >= 0 and (left[g] or not rem[g]) for g in grp[p])
         return V[p] == val
 
-    def spread(ps, val, full):  # then run the checks that became decidable
-        ok = True
-        for a, b, c in (live[p] for p in ps):
-            ts = ((x, y, dual[z]) for s in ((a, b, dual[c]), (dual[a], dual[b], c))
-                  for x, y, z in permutations(s)) if full else ((a, b, c), (b, a, c))
-            for t in dict.fromkeys(ts):  # in insertion order, not the string hash's
-                ok = (put(at[t], val) if t in at else val == 0) and ok
-        for k in ready:
+    targets = [None] * nv + [([], False)]  # level -> where it spreads; level nv: nowhere
+
+    def spread(v, val):  # N_ab^c = N_ba^c; off the dual levels N_(a*)c^b = N_(b*)(a*)^(c*) too
+        if targets[v] is None:  # in insertion order, not the string hash's
+            full = classes[v][0] not in block_at
+            ts = dict.fromkeys(t for a, b, c in map(live.__getitem__, classes[v]) for t in (
+                ((x, y, dual[z]) for s in ((a, b, dual[c]), (dual[a], dual[b], c))
+                 for x, y, z in permutations(s)) if full else ((a, b, c), (b, a, c))))
+            targets[v] = [at[t] for t in ts if t in at], not ts.keys() <= at.keys()
+        ps, dead = targets[v]  # a triple that is not live needs the value 0
+        ok = (val == 0 or not dead) and all(put(p, val) for p in ps)
+        for k in ready:  # while ok, run the checks that became decidable
             if not ok:
                 break
             what = checks[k][0]
@@ -431,19 +448,16 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
 
     agenda = [[] for _ in range(nv + 1)]  # level -> comparisons (g, i) resumed there
 
-    def image(g, p):  # the position of live[p] relabelled by maps[g]
-        (a, b, c), m = live[p], maps[g]
-        return at[m.get(a, a), m.get(b, b), m.get(c, c)]
-
     def lex(items, log, w):  # V <= V o g in the value order 1 < 2 < ... < 0; level w is open
         u = start[w]  # order[:u] is set
         for g, i in items:  # i: the first of the indices g moves not known to agree
-            ms, img = moved[moving[g]], images[g]
+            m, ms, scan, img = walks.get(g) or walk(g)
             while ms[-1] <= u:
-                ms.append(next(scans[moving[g]]))
+                ms.append(next(scan))
             while (s := ms[i]) <= u:
                 if i == len(img):  # a walk reaches ms[i] only after ms[:i]
-                    img.append(image(g, order[s]))
+                    a, b, c = tri[order[s]]
+                    img.append(coded[m[a], m[b], m[c]])
                 x, y = V[order[s]], V[img[i]]
                 if x != y or x is None:
                     break
@@ -462,15 +476,13 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
 
     body = [p for p, t in enumerate(live) if unit not in t[:2]]  # the unit rows are invariant
 
-    def least(W):  # the least W o g in live order
+    def least(W):  # the least W o g in live order; the unit rows are invariant
         best = W
-        for g in range(len(maps)):
-            x, y = next(((x, y) for x, y in zip(map(best.__getitem__, body),
-                                                (W[image(g, p)] for p in body)) if x != y), (0, 0))
+        for m in map(relabelling, range(1, n_maps)):
+            r = (W[coded[m[a], m[b], m[c]]] for a, b, c in map(tri.__getitem__, body))  # W o g
+            x, y = next(((x, y) for x, y in zip(map(best.__getitem__, body), r) if x != y), (0, 0))
             if (y == 0, y) < (x == 0, x):
-                best = W[:]
-                for p in body:
-                    best[p] = W[image(g, p)]
+                best = [W[coded[m[a], m[b], m[c]]] for a, b, c in tri]
         return best
 
     def category(W):  # the forced rows and W's nonzero entries, rows and outputs sorted
@@ -486,7 +498,7 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     # the unit rows: N_1x^y = N_x1^y = [x = y]
     ok = all(put(p, int(b == c if a == unit else a == c))
              for p, (a, b, c) in enumerate(live) if unit in (a, b))
-    stack = [[0, None, [], len(trail)]] if ok and spread([], 0, False) else []
+    stack = [[0, None, [], len(trail)]] if ok and spread(nv, 0) else []
     survivors, nodes = [], 0
     while stack:  # frames: level, values left to try, lex-log, trail length
         v, vals, log, mark = frame = stack[-1]
@@ -507,22 +519,16 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
         if nodes > _SEARCH_NODE_BUDGET:
             raise LimitExceeded(f"splitting enumeration exhausted its search budget of "
                                 f"{_SEARCH_NODE_BUDGET:,} nodes over {nv} unknown variables")
-        if not spread(classes[v], vals.pop(), classes[v][0] not in block_at):
+        if not spread(v, vals.pop()):
             continue
         nxt = next((w for w in range(v + 1, nv) if V[classes[w][0]] is None), nv)
         if not all(lex(agenda[w], log, nxt) for w in range(v, nxt)):
             continue
-        if v in ends:  # block b's involution is decided: compare with each g that fixes the
-            b = ends[v]  # involutions so far, moves block b and fixes every later block
-            dual.update(live[p][:2] for p in chain(*dual_levels[keys[b]]) if V[p])
-            gs = [0]
-            for ps, cls in blocks[:b]:
-                gs = [g + h for g in gs for h in agreeing(ps, cls, len(ps))[0][1]]
-            ps, cls = blocks[b]
-            # only schedules: order[:start[nxt]] holds no label of block b past its dual
-            # levels, so there g reads what g cut below block b reads, whose comparison is open
-            lex([(g + h - 1, 0) for g in gs for h in agreeing(ps, cls, len(ps))[0][1] if h],
-                log, nxt)
+        if v in ends:  # block b's involution is decided: compare with g = g' h, h in its
+            ps, cls = blocks[ends[v]]  # centralizer, g' the identity or one still compared
+            dual.update(live[p][:2] for p in chain(*dual_levels[keys[ends[v]]]) if V[p])
+            targets[v + 1:nv] = [None] * (nv - v - 1)  # the later levels spread anew
+            lex(_scheduled(agenda[nxt:], agreeing(ps, cls, len(ps))[0][1]), log, nxt)
         if nxt < nv:
             stack.append([nxt, None, [], len(trail)])
         elif len(survivors) < _MAX_SURVIVORS:
@@ -533,6 +539,11 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
                 f"against the cap of {_MAX_SURVIVORS}, over {nv} unknown variables")
     bests = sorted(map(least, survivors), key=lambda W: [(v == 0, v) for v in W])
     return [cand for W in bests if _candidate_ok(cand := category(W))]
+
+
+def _scheduled(agenda, centralizer):
+    """A block's end compares g' + h: g' the identity or still compared in `agenda`, h != 0."""
+    return [(g + h, 0) for g in (0, *(g for w in agenda for g, _ in w)) for h in centralizer if h]
 
 
 def _dual_classes(split, i, j):

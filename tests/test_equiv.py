@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -248,19 +249,46 @@ def test_search_results_verify_on_stack_identities(verified):
     assert len(found) == len(UNIT_LAW_INSTANCES) + len(STACKING_SET) ** 2
 
 
+def pool_sizes(P):
+    return Counter(equiv._pool_keys(P).values())
+
+
 def test_search_results_verify_on_pointed_pairs_with_equal_pools(verified):
-    # non-equivalent groups whose labels share every pooled invariant (dim 1,
-    # twist 0, one self-fusion output): only duals and fusion rows tell them
-    # apart.  The reference takes up to a minute the other way round, so
-    # that direction is checked by symmetry alone.
+    # non-equivalent groups whose pools have equal sizes on both sides (dim 1,
+    # twist 0, one self-fusion output, and as many self-dual labels, the unit
+    # and the elements of order 2): only fusion rows tell them apart.  The
+    # reference takes minutes on the rank-64 pair, so there the search's None
+    # is checked without it, both ways round.
     from setcat.double import rep_abelian
     search, found = verified
-    for a, b in (([2, 2, 2, 2], [4, 2, 2]), ([8, 8], [4, 4, 4])):
+    for a, b in (([4, 4], [8, 2]), ([8, 4], [16, 2]), ([4, 4, 4], [8, 4, 2])):
         P, Q = rep_abelian(a)[0], rep_abelian(b)[0]
-        assert len(set(equiv._pool_keys(P).values()) | set(equiv._pool_keys(Q).values())) == 1
-        assert search(P, Q) is None and find_equivalence(Q, P) is None, (a, b)
+        assert pool_sizes(P) == pool_sizes(Q) and len(pool_sizes(P)) == 2, (a, b)
+        check = search if P.ring.rank() <= 32 else find_equivalence
+        assert check(P, Q) is None and find_equivalence(Q, P) is None, (a, b)
         assert search(P, P) is not None
-    assert len(found) == 2
+    assert len(found) == 3
+
+
+def test_self_duality_refutes_pointed_pairs_at_the_pools(verified, monkeypatch):
+    # groups with different numbers of elements of order 2, so of self-dual
+    # labels, whose labels share every other pooled invariant: None before a
+    # generator row is read (Rep(Z2^6) vs Rep(Z4 x Z2^4) took 767 s while the
+    # pools left self-duality out)
+    from setcat.double import rep_abelian
+    search, _ = verified
+
+    def no_generators(ring):
+        raise AssertionError("the search read the generator rows")
+
+    monkeypatch.setattr(equiv, "_generators", no_generators)
+    for a, b in (([2, 2, 2, 2], [4, 2, 2]), ([8, 8], [4, 4, 4]), ([2] * 6, [4, 2, 2, 2, 2])):
+        P, Q = rep_abelian(a)[0], rep_abelian(b)[0]
+        sizes = pool_sizes(P), pool_sizes(Q)  # one key but self-duality, counts that differ
+        assert len({key[:4] for key in sizes[0].keys() | sizes[1].keys()}) == 1, (a, b)
+        assert sizes[0] != sizes[1], (a, b)
+        check = find_equivalence if len(a) == 6 else search  # the reference takes > 10 min
+        assert check(P, Q) is None and find_equivalence(Q, P) is None, (a, b)
 
 
 def with_twist(P, x, turn):

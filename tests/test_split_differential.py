@@ -76,9 +76,15 @@ def test_su2_d_series_quotient(k, rank):
     assert result.is_nondegenerate()
 
 
-def assert_pinned_nodes(monkeypatch, P, bosons, nodes):
+def assert_pinned_nodes(monkeypatch, P, bosons, nodes, scheduled):
     """The search needs exactly `nodes` nodes: it finishes within them and
-    exhausts a budget of one fewer."""
+    exhausts a budget of one fewer.  Its blocks' ends schedule `scheduled`
+    relabelling comparisons in all."""
+    found, schedule = [], relprod._scheduled
+    with monkeypatch.context() as m:
+        m.setattr(relprod, "_scheduled", lambda *a: found.append(schedule(*a)) or found[-1])
+        relprod.condense_by_invertible_bosons(P, bosons)
+    assert sum(map(len, found)) == scheduled
     for budget, enough in ((nodes, True), (nodes - 1, False)):
         monkeypatch.setattr(relprod, "_SEARCH_NODE_BUDGET", budget)
         try:
@@ -95,8 +101,11 @@ def test_split_inputs_take_their_pinned_nodes(monkeypatch, index, nodes):
     # where a check prunes shows here ((ising x ising_rev)^2 / Z2xZ2, the last, took 2,617
     # while the rule S(i*, j) = conj S(i, j) waited for complete candidates, 1,634 while
     # the lex-leader compared every relabelling on the dual levels, and 1,300 while every
-    # block's involution was drawn before any other class; ii x fib took 77)
-    assert_pinned_nodes(monkeypatch, *benchmark_split_inputs()[index], nodes)
+    # block's involution was drawn before any other class; ii x fib took 77); and the
+    # comparisons its blocks' ends schedule (the last scheduled 558 while a block's end
+    # compared every g' h, also for g' whose comparison was settled)
+    scheduled = [2, 2, 2, 2, 2, 2, 6, 150][index]
+    assert_pinned_nodes(monkeypatch, *benchmark_split_inputs()[index], nodes, scheduled)
 
 
 def test_ising_squared_within_3000_nodes(monkeypatch):
@@ -119,7 +128,8 @@ def test_mutually_dual_split_orbits(monkeypatch, third, nodes, pairs):
     # ising x ising_rev x T / Z2: ((sigma, sigma), t) splits for every label t of T, and its
     # orbit is dual to that of t*, so the search draws the involutions of dual pairs of split
     # orbits (T = Z3 with q = x^2/3: one pair; T = D(Z3): four); the result is toric_code x T
-    # (69 and 507 nodes while every block's involution was drawn before any other class)
+    # (69 and 507 nodes while every block's involution was drawn before any other class;
+    # 4 and 32 comparisons scheduled while settled ones were extended too)
     T = metric_cyclic(3, 3) if third == "z3" else get(third).category
     P = get("ising").category.deligne(get("ising_rev").category).deligne(T)
     bosons = [pair_label(h, T.unit) for h in Z2]
@@ -128,7 +138,7 @@ def test_mutually_dual_split_orbits(monkeypatch, third, nodes, pairs):
                         lambda split, i, j: blocks.append((i, j)) or dual_classes(split, i, j))
     assert find_equivalence(condensed(P, bosons), get("toric_code").category.deligne(T))
     assert [(i, j) for i, j in blocks if i != j] == pairs
-    assert_pinned_nodes(monkeypatch, P, bosons, nodes)
+    assert_pinned_nodes(monkeypatch, P, bosons, nodes, {"z3": 4, "double_3": 10}[third])
 
 
 @pytest.mark.parametrize("case,nodes", [("su2_4 x su2_4", 150), ("su2_4 x su2_8", 1_653),
@@ -137,7 +147,8 @@ def test_multi_block_condensations(monkeypatch, case, nodes):
     # Z2 x Z2 condensations with three self-dual split orbits, each its own block, two of
     # 2 children and one of 4: the answers are the products of the factors' Z2 quotients
     # (su2_4 / {0, 4} = Z3, su2_8 / {0, 8} = rev(fib)^2, ii / Z2 = toric_code); 316, 15,601
-    # and 544 nodes while every block's involution was drawn before any other class
+    # and 544 nodes while every block's involution was drawn before any other class, and
+    # 138, 278 and 278 comparisons scheduled while settled ones were extended too
     s4, s8, z3 = su2_level(4), su2_level(8), metric_cyclic(3, 3)
     ii = get("ising").category.deligne(get("ising_rev").category)
     rev_fib = get("fibonacci").category.reverse()
@@ -149,7 +160,8 @@ def test_multi_block_condensations(monkeypatch, case, nodes):
                                         "((psi,psi),4)"], get("toric_code").category.deligne(z3)),
     }[case]
     assert find_equivalence(condensed(P, bosons), answer)
-    assert_pinned_nodes(monkeypatch, P, bosons, nodes)
+    scheduled = {"su2_4 x su2_4": 138, "su2_4 x su2_8": 146, "ii x su2_4": 142}[case]
+    assert_pinned_nodes(monkeypatch, P, bosons, nodes, scheduled)
 
 
 @pytest.mark.parametrize("k", [4, 8, 12, 16])
