@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import (accumulate, chain, compress, count, groupby, permutations, product,
-                       repeat)
+from functools import cache
+from itertools import accumulate, chain, compress, count, groupby, permutations, product, repeat
 from math import factorial, prod
 
 from .cyclo import Cyclo
@@ -380,6 +380,7 @@ def _resolve_split_fusion(forced, unknown, labels, rep_of, dims, twists, orbit_m
     perms = [list(permutations(map(num.get, ch))) for ch in split]
     mask = [c and 1 << a | 1 << b | 1 << c for a, b, c in map(tri.__getitem__, order)]
 
+    @cache  # built once per search, for lex and for least
     def relabelling(g):  # label index -> its image; g is mixed radix, the last orbit lowest
         m = list(range(size))
         for pms in reversed(perms):  # an orbit's children are consecutive labels

@@ -276,14 +276,18 @@ def test_self_duality_refutes_pointed_pairs_at_the_pools(verified, monkeypatch):
     # generator row is read (Rep(Z2^6) vs Rep(Z4 x Z2^4) took 767 s while the
     # pools left self-duality out)
     from setcat.double import rep_abelian
-    search, _ = verified
+    search, found = verified
+    pairs = (([2, 2, 2, 2], [4, 2, 2]), ([8, 8], [4, 4, 4]), ([2] * 6, [4, 2, 2, 2, 2]))
+    cats = [(rep_abelian(a)[0], rep_abelian(b)[0]) for a, b in pairs]
+    for P, _ in cats[:2]:  # Rep(Z2^4), every label in one pool, and Rep(Z8 x Z8) map to
+        assert search(P, P) is not None  # themselves, as the reference finds
+    assert len(found) == 2
 
     def no_generators(ring):
         raise AssertionError("the search read the generator rows")
 
     monkeypatch.setattr(equiv, "_generators", no_generators)
-    for a, b in (([2, 2, 2, 2], [4, 2, 2]), ([8, 8], [4, 4, 4]), ([2] * 6, [4, 2, 2, 2, 2])):
-        P, Q = rep_abelian(a)[0], rep_abelian(b)[0]
+    for (a, b), (P, Q) in zip(pairs, cats):
         sizes = pool_sizes(P), pool_sizes(Q)  # one key but self-duality, counts that differ
         assert len({key[:4] for key in sizes[0].keys() | sizes[1].keys()}) == 1, (a, b)
         assert sizes[0] != sizes[1], (a, b)
